@@ -56,18 +56,7 @@ impl Rule {
 /// minimizing this (a proxy for per-row predicate evaluation work), with
 /// constant-FALSE/TRUE results being maximally cheap.
 pub fn expr_size(e: &Expr) -> usize {
-    match e {
-        Expr::Column { .. } | Expr::Literal(_) => 1,
-        Expr::Binary { left, right, .. } => 1 + expr_size(left) + expr_size(right),
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-            1 + expr_size(expr)
-        }
-        Expr::Between { expr, lo, hi } => 1 + expr_size(expr) + expr_size(lo) + expr_size(hi),
-        Expr::InList { expr, list, .. } => {
-            1 + expr_size(expr) + list.iter().map(expr_size).sum::<usize>()
-        }
-        Expr::Function { args, .. } => 1 + args.iter().map(expr_size).sum::<usize>(),
-    }
+    1 + e.children().into_iter().map(expr_size).sum::<usize>()
 }
 
 /// Apply one rule everywhere in the tree (one pass). Returns `None` if

@@ -1,24 +1,27 @@
-//! E16 timing: inference strategies over 100k rows, and the hybrid
-//! pushdown vs predict-all plan.
+//! E16 timing: the hybrid `PREDICT` query through SQL — per-row UDF (row
+//! executor) vs batch kernel (vectorized executor) over 30k patients —
+//! and the hybrid pushdown vs predict-all plan.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use aimdb_bench::{e16_patients, E16_PREDICT_SQL, E16_STORED_SQL};
 use aimdb_db4ai::hybrid::{derive_pushdown, naive_plan, pushdown_plan, FeatureBounds};
-use aimdb_db4ai::inference::{run_inference, Strategy};
 use aimdb_ml::linear::LinearRegression;
 
 fn bench_infer(c: &mut Criterion) {
-    let feats: Vec<Vec<f64>> = (0..100_000)
-        .map(|i| vec![(i % 500) as f64, ((i * 3) % 500) as f64])
-        .collect();
-    let model = |x: &[f64]| 2.0 * x[0] - x[1] + 0.5;
-
+    let db = e16_patients(30_000).expect("patients");
     let mut group = c.benchmark_group("e16_inference");
-    group.sample_size(10);
-    for s in [Strategy::PerRowUdf, Strategy::Batched, Strategy::Cached] {
-        group.bench_function(format!("{s:?}"), |b| {
-            b.iter(|| run_inference(&feats, &model, s).predictions.len())
-        });
+    for (executor, knob) in [("per_row_udf", 0), ("batch_kernel", 1)] {
+        db.execute(&format!("SET vectorized_exec = {knob}"))
+            .expect("knob");
+        for (what, sql) in [
+            ("predict", E16_PREDICT_SQL),
+            ("stored_column", E16_STORED_SQL),
+        ] {
+            group.bench_function(&format!("{executor}/{what}"), |b| {
+                b.iter(|| db.execute(sql).expect("query"))
+            });
+        }
     }
 
     let patients: Vec<Vec<f64>> = (0..100_000)

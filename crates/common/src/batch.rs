@@ -9,6 +9,8 @@
 //! batch); operators apply them with [`Batch::gather`] so downstream
 //! operators always see dense batches.
 
+use std::borrow::Cow;
+
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
@@ -335,6 +337,40 @@ impl ColVec {
                 nulls.clear();
             }
             ColVec::Mixed(vals) => vals.clear(),
+        }
+    }
+
+    /// The column as one `f64` lane per row — the numeric view of
+    /// [`Value::as_f64`] taken a column at a time: `Float` lanes are
+    /// borrowed, `Int` lanes widen, `Bool` lanes map to 0/1. A NULL or
+    /// text lane is the same type error `as_f64` reports for that value.
+    pub fn f64_lane(&self) -> crate::error::Result<Cow<'_, [f64]>> {
+        let no_nulls = |nulls: &[bool]| {
+            if nulls.contains(&true) {
+                Value::Null.as_f64().map(drop)
+            } else {
+                Ok(())
+            }
+        };
+        match self {
+            ColVec::Float { vals, nulls } => {
+                no_nulls(nulls)?;
+                Ok(Cow::Borrowed(vals))
+            }
+            ColVec::Int { vals, nulls } => {
+                no_nulls(nulls)?;
+                Ok(Cow::Owned(vals.iter().map(|&v| v as f64).collect()))
+            }
+            ColVec::Bool { vals, nulls } => {
+                no_nulls(nulls)?;
+                Ok(Cow::Owned(
+                    vals.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect(),
+                ))
+            }
+            ColVec::Text { .. } | ColVec::Mixed(_) => (0..self.len())
+                .map(|i| self.value(i).as_f64())
+                .collect::<crate::error::Result<Vec<f64>>>()
+                .map(Cow::Owned),
         }
     }
 

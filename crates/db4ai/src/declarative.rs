@@ -10,9 +10,12 @@
 //! ```
 //!
 //! all work inside the database. Training reads the table through the
-//! catalog, dispatches on the model kind, registers the result in the
-//! versioned [`ModelRegistry`], and inference routes `PREDICT` calls to
-//! the latest version.
+//! catalog, dispatches on the model kind, and registers the result in the
+//! versioned [`ModelRegistry`]. Inference does not go through the
+//! registry row by row: the planner asks [`ModelHook::bind`] once per
+//! `PREDICT` for a snapshot of the latest version — the only time the
+//! registry lock is taken — and the executor runs that snapshot's batch
+//! kernel, so one statement predicts with one version.
 
 use std::sync::Arc;
 
@@ -27,6 +30,7 @@ use aimdb_ml::linear::{GdParams, LinearRegression, LogisticRegression};
 use aimdb_ml::metrics::{accuracy, mse};
 use aimdb_ml::tree::{DecisionTree, TreeParams, TreeTask};
 use aimdb_sql::ast::ModelKind;
+use aimdb_sql::expr::BoundModel;
 
 use crate::registry::{params_to_meta, ModelMeta, ModelRegistry, TrainedModel};
 
@@ -206,19 +210,17 @@ impl ModelHook for ModelRuntime {
         self.registry.lock().drop_model(name).map(|_| ())
     }
 
-    fn predict(&self, name: &str, inputs: &[Value]) -> Result<Value> {
-        let x: Vec<f64> = inputs.iter().map(Value::as_f64).collect::<Result<_>>()?;
-        let reg = self.registry.lock();
-        let (meta, model) = reg.latest(name)?;
-        if x.len() != meta.features.len() {
+    fn bind(&self, name: &str, arity: usize) -> Result<Arc<dyn BoundModel>> {
+        let version = self.registry.lock().snapshot(name)?;
+        let features = &version.meta.features;
+        if arity != features.len() {
             return Err(AimError::Model(format!(
-                "model {name} expects {} inputs ({}), got {}",
-                meta.features.len(),
-                meta.features.join(", "),
-                x.len()
+                "model {name} expects {} inputs ({}), got {arity}",
+                features.len(),
+                features.join(", "),
             )));
         }
-        Ok(Value::Float(model.predict(&x)))
+        Ok(version)
     }
 }
 
@@ -313,6 +315,87 @@ mod tests {
         });
         db.execute("DROP MODEL m").unwrap();
         assert!(db.execute("PREDICT m GIVEN (30)").is_err());
+    }
+
+    /// One statement, one model version: a re-train that lands after the
+    /// statement bound its model — here forced between planning and
+    /// running, and raced for real by a second thread — must not leak into
+    /// it. Every answer is exactly v1's or exactly v2's, never a blend of
+    /// morsels predicted by different versions.
+    #[test]
+    fn retrain_never_splits_a_statement_across_versions() {
+        use aimdb_sql::parser::parse_one;
+        use aimdb_sql::Statement;
+        use std::sync::Barrier;
+
+        let db = Database::new();
+        ModelRuntime::install(&db);
+        db.execute("CREATE TABLE t (x INT, up FLOAT, down FLOAT)")
+            .unwrap();
+        // enough pages that two workers each take several morsels
+        for chunk in (0..6000).collect::<Vec<i64>>().chunks(500) {
+            let tuples: Vec<String> = chunk
+                .iter()
+                .map(|x| format!("({x}, {}, {})", 2 * x, 1000 - 2 * x))
+                .collect();
+            db.execute(&format!("INSERT INTO t VALUES {}", tuples.join(",")))
+                .unwrap();
+        }
+        let _ = parking_lot::witness::take_violations();
+        let train = |label: &str| {
+            db.execute(&format!(
+                "CREATE MODEL m KIND LINEAR ON t (x) LABEL {label} WITH (epochs = 3)"
+            ))
+            .unwrap();
+        };
+        let sql = "SELECT COUNT(*) FROM t WHERE PREDICT(m, x) > 600";
+        let count = |r: QueryResult| r.scalar().unwrap().as_i64().unwrap();
+        let Statement::Select(sel) = parse_one(sql).unwrap() else {
+            panic!("not a select")
+        };
+
+        train("up");
+        let rising = count(db.execute(sql).unwrap());
+        train("down");
+        let falling = count(db.execute(sql).unwrap());
+        assert!(
+            rising > 3000 && falling < 3000 && falling > 0,
+            "{rising} {falling}"
+        );
+
+        for workers in [1, 2, 4] {
+            db.execute(&format!("SET exec_parallelism = {workers}"))
+                .unwrap();
+            // bound to the falling model, re-trained before the scan starts
+            let plan = db.plan(&sel).unwrap();
+            train("up");
+            assert_eq!(count(db.run_plan(&plan).unwrap()), falling);
+            assert_eq!(count(db.execute(sql).unwrap()), rising);
+            train("down");
+
+            // and raced: scans on this thread, re-trains on another
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..12 {
+                        train(if i % 2 == 0 { "up" } else { "down" });
+                    }
+                });
+                start.wait();
+                for _ in 0..40 {
+                    let got = count(db.execute(sql).unwrap());
+                    assert!(
+                        got == rising || got == falling,
+                        "workers={workers}: {got} is neither {rising} nor {falling}"
+                    );
+                }
+            });
+        }
+        if parking_lot::witness::enabled() {
+            let v = parking_lot::witness::take_violations();
+            assert!(v.is_empty(), "lock-order violations: {v:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! | Tutorial topic | Module | What it does |
 //! |---|---|---|
-//! | Declarative language model (AISQL) | [`declarative`] | implements the engine's `ModelHook`: `CREATE MODEL`, `PREDICT`, `PREDICT(...)` in SQL |
+//! | Declarative language model (AISQL) | [`declarative`] | implements the engine's `ModelHook`: `CREATE MODEL` trains and registers; `bind` hands the planner one model version per statement, which `PREDICT(...)` in SQL runs as a batch kernel and `PREDICT … GIVEN` as a batch of one |
 //! | Data discovery (Aurum) | [`discovery`] | enterprise knowledge graph over column profiles; related-column search vs. name matching |
 //! | Data cleaning (ActiveClean) | [`cleaning`] | budgeted, model-aware iterative cleaning vs. random/no cleaning |
 //! | Data labeling (crowdsourcing) | [`labeling`] | simulated worker pool; Dawid–Skene truth inference vs. majority vote; cost-accuracy curves |
@@ -13,9 +13,9 @@
 //! | Fault-tolerant learning (challenge §2.3) | [`fault`] | checkpointed training with crash recovery, resume ≡ rerun |
 //! | Feature selection | [`features`] | batched + materialized feature evaluation (Zhang et al.) vs. naive recompute |
 //! | Model selection | [`selection`] | parallel configuration search (task parallelism via crossbeam) vs. serial; successive halving |
-//! | Model management (ModelDB) | [`registry`] | versioned model registry with metadata, search, and serde snapshots |
+//! | Model management (ModelDB) | [`registry`] | versioned model registry with metadata, search, and serde snapshots; versions are immutable and shared (`Arc<ModelVersion>`), and a version is the `BoundModel` a statement predicts with |
 //! | Hardware acceleration (DAnA/ColumnML) | [`accel`] | simulated accelerator with a transfer-cost/throughput model; offload crossover |
-//! | Model inference | [`inference`] | per-row UDF vs. batched vs. cached in-database inference |
+//! | Model inference | [`inference`] | cost-unit model of per-row UDF vs. batched vs. cached inference and operator selection between them (the measured per-row-vs-batch comparison is E16, through SQL) |
 //! | Hybrid DB&AI inference | [`hybrid`] | the tutorial's "patients staying > 3 days" query: predicate-aware AI pushdown vs. predict-all |
 
 pub mod accel;

@@ -10,15 +10,21 @@
 //! lookups default to the latest version; metadata (kind, features,
 //! hyperparameters, training metric, logical timestamp) is searchable and
 //! exportable as JSON.
+//!
+//! A version is shared, never copied: [`ModelRegistry::snapshot`] hands
+//! out the `Arc` a statement predicts with, and that version stays alive
+//! and unchanged for the statement however the registry moves on.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use aimdb_common::json::Json;
-use aimdb_common::{AimError, Result, Value};
+use aimdb_common::{AimError, ColVec, Result, Value};
 use aimdb_ml::bayes::GaussianNb;
 use aimdb_ml::cluster::KMeans;
 use aimdb_ml::linear::{LinearRegression, LogisticRegression};
 use aimdb_ml::tree::DecisionTree;
+use aimdb_sql::expr::BoundModel;
 
 /// A trained model of any supported kind.
 pub enum TrainedModel {
@@ -30,14 +36,15 @@ pub enum TrainedModel {
 }
 
 impl TrainedModel {
-    /// Single-row inference on raw feature values.
-    pub fn predict(&self, x: &[f64]) -> f64 {
+    /// Inference on raw feature values for every row of a column batch:
+    /// `cols[j]` is feature `j`, `out[i]` receives row `i`'s prediction.
+    pub fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
         match self {
-            TrainedModel::Linear(m) => m.predict_one(x),
-            TrainedModel::Logistic(m) => m.predict_one(x),
-            TrainedModel::Tree(m) => m.predict_one(x),
-            TrainedModel::NaiveBayes(m) => m.predict_one(x),
-            TrainedModel::KMeans(m) => m.assign(x) as f64,
+            TrainedModel::Linear(m) => m.predict_batch(cols, out),
+            TrainedModel::Logistic(m) => m.predict_batch(cols, out),
+            TrainedModel::Tree(m) => m.predict_batch(cols, out),
+            TrainedModel::NaiveBayes(m) => m.predict_batch(cols, out),
+            TrainedModel::KMeans(m) => m.predict_batch(cols, out),
         }
     }
 
@@ -70,15 +77,44 @@ pub struct ModelMeta {
     pub created_at: u64,
 }
 
-struct VersionEntry {
-    meta: ModelMeta,
-    model: TrainedModel,
+/// One immutable version of a model: what a statement binds to.
+pub struct ModelVersion {
+    pub meta: ModelMeta,
+    pub model: TrainedModel,
+}
+
+impl BoundModel for ModelVersion {
+    fn name(&self) -> &str {
+        &self.meta.name
+    }
+
+    fn version(&self) -> u32 {
+        self.meta.version
+    }
+
+    fn kind(&self) -> &str {
+        &self.meta.kind
+    }
+
+    fn arity(&self) -> usize {
+        self.meta.features.len()
+    }
+
+    fn predict_batch(&self, cols: &[ColVec], out: &mut [f64]) -> Result<()> {
+        let lanes = cols
+            .iter()
+            .map(ColVec::f64_lane)
+            .collect::<Result<Vec<_>>>()?;
+        let lanes: Vec<&[f64]> = lanes.iter().map(|l| &l[..]).collect();
+        self.model.predict_batch(&lanes, out);
+        Ok(())
+    }
 }
 
 /// The registry: name → versions (ascending).
 #[derive(Default)]
 pub struct ModelRegistry {
-    models: HashMap<String, Vec<VersionEntry>>,
+    models: HashMap<String, Vec<Arc<ModelVersion>>>,
     clock: u64,
 }
 
@@ -95,8 +131,17 @@ impl ModelRegistry {
         let versions = self.models.entry(key).or_default();
         meta.version = versions.len() as u32 + 1;
         let v = meta.version;
-        versions.push(VersionEntry { meta, model });
+        versions.push(Arc::new(ModelVersion { meta, model }));
         v
+    }
+
+    /// Latest version of a model, shared.
+    pub fn snapshot(&self, name: &str) -> Result<Arc<ModelVersion>> {
+        self.models
+            .get(&name.to_ascii_lowercase())
+            .and_then(|v| v.last())
+            .cloned()
+            .ok_or_else(|| AimError::NotFound(format!("model {name}")))
     }
 
     /// Latest version of a model.
@@ -283,6 +328,12 @@ mod tests {
         }
     }
 
+    fn predict(model: &TrainedModel, x: f64) -> f64 {
+        let mut out = [0.0];
+        model.predict_batch(&[&[x]], &mut out);
+        out[0]
+    }
+
     fn dummy_model(w: f64) -> TrainedModel {
         TrainedModel::Linear(LinearRegression::from_weights(vec![w], 0.0))
     }
@@ -294,10 +345,10 @@ mod tests {
         assert_eq!(reg.register(dummy_meta("M", 0.5), dummy_model(2.0)), 2);
         let (meta, model) = reg.latest("m").unwrap();
         assert_eq!(meta.version, 2);
-        assert_eq!(model.predict(&[3.0]), 6.0);
+        assert_eq!(predict(model, 3.0), 6.0);
         let (v1, m1) = reg.version("m", 1).unwrap();
         assert_eq!(v1.version, 1);
-        assert_eq!(m1.predict(&[3.0]), 3.0);
+        assert_eq!(predict(m1, 3.0), 3.0);
         assert!(reg.version("m", 9).is_err());
     }
 

@@ -13,7 +13,7 @@ use aimdb_common::{
     wait, AimError, Clock, Column, LockRank, Result, Row, Schema, Value, WaitSet, WallClock,
 };
 use aimdb_sql::ast::{ModelKind, Select, Statement};
-use aimdb_sql::expr::{BuiltinFns, ScalarFns};
+use aimdb_sql::expr::{BoundModel, BuiltinFns, ScalarFns};
 use aimdb_sql::parser::{parse, parse_one};
 use aimdb_sql::Expr;
 use aimdb_storage::wal::{CheckpointData, IndexSnapshot, LogRecord, TableSnapshot};
@@ -83,17 +83,28 @@ pub trait ModelHook: Send + Sync {
 
     fn drop_model(&self, name: &str) -> Result<()>;
 
-    /// Single-row inference.
-    fn predict(&self, name: &str, inputs: &[Value]) -> Result<Value>;
+    /// Snapshot the latest version of `name` for one statement. Fails if
+    /// there is no such model or it does not take `arity` inputs. The
+    /// planner calls this once per model a query predicts with; whatever
+    /// is trained or dropped afterwards, the statement keeps predicting
+    /// with the version it got here.
+    fn bind(&self, name: &str, arity: usize) -> Result<Arc<dyn BoundModel>>;
+
+    /// Single-row inference: a bind and a batch of one.
+    fn predict(&self, name: &str, inputs: &[Value]) -> Result<Value> {
+        self.bind(name, inputs.len())?.predict_row(inputs)
+    }
 }
 
-/// Scalar-function registry handed to the executor: built-ins plus
-/// `PREDICT(model, args...)` dispatched to the model hook.
-struct EngineFns {
+/// Scalar functions for row-at-a-time evaluation — the reference row
+/// executor and UPDATE/DELETE predicates: built-ins plus
+/// `PREDICT(model, args...)` resolved by name, one row per call. The
+/// batch executor never sees this type: its plans carry bound models.
+struct RowFns {
     hook: Option<Arc<dyn ModelHook>>,
 }
 
-impl ScalarFns for EngineFns {
+impl ScalarFns for RowFns {
     fn call(&self, name: &str, args: &[Value]) -> Result<Value> {
         if name.eq_ignore_ascii_case("PREDICT") {
             let hook = self
@@ -1206,11 +1217,13 @@ impl Database {
         }
     }
 
-    /// Plan a SELECT with the current stats and estimator.
+    /// Plan a SELECT with the current stats, estimator and models.
     pub fn plan(&self, sel: &Select) -> Result<PhysicalPlan> {
         let stats = self.stats.read();
         let est = self.estimator.read().clone();
-        let planner = Planner::new(&self.catalog, &stats, est.as_ref());
+        let hook = self.hook.read().clone();
+        let mut planner = Planner::new(&self.catalog, &stats, est.as_ref());
+        planner.models = hook.as_deref();
         planner.plan_select(sel)
     }
 
@@ -1284,9 +1297,6 @@ impl Database {
                 t.close(id);
             }
         }
-        let fns = EngineFns {
-            hook: self.hook.read().clone(),
-        };
         let vectorized = self.knobs.get("vectorized_exec").unwrap_or(1) != 0;
         let clock = self.clock();
         let eid = tb.as_deref_mut().map(|t| t.open("execute"));
@@ -1294,7 +1304,7 @@ impl Database {
         let (rows, cost, ops) = if vectorized {
             let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
             let workers = self.exec_workers();
-            let ctx = ExecContext::with_clock(&self.catalog, &fns, clock.as_ref());
+            let ctx = ExecContext::with_clock(&self.catalog, &BuiltinFns, clock.as_ref());
             ctx.set_snapshot(snap);
             let rows = execute_batched_parallel(plan, &ctx, bs, workers)?;
             let ops = ctx.take_op_stats();
@@ -1303,6 +1313,9 @@ impl Database {
             let cost = ctx.cost_units();
             (rows, cost, ops)
         } else {
+            let fns = RowFns {
+                hook: self.hook.read().clone(),
+            };
             let ctx = ExecContext::new(&self.catalog, &fns);
             ctx.set_snapshot(snap);
             let rows = execute(plan, &ctx)?;
@@ -1406,16 +1419,13 @@ impl Database {
         };
         #[cfg(debug_assertions)]
         crate::verify::verify(&plan, &self.catalog)?;
-        let fns = EngineFns {
-            hook: self.hook.read().clone(),
-        };
         // Always the instrumented vectorized pipeline: the per-operator
         // actuals are the point, whatever `vectorized_exec` says.
         let clock = self.clock();
         let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
         let eid = tb.as_deref_mut().map(|t| t.open("execute"));
         let workers = self.exec_workers();
-        let ctx = ExecContext::with_clock(&self.catalog, &fns, clock.as_ref());
+        let ctx = ExecContext::with_clock(&self.catalog, &BuiltinFns, clock.as_ref());
         let (snap, _read_guard) = match self.session_snapshot() {
             Some(s) => (s, None),
             None => {
@@ -1704,7 +1714,7 @@ impl Database {
         h: Option<&TxnHandle>,
     ) -> Result<QueryResult> {
         let t = self.catalog.table(table)?;
-        let fns = EngineFns {
+        let fns = RowFns {
             hook: self.hook.read().clone(),
         };
         let pred = match where_clause {
@@ -1768,7 +1778,7 @@ impl Database {
         h: Option<&TxnHandle>,
     ) -> Result<QueryResult> {
         let t = self.catalog.table(table)?;
-        let fns = EngineFns {
+        let fns = RowFns {
             hook: self.hook.read().clone(),
         };
         let pred = match where_clause {

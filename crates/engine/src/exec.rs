@@ -5,6 +5,16 @@
 //! context. Those measured units are the "latency" feedback signal the
 //! learned optimizer (E7) and the performance predictors (E12) train on —
 //! the analogue of NEO's execution-latency feedback loop.
+//!
+//! This is also the reference the vectorized executor is diffed against,
+//! for results and for errors. Two things it shares with it by
+//! construction rather than by re-implementation: predicates go through
+//! `Expr::eval_predicate`, which walks the plan's conjuncts in the
+//! planner's order and stops at the first that is not TRUE (the row form
+//! of the batch executor's selection-vector cascade); and what it does
+//! *not* share is deliberate — a bound `PREDICT` is resolved by name
+//! through the context's function registry, one row per call, so the
+//! batch kernel is checked against a path that has none of its machinery.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};

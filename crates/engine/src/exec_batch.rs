@@ -3,9 +3,11 @@
 //! The batch pipeline mirrors the row executor operator for operator,
 //! but operators *pull* fixed-size column batches ([`Batch`]) instead of
 //! materializing whole row sets: scans fill batches straight from the
-//! storage cursors, predicates produce selection vectors that are
-//! applied with `gather`, and expressions run through the compiled
-//! kernels in `aimdb_sql::vexpr`. Pipeline-breaking operators (hash
+//! storage cursors, predicates produce selection vectors (their conjuncts
+//! cascading, each evaluated only on the rows the ones before it kept)
+//! that are applied with `gather`, and expressions — a model-bound
+//! `PREDICT` included — run through the compiled kernels in
+//! `aimdb_sql::vexpr`. Pipeline-breaking operators (hash
 //! join build, aggregate, sort) still drain their inputs — exactly like
 //! the row executor — but consume them batch-wise and stream their
 //! output back out in batches.

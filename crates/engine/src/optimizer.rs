@@ -21,7 +21,10 @@ use aimdb_sql::logical::AggExpr;
 use aimdb_sql::Expr;
 
 use crate::catalog::Catalog;
-use crate::plan::{bind_expr, default_output_name, qualify_schema, PhysOp, PhysicalPlan};
+use crate::db::ModelHook;
+use crate::plan::{
+    bind_expr, bind_models, call_cost, default_output_name, qualify_schema, PhysOp, PhysicalPlan,
+};
 use crate::stats::TableStats;
 
 /// Cost-model constants (cost units ≈ sequential page reads).
@@ -179,6 +182,9 @@ pub struct Planner<'a> {
     /// When true, access-path selection ignores physical indexes and uses
     /// only `hypothetical_indexes` (pure what-if costing).
     pub hypothetical_only: bool,
+    /// Where `PREDICT(model, …)` finds its model. Without one, a query
+    /// that calls `PREDICT` does not plan.
+    pub models: Option<&'a dyn ModelHook>,
 }
 
 impl<'a> Planner<'a> {
@@ -194,6 +200,7 @@ impl<'a> Planner<'a> {
             cost: CostParams::default(),
             hypothetical_indexes: HashSet::new(),
             hypothetical_only: false,
+            models: None,
         }
     }
 
@@ -274,6 +281,12 @@ impl<'a> Planner<'a> {
             }
         }
 
+        // conjuncts run as a cascade (each sees only the rows the ones
+        // before it accepted), so put the ones that call functions last
+        for conjuncts in per_alias.iter_mut().chain([&mut residual]) {
+            order_conjuncts(conjuncts);
+        }
+
         // 4. base access paths
         let scans: Vec<PhysicalPlan> = aliases
             .iter()
@@ -340,7 +353,15 @@ impl<'a> Planner<'a> {
             };
         }
         // 9. mark parallelizable scan regions with Exchange boundaries
-        Ok(insert_exchanges(plan))
+        let mut plan = insert_exchanges(plan);
+        // 10. pin the model version each PREDICT runs against. Whether
+        // its arguments are numeric is a question for the verifier's type
+        // lattice; ask it now, so that a scan that happens to return no
+        // rows cannot hide the answer.
+        if bind_models(&mut plan, self.models)? {
+            crate::verify::verify(&plan, self.catalog)?;
+        }
+        Ok(plan)
     }
 
     /// Which aliases a conjunct references.
@@ -519,10 +540,25 @@ impl<'a> Planner<'a> {
             }
         }
 
-        let seq_cost = self.seq_scan_cost(a.base_rows);
+        // function calls are charged per row that reaches their conjunct
+        let calls = |rows: f64| -> f64 {
+            conjuncts
+                .iter()
+                .enumerate()
+                .map(|(k, c)| (k, call_cost(c)))
+                .filter(|&(_, cost)| cost > 0.0)
+                .map(|(k, cost)| {
+                    let reach = self
+                        .estimator
+                        .scan_selectivity(&a.table, &preds[..k], stats);
+                    rows * reach * cost
+                })
+                .sum()
+        };
+        let seq_cost = self.seq_scan_cost(a.base_rows) + calls(a.base_rows);
         if let Some((column, lo, hi, isel)) = best_index {
             let matched = a.base_rows * isel;
-            let idx_cost = self.index_scan_cost(matched);
+            let idx_cost = self.index_scan_cost(matched) + calls(matched);
             if idx_cost < seq_cost {
                 return Ok(PhysicalPlan {
                     op: PhysOp::IndexScan {
@@ -564,7 +600,7 @@ impl<'a> Planner<'a> {
 
     fn add_filter(&self, input: PhysicalPlan, predicate: Expr) -> PhysicalPlan {
         let rows = (input.est_rows * 0.33).max(0.0);
-        let cost = input.est_cost + input.est_rows * 0.005;
+        let cost = input.est_cost + input.est_rows * 0.005 + input.est_rows * call_cost(&predicate);
         PhysicalPlan {
             schema: input.schema.clone(),
             op: PhysOp::Filter {
@@ -967,7 +1003,8 @@ impl<'a> Planner<'a> {
             // de-duplicate bare output names from wildcard joins
             dedup_names(&mut columns);
             let rows = input.est_rows;
-            let cost = input.est_cost + rows * 0.005 * exprs.len() as f64;
+            let calls: f64 = exprs.iter().map(call_cost).sum();
+            let cost = input.est_cost + rows * 0.005 * exprs.len() as f64 + rows * calls;
             return Ok(PhysicalPlan {
                 schema: Schema::new(columns),
                 op: PhysOp::Project {
@@ -1026,6 +1063,11 @@ impl<'a> Planner<'a> {
         } else {
             (input.est_rows / 10.0).max(1.0)
         };
+        let calls: f64 = group_exprs
+            .iter()
+            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+            .map(call_cost)
+            .sum();
         let agg_plan = PhysicalPlan {
             op: PhysOp::Aggregate {
                 input: Box::new(input.clone()),
@@ -1034,7 +1076,7 @@ impl<'a> Planner<'a> {
             },
             schema: agg_schema.clone(),
             est_rows: group_card,
-            est_cost: input.est_cost + input.est_rows * 0.02,
+            est_cost: input.est_cost + input.est_rows * 0.02 + input.est_rows * calls,
         };
 
         // final projection: substitute agg calls and group exprs
@@ -1073,6 +1115,13 @@ impl<'a> Planner<'a> {
             est_cost: cost,
         })
     }
+}
+
+/// Order a filter's conjuncts by what their function calls cost per row,
+/// cheapest first. The sort is stable, so conjuncts that call nothing —
+/// every conjunct of most queries — keep the order they were written in.
+fn order_conjuncts(conjuncts: &mut [Expr]) {
+    conjuncts.sort_by(|a, b| call_cost(a).total_cmp(&call_cost(b)));
 }
 
 fn flip(op: BinaryOp) -> BinaryOp {
@@ -1198,34 +1247,14 @@ fn dedup_names(columns: &mut [aimdb_common::Column]) {
 
 /// Collect aggregate calls in an expression.
 fn collect_aggs(e: &Expr, out: &mut Vec<(AggFunc, Option<Expr>)>) {
-    match e {
-        Expr::Function { name, args } => {
-            if let Some(f) = AggFunc::parse(name) {
-                out.push((f, args.first().cloned()));
-            } else {
-                for a in args {
-                    collect_aggs(a, out);
-                }
-            }
+    if let Expr::Function { name, args } = e {
+        if let Some(f) = AggFunc::parse(name) {
+            out.push((f, args.first().cloned()));
+            return;
         }
-        Expr::Binary { left, right, .. } => {
-            collect_aggs(left, out);
-            collect_aggs(right, out);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_aggs(expr, out),
-        Expr::Between { expr, lo, hi } => {
-            collect_aggs(expr, out);
-            collect_aggs(lo, out);
-            collect_aggs(hi, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggs(expr, out);
-            for a in list {
-                collect_aggs(a, out);
-            }
-        }
-        Expr::Like { expr, .. } => collect_aggs(expr, out),
-        Expr::Column { .. } | Expr::Literal(_) => {}
+    }
+    for child in e.children() {
+        collect_aggs(child, out);
     }
 }
 

@@ -7,10 +7,13 @@
 
 use std::fmt;
 
-use aimdb_common::{AimError, Column, Result, Row, Schema};
+use aimdb_common::{AimError, Column, Result, Row, Schema, Value};
 use aimdb_sql::ast::OrderKey;
+use aimdb_sql::expr::ModelRef;
 use aimdb_sql::logical::AggExpr;
 use aimdb_sql::Expr;
+
+use crate::db::ModelHook;
 
 /// A physical plan node with its estimated cardinality and cost.
 #[derive(Debug, Clone)]
@@ -88,6 +91,34 @@ pub enum PhysOp {
     },
 }
 
+impl PhysOp {
+    /// Every expression this operator evaluates (not its children's).
+    fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            PhysOp::SeqScan { filter, .. } | PhysOp::IndexScan { filter, .. } => {
+                filter.iter_mut().collect()
+            }
+            PhysOp::Filter { predicate, .. } => vec![predicate],
+            PhysOp::Project { exprs, .. } => exprs.iter_mut().collect(),
+            PhysOp::NestedLoopJoin { on, .. } => on.iter_mut().collect(),
+            PhysOp::HashJoin {
+                left_key,
+                right_key,
+                residual,
+                ..
+            } => [left_key, right_key].into_iter().chain(residual).collect(),
+            PhysOp::Aggregate {
+                group_exprs, aggs, ..
+            } => group_exprs
+                .iter_mut()
+                .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
+                .collect(),
+            PhysOp::Sort { keys, .. } => keys.iter_mut().map(|k| &mut k.expr).collect(),
+            PhysOp::Limit { .. } | PhysOp::Values { .. } | PhysOp::Exchange { .. } => vec![],
+        }
+    }
+}
+
 impl PhysicalPlan {
     /// Human-readable plan tree (EXPLAIN output).
     pub fn explain(&self) -> String {
@@ -116,9 +147,10 @@ impl PhysicalPlan {
         match &self.op {
             PhysOp::SeqScan { table, filter, .. } => format!(
                 "SeqScan {table}{}",
-                filter
-                    .as_ref()
-                    .map_or(String::new(), |f| format!(" filter={f:?}"))
+                filter.as_ref().map_or(String::new(), |f| format!(
+                    " filter={}",
+                    describe_predicate(f)
+                ))
             ),
             PhysOp::IndexScan {
                 table,
@@ -129,15 +161,17 @@ impl PhysicalPlan {
             } => {
                 format!("IndexScan {table}.{column} [{lo:?}..{hi:?}]")
             }
-            PhysOp::Filter { predicate, .. } => format!("Filter {predicate:?}"),
-            PhysOp::Project { .. } => {
+            PhysOp::Filter { predicate, .. } => {
+                format!("Filter {}", describe_predicate(predicate))
+            }
+            PhysOp::Project { exprs, .. } => {
                 let names: Vec<&str> = self
                     .schema
                     .columns()
                     .iter()
                     .map(|c| c.name.as_str())
                     .collect();
-                format!("Project [{}]", names.join(", "))
+                format!("Project [{}]{}", names.join(", "), describe_models(exprs))
             }
             PhysOp::NestedLoopJoin { on, .. } => match on {
                 Some(e) => format!("NestedLoopJoin on {e:?}"),
@@ -153,7 +187,12 @@ impl PhysicalPlan {
             PhysOp::Aggregate {
                 group_exprs, aggs, ..
             } => {
-                format!("Aggregate groups={} aggs={}", group_exprs.len(), aggs.len())
+                format!(
+                    "Aggregate groups={} aggs={}{}",
+                    group_exprs.len(),
+                    aggs.len(),
+                    describe_models(group_exprs.iter().chain(aggs.iter().flat_map(|a| &a.arg)))
+                )
             }
             PhysOp::Sort { keys, .. } => format!("Sort ({} keys)", keys.len()),
             PhysOp::Limit { n, .. } => format!("Limit {n}"),
@@ -178,6 +217,21 @@ impl PhysicalPlan {
         }
     }
 
+    fn children_mut(&mut self) -> Vec<&mut PhysicalPlan> {
+        match &mut self.op {
+            PhysOp::SeqScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => vec![],
+            PhysOp::Filter { input, .. }
+            | PhysOp::Project { input, .. }
+            | PhysOp::Aggregate { input, .. }
+            | PhysOp::Sort { input, .. }
+            | PhysOp::Limit { input, .. }
+            | PhysOp::Exchange { input } => vec![input],
+            PhysOp::NestedLoopJoin { left, right, .. } | PhysOp::HashJoin { left, right, .. } => {
+                vec![left, right]
+            }
+        }
+    }
+
     /// Total number of operators.
     pub fn node_count(&self) -> usize {
         1 + self
@@ -186,6 +240,123 @@ impl PhysicalPlan {
             .map(|c| c.node_count())
             .sum::<usize>()
     }
+}
+
+/// Cost units one row pays for the scalar function calls in `e`; 0 for
+/// an expression that calls none. Inference is priced an order of
+/// magnitude above a built-in: the planner uses the figure both to charge
+/// scans and to order a filter's conjuncts cheapest first.
+pub fn call_cost(e: &Expr) -> f64 {
+    const BUILTIN: f64 = 0.002;
+    const PREDICT: f64 = 0.05;
+    let own = match e {
+        Expr::Predict { .. } => PREDICT,
+        Expr::Function { name, .. } if name.eq_ignore_ascii_case("PREDICT") => PREDICT,
+        Expr::Function { .. } => BUILTIN,
+        _ => 0.0,
+    };
+    own + e.children().into_iter().map(call_cost).sum::<f64>()
+}
+
+/// A predicate as `EXPLAIN` prints it. One that calls functions is
+/// printed conjunct by conjunct in evaluation order — the order the
+/// planner chose by [`call_cost`] — since each conjunct only sees the rows
+/// the ones before it let through.
+fn describe_predicate(p: &Expr) -> String {
+    if call_cost(p) == 0.0 {
+        return format!("{p:?}");
+    }
+    let conjuncts: Vec<String> = p.conjuncts().iter().map(|c| format!("{c:?}")).collect();
+    format!("[{}]", conjuncts.join(" THEN "))
+}
+
+/// ` models=[…]` naming the model versions `exprs` predict with; empty
+/// when they use none. (Predicates print theirs inline.)
+fn describe_models<'a>(exprs: impl IntoIterator<Item = &'a Expr>) -> String {
+    fn collect<'a>(e: &'a Expr, out: &mut Vec<&'a ModelRef>) {
+        if let Expr::Predict { model, .. } = e {
+            if !out.contains(&model) {
+                out.push(model);
+            }
+        }
+        for child in e.children() {
+            collect(child, out);
+        }
+    }
+    let mut models = Vec::new();
+    for e in exprs {
+        collect(e, &mut models);
+    }
+    if models.is_empty() {
+        String::new()
+    } else {
+        format!(" models={models:?}")
+    }
+}
+
+/// Bind every `PREDICT(model, args…)` in the plan to the model version
+/// `models` currently serves, replacing the by-name call with
+/// [`Expr::Predict`]; says whether there was any. Each model is looked up
+/// once, however often the statement calls it, so all its calls share
+/// one version. An unknown model or a wrong argument count fails here,
+/// before any row is read.
+pub fn bind_models(plan: &mut PhysicalPlan, models: Option<&dyn ModelHook>) -> Result<bool> {
+    let mut bound = Vec::new();
+    bind_models_node(plan, models, &mut bound)?;
+    Ok(!bound.is_empty())
+}
+
+fn bind_models_node(
+    plan: &mut PhysicalPlan,
+    models: Option<&dyn ModelHook>,
+    bound: &mut Vec<ModelRef>,
+) -> Result<()> {
+    for e in plan.op.exprs_mut() {
+        bind_models_expr(e, models, bound)?;
+    }
+    for child in plan.children_mut() {
+        bind_models_node(child, models, bound)?;
+    }
+    Ok(())
+}
+
+fn bind_models_expr(
+    e: &mut Expr,
+    models: Option<&dyn ModelHook>,
+    bound: &mut Vec<ModelRef>,
+) -> Result<()> {
+    for child in e.children_mut() {
+        bind_models_expr(child, models, bound)?;
+    }
+    let Expr::Function { name, args } = e else {
+        return Ok(());
+    };
+    if !name.eq_ignore_ascii_case("PREDICT") {
+        return Ok(());
+    }
+    // `bind_expr` already turned the model name into a text literal
+    let Some(Expr::Literal(Value::Text(name))) = args.first() else {
+        return Err(AimError::Model("PREDICT needs a model name".into()));
+    };
+    let arity = args.len() - 1;
+    let seen = bound
+        .iter()
+        .find(|m| m.0.name().eq_ignore_ascii_case(name) && m.0.arity() == arity);
+    let model = match seen {
+        Some(model) => model.clone(),
+        None => {
+            let hook =
+                models.ok_or_else(|| AimError::Model("no model runtime registered".into()))?;
+            let model = ModelRef(hook.bind(name, arity)?);
+            bound.push(model.clone());
+            model
+        }
+    };
+    *e = Expr::Predict {
+        model,
+        args: args.split_off(1),
+    };
+    Ok(())
 }
 
 /// Resolve every column reference in `expr` to the exact spelling used by
@@ -269,6 +440,13 @@ pub fn bind_expr(expr: &Expr, schema: &Schema) -> Result<Expr> {
                 }
             }
         }
+        Expr::Predict { model, args } => Expr::Predict {
+            model: model.clone(),
+            args: args
+                .iter()
+                .map(|a| bind_expr(a, schema))
+                .collect::<Result<_>>()?,
+        },
     };
     Ok(out)
 }

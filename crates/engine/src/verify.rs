@@ -8,7 +8,10 @@
 //! expression), and aggregate/index arguments must be well-typed. A plan
 //! that passes cannot fail at runtime with a name-resolution or
 //! type-dispatch error — the class of bug a learned planner (or a planner
-//! refactor) is most likely to introduce.
+//! refactor) is most likely to introduce. A bound `PREDICT` is checked
+//! here too (argument count against the model, no text arguments), and
+//! the planner runs the verifier on every plan that carries one, in every
+//! build: a model error must not wait for the first row.
 //!
 //! ## Type reliability
 //!
@@ -509,6 +512,27 @@ fn infer_expr(
             Some(other) => Err(err(op, format!("LIKE applied to {other:?} in {expr:?}"))),
         },
         Expr::Function { name, args } => infer_function(op, name, args, schema, types),
+        Expr::Predict { model, args } => {
+            if args.len() != model.0.arity() {
+                return Err(err(
+                    op,
+                    format!(
+                        "model {model:?} takes {} input(s), got {}",
+                        model.0.arity(),
+                        args.len()
+                    ),
+                ));
+            }
+            for a in args {
+                // the category a text value would raise at the first row
+                if infer_expr(op, a, schema, types)? == Some(DataType::Text) {
+                    return Err(AimError::TypeMismatch(format!(
+                        "verify: {op}: PREDICT({model:?}) applied to Text argument {a:?}"
+                    )));
+                }
+            }
+            Ok(Some(DataType::Float))
+        }
     }
 }
 
@@ -618,13 +642,10 @@ fn infer_function(
             text_arg(0)?;
             Ok(Some(DataType::Int))
         }
-        "PREDICT" => {
-            if args.is_empty() {
-                return Err(err(op, "PREDICT needs a model name"));
-            }
-            text_arg(0)?;
-            Ok(Some(DataType::Float))
-        }
+        "PREDICT" => Err(err(
+            op,
+            "PREDICT is not bound to a model (the planner binds it; see plan::bind_models)",
+        )),
         "COUNT" | "SUM" | "AVG" | "MIN" | "MAX" => Err(err(
             op,
             format!("aggregate {name} in scalar context (planner must hoist it)"),

@@ -9,6 +9,16 @@
 //! query has an ORDER BY, as multisets otherwise. Batch sizes cycle
 //! through {1, 7, 64, 1024} so chunk-boundary bugs can't hide behind a
 //! batch larger than the tables.
+//!
+//! `PREDICT` gets its own hand-written corpus at the bottom: the batch
+//! executor runs the model snapshot bound into the plan, the row executor
+//! looks the model up by name row by row, and a deterministic stub model
+//! hook (the engine stays free of ML) lets the two be compared across
+//! batch sizes {1, 7, 64, 1024} × workers {1, 2, 4, 8}.
+
+mod common;
+
+use std::sync::Arc;
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -19,6 +29,8 @@ use aimdb_engine::exec_batch::{execute_batched, execute_batched_parallel};
 use aimdb_engine::Database;
 use aimdb_sql::expr::BuiltinFns;
 use aimdb_sql::{parse, Statement};
+
+use common::{ByName, StubModels};
 
 /// (table, numeric columns, text columns)
 const TABLES: [(&str, &[&str], &[&str]); 3] = [
@@ -580,5 +592,97 @@ fn empty_table_edges_match() {
             let br = br.unwrap_or_else(|e| panic!("batch executor failed ({e}): {sql}"));
             assert_eq!(canon(rr), canon(br), "bs={bs}: {sql}");
         }
+    }
+}
+
+/// `PREDICT` in WHERE, in projections and as an aggregate argument, with
+/// cheap conjuncts before and after it, over dense, NULL-heavy and empty
+/// tables. A NULL reaching a model is a type error; whether it reaches
+/// one depends on the conjunct cascade, which both executors must apply
+/// alike — so results must agree in rows *and* in error category.
+#[test]
+fn predict_corpus_matches_row_reference() {
+    let mut rng = StdRng::seed_from_u64(0x9ED1C7);
+    let db = Database::new();
+    setup(&db, &mut rng).expect("corpus setup");
+    db.set_model_hook(Arc::new(StubModels));
+    let _ = parking_lot::witness::take_violations();
+
+    // (sql, whether it must succeed)
+    let corpus = [
+        ("SELECT id FROM users WHERE PREDICT(lin, age, score) > 20", true),
+        ("SELECT id, PREDICT(lin, age, score), PREDICT(cls, age) FROM users WHERE age < 40 ORDER BY id", true),
+        ("SELECT AVG(PREDICT(lin, age, score)), SUM(PREDICT(cls, age)), COUNT(*) FROM users", true),
+        ("SELECT name, MAX(PREDICT(lin, age, score)), COUNT(*) FROM users GROUP BY name ORDER BY name", true),
+        ("SELECT id FROM users WHERE PREDICT(cls, age) = 1 AND score > 50", true),
+        ("SELECT id FROM users WHERE score > 50 AND PREDICT(cls, age) = 1", true),
+        ("SELECT id FROM users WHERE id < 150 AND PREDICT(lin, age, score) > 10 AND name LIKE '%a%' ORDER BY id DESC LIMIT 9", true),
+        ("SELECT id FROM users WHERE age > 25 AND PREDICT(cls, age) = 0", true),
+        ("SELECT id FROM users WHERE PREDICT(lin, age, score) IN (PREDICT(lin, age, 0), 3)", true),
+        ("SELECT users.id, orders.oid FROM users JOIN orders ON users.id = orders.user_id \
+          WHERE PREDICT(lin, users.age, orders.amount) > -50 AND orders.amount > 100", true),
+        // NULL-heavy: cheap conjuncts shield the model, wherever written
+        ("SELECT k FROM sparse WHERE v IS NOT NULL AND w IS NOT NULL AND PREDICT(lin, v, w) > 0", true),
+        ("SELECT k FROM sparse WHERE PREDICT(lin, v, w) > 0 AND v IS NOT NULL AND w IS NOT NULL", true),
+        ("SELECT COUNT(*), SUM(PREDICT(cls, v)) FROM sparse WHERE v > -100", true),
+        ("SELECT PREDICT(cls, v) FROM sparse WHERE v IS NOT NULL", true),
+        // ... and without a shield the NULL arrives, in both executors
+        ("SELECT k FROM sparse WHERE PREDICT(lin, v, w) > 0", false),
+        ("SELECT k FROM sparse WHERE v IS NOT NULL AND PREDICT(lin, v, w) > 0", false),
+        ("SELECT PREDICT(cls, v) FROM sparse", false),
+        ("SELECT AVG(PREDICT(cls, v)) FROM sparse", false),
+        ("SELECT k FROM sparse WHERE ABS(v) >= 0 AND PREDICT(cls, s) = 1", false),
+        // empty table: nothing to predict, one row from the aggregate
+        ("SELECT PREDICT(lin, a, c) FROM void", true),
+        ("SELECT COUNT(*), AVG(PREDICT(cls, a)) FROM void WHERE PREDICT(lin, a, c) > 1", true),
+    ];
+    let fns = ByName(StubModels);
+    for (sql, ok) in corpus {
+        let stmts = parse(sql).unwrap_or_else(|e| panic!("unparseable SQL ({e}): {sql}"));
+        let Some(Statement::Select(sel)) = stmts.into_iter().next() else {
+            panic!("not a SELECT: {sql}");
+        };
+        let plan = match db.plan(&sel) {
+            Ok(plan) => plan,
+            // a text argument never gets as far as an executor
+            Err(e) => {
+                assert!(
+                    !ok && e.category() == "type_mismatch",
+                    "planner ({e}): {sql}"
+                );
+                continue;
+            }
+        };
+        let want = execute(&plan, &ExecContext::new(&db.catalog, &fns));
+        assert_eq!(want.is_ok(), ok, "row reference {want:?}: {sql}");
+        for bs in [1usize, 7, 64, 1024] {
+            for workers in [1usize, 2, 4, 8] {
+                // the batch executor gets no PREDICT by name: bound models only
+                let ctx = ExecContext::new(&db.catalog, &BuiltinFns);
+                let got = execute_batched_parallel(&plan, &ctx, bs, workers);
+                match (&want, got) {
+                    (Ok(want), Ok(got)) => {
+                        let same = if sql.contains(" ORDER BY ") {
+                            *want == got
+                        } else {
+                            canon(want.clone()) == canon(got)
+                        };
+                        assert!(same, "bs={bs} workers={workers}: {sql}");
+                    }
+                    (Err(want), Err(got)) => assert_eq!(
+                        want.category(),
+                        got.category(),
+                        "bs={bs} workers={workers}: {sql}"
+                    ),
+                    (want, got) => {
+                        panic!("bs={bs} workers={workers}: row {want:?} vs batch {got:?}: {sql}")
+                    }
+                }
+            }
+        }
+    }
+    if parking_lot::witness::enabled() {
+        let v = parking_lot::witness::take_violations();
+        assert!(v.is_empty(), "lock-order violations: {v:?}");
     }
 }

@@ -2,13 +2,19 @@
 //! here must be rejected with a precise diagnostic, and well-formed plans
 //! produced by the planner must pass.
 
+mod common;
+
+use std::sync::Arc;
+
 use aimdb_common::{AimError, Column, DataType, Row, Schema, Value};
 use aimdb_engine::plan::{qualify_schema, PhysOp, PhysicalPlan};
 use aimdb_engine::verify::verify;
-use aimdb_engine::Database;
+use aimdb_engine::{Database, ModelHook};
 use aimdb_sql::ast::AggFunc;
 use aimdb_sql::logical::AggExpr;
-use aimdb_sql::{BinaryOp, Expr};
+use aimdb_sql::{BinaryOp, Expr, ModelRef};
+
+use common::StubModels;
 
 fn db() -> Database {
     let d = Database::new();
@@ -323,4 +329,86 @@ fn hand_built_well_formed_plan_passes() {
         est_cost: 1.0,
     };
     verify(&p, &d.catalog).expect("well-formed plan must pass");
+}
+
+/// A projection of one expression over `users`.
+fn project(d: &Database, expr: Expr) -> PhysicalPlan {
+    PhysicalPlan {
+        schema: Schema::new(vec![Column::new("x", DataType::Float)]),
+        op: PhysOp::Project {
+            input: Box::new(scan(d, "users")),
+            exprs: vec![expr],
+        },
+        est_rows: 1.0,
+        est_cost: 1.0,
+    }
+}
+
+#[test]
+fn unbound_predict_is_rejected() {
+    let d = db();
+    let p = project(
+        &d,
+        Expr::Function {
+            name: "PREDICT".into(),
+            args: vec![Expr::lit("lin"), Expr::qcol("users", "age")],
+        },
+    );
+    rejected(&d, &p, "not bound to a model");
+}
+
+#[test]
+fn bound_predict_is_checked_against_its_model() {
+    let d = db();
+    let lin = || ModelRef(StubModels.bind("lin", 2).expect("stub model"));
+    let predict = |args| Expr::Predict { model: lin(), args };
+    let (id, age, name) = (
+        Expr::qcol("users", "id"),
+        Expr::qcol("users", "age"),
+        Expr::qcol("users", "name"),
+    );
+    verify(&project(&d, predict(vec![id, age.clone()])), &d.catalog)
+        .expect("two numeric arguments for a two-input model");
+    rejected(
+        &d,
+        &project(&d, predict(vec![age.clone()])),
+        "lin v1 stub takes 2 input(s), got 1",
+    );
+    // a text argument keeps the category it would have raised at the
+    // first row
+    match verify(&project(&d, predict(vec![age, name])), &d.catalog) {
+        Err(AimError::TypeMismatch(msg)) => assert!(msg.contains("Text argument"), "{msg}"),
+        other => panic!("expected a type mismatch, got {other:?}"),
+    }
+}
+
+/// Model errors belong to the statement, not to its first row: over
+/// tables with no rows at all — where nothing would ever be predicted —
+/// an unknown model, a wrong argument count, a text argument and a
+/// missing model runtime are all reported when the statement is planned.
+#[test]
+fn model_errors_do_not_wait_for_a_row() {
+    let d = db();
+    let category = |sql: &str| match d.execute(sql) {
+        Ok(r) => panic!("{sql}: accepted, returned {r:?}"),
+        Err(e) => e.category(),
+    };
+    let unknown = "SELECT id FROM users WHERE PREDICT(nope, age, id) > 1";
+    assert_eq!(category(unknown), "model", "no model runtime yet");
+    d.set_model_hook(Arc::new(StubModels));
+    assert_eq!(category(unknown), "not_found");
+    assert_eq!(
+        category("SELECT id FROM users WHERE id < 0 AND PREDICT(lin, age) > 1"),
+        "model"
+    );
+    assert_eq!(
+        category("SELECT AVG(PREDICT(lin, age, name)) FROM users"),
+        "type_mismatch"
+    );
+    assert_eq!(
+        category("EXPLAIN SELECT PREDICT(lin, age) FROM users"),
+        "model"
+    );
+    d.execute("SELECT id FROM users WHERE PREDICT(lin, age, id) > 1")
+        .expect("well-formed PREDICT over an empty table");
 }

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use aimdb_common::{AimError, Result};
 
-use crate::data::Dataset;
+use crate::data::{predict_rows, Dataset};
 
 #[derive(Debug, Clone)]
 struct ClassStats {
@@ -81,6 +81,11 @@ impl GaussianNb {
             .max_by(|a, b| Self::log_post(a.1, x).total_cmp(&Self::log_post(b.1, x)))
             .map(|(c, _)| *c as f64)
             .unwrap_or(0.0)
+    }
+
+    /// [`Self::predict_one`] for every row of a column batch.
+    pub fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        predict_rows(cols, out, |x| self.predict_one(x));
     }
 
     pub fn predict(&self, xs: &[Vec<f64>]) -> Vec<f64> {

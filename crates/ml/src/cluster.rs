@@ -9,6 +9,8 @@ use rand::rngs::StdRng;
 
 use aimdb_common::{AimError, Result};
 
+use crate::data::predict_rows;
+
 /// K-means result: centroids plus the assignment of each input point.
 #[derive(Debug, Clone)]
 pub struct KMeans {
@@ -118,6 +120,11 @@ impl KMeans {
         (0..self.centroids.len())
             .min_by(|&a, &b| dist2(p, &self.centroids[a]).total_cmp(&dist2(p, &self.centroids[b])))
             .unwrap_or(0)
+    }
+
+    /// [`Self::assign`] (as `f64`) for every row of a column batch.
+    pub fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        predict_rows(cols, out, |p| self.assign(p) as f64);
     }
 
     /// Distance from `p` to its nearest centroid (novelty signal).

@@ -88,6 +88,20 @@ impl Dataset {
     }
 }
 
+/// Row-at-a-time inference over a column batch, for models whose
+/// per-row work needs the whole feature vector at once: row `i` is
+/// gathered from `cols[j][i]` into one reused buffer and handed to
+/// `predict_one`.
+pub fn predict_rows(cols: &[&[f64]], out: &mut [f64], predict_one: impl Fn(&[f64]) -> f64) {
+    let mut x = vec![0.0; cols.len()];
+    for (i, o) in out.iter_mut().enumerate() {
+        for (xj, col) in x.iter_mut().zip(cols) {
+            *xj = col[i];
+        }
+        *o = predict_one(&x);
+    }
+}
+
 /// Feature standardizer fitted on training data.
 #[derive(Debug, Clone)]
 pub struct Scaler {

@@ -30,6 +30,57 @@ impl Default for GdParams {
     }
 }
 
+/// `bias + Σ_j w_j · scaled(x_j)` for one row, the scaler fused into the
+/// dot product. [`affine_batch`] adds the same terms in the same feature
+/// order, which is what keeps batch inference bit-identical to this.
+fn affine_one(weights: &[f64], bias: f64, scaler: Option<&Scaler>, x: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    match scaler {
+        Some(s) => {
+            for ((w, x), (m, sd)) in weights.iter().zip(x).zip(s.mean.iter().zip(&s.std)) {
+                acc += w * ((x - m) / sd);
+            }
+        }
+        None => {
+            for (w, x) in weights.iter().zip(x) {
+                acc += w * x;
+            }
+        }
+    }
+    acc + bias
+}
+
+/// [`affine_one`] over a column batch, one feature column at a time so
+/// every inner loop is a straight pass over two slices.
+fn affine_batch(
+    weights: &[f64],
+    bias: f64,
+    scaler: Option<&Scaler>,
+    cols: &[&[f64]],
+    out: &mut [f64],
+) {
+    out.fill(0.0);
+    match scaler {
+        Some(s) => {
+            for ((w, col), (m, sd)) in weights.iter().zip(cols).zip(s.mean.iter().zip(&s.std)) {
+                for (o, x) in out.iter_mut().zip(col.iter()) {
+                    *o += w * ((x - m) / sd);
+                }
+            }
+        }
+        None => {
+            for (w, col) in weights.iter().zip(cols) {
+                for (o, x) in out.iter_mut().zip(col.iter()) {
+                    *o += w * x;
+                }
+            }
+        }
+    }
+    for o in out.iter_mut() {
+        *o += bias;
+    }
+}
+
 /// Ordinary least squares via gradient descent, with internal feature
 /// standardization so the learning rate is scale-free.
 #[derive(Debug, Clone)]
@@ -89,15 +140,13 @@ impl LinearRegression {
     }
 
     pub fn predict_one(&self, x: &[f64]) -> f64 {
-        let xs;
-        let x = match &self.scaler {
-            Some(s) => {
-                xs = s.transform_row(x);
-                &xs[..]
-            }
-            None => x,
-        };
-        self.weights.iter().zip(x).map(|(w, x)| w * x).sum::<f64>() + self.bias
+        affine_one(&self.weights, self.bias, self.scaler.as_ref(), x)
+    }
+
+    /// [`Self::predict_one`] for every row of a column batch: `cols[j]`
+    /// is feature `j`, `out[i]` receives row `i`'s prediction.
+    pub fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        affine_batch(&self.weights, self.bias, self.scaler.as_ref(), cols, out);
     }
 
     pub fn predict(&self, xs: &[Vec<f64>]) -> Vec<f64> {
@@ -115,6 +164,15 @@ pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,
     scaler: Option<Scaler>,
+}
+
+/// The 0/1 class of a probability.
+fn label(p: f64) -> f64 {
+    if p >= 0.5 {
+        1.0
+    } else {
+        0.0
+    }
 }
 
 fn sigmoid(z: f64) -> f64 {
@@ -170,23 +228,33 @@ impl LogisticRegression {
         })
     }
 
+    /// Construct directly from weights in *raw feature space* (no scaler).
+    pub fn from_weights(weights: Vec<f64>, bias: f64) -> Self {
+        LogisticRegression {
+            weights,
+            bias,
+            scaler: None,
+        }
+    }
+
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
-        let xs;
-        let x = match &self.scaler {
-            Some(s) => {
-                xs = s.transform_row(x);
-                &xs[..]
-            }
-            None => x,
-        };
-        sigmoid(self.weights.iter().zip(x).map(|(w, x)| w * x).sum::<f64>() + self.bias)
+        sigmoid(affine_one(
+            &self.weights,
+            self.bias,
+            self.scaler.as_ref(),
+            x,
+        ))
     }
 
     pub fn predict_one(&self, x: &[f64]) -> f64 {
-        if self.predict_proba(x) >= 0.5 {
-            1.0
-        } else {
-            0.0
+        label(self.predict_proba(x))
+    }
+
+    /// [`Self::predict_one`] for every row of a column batch.
+    pub fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        affine_batch(&self.weights, self.bias, self.scaler.as_ref(), cols, out);
+        for o in out.iter_mut() {
+            *o = label(sigmoid(*o));
         }
     }
 

@@ -95,6 +95,31 @@ impl DecisionTree {
         }
     }
 
+    /// [`Self::predict_one`] for every row of a column batch: the same
+    /// root-to-leaf walk, reading feature `j` of row `i` from `cols[j][i]`.
+    pub fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            let mut node = &self.root;
+            *o = loop {
+                match node {
+                    Node::Leaf { value } => break *value,
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        node = if cols[*feature][i] <= *threshold {
+                            left
+                        } else {
+                            right
+                        };
+                    }
+                }
+            };
+        }
+    }
+
     pub fn predict(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|x| self.predict_one(x)).collect()
     }

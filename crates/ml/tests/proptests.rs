@@ -2,16 +2,110 @@
 
 use proptest::prelude::*;
 
+use aimdb_common::ColVec;
 use aimdb_ml::bayes::GaussianNb;
 use aimdb_ml::cluster::KMeans;
 use aimdb_ml::data::Dataset;
 use aimdb_ml::forecast::{solve, ArModel, Ewma, Forecaster, Holt, LastValue};
-use aimdb_ml::linear::{GdParams, LinearRegression};
+use aimdb_ml::linear::{GdParams, LinearRegression, LogisticRegression};
 use aimdb_ml::metrics::{percentile, q_error};
 use aimdb_ml::tree::{DecisionTree, TreeParams, TreeTask};
 
+/// A feature column of `n` rows in one of the executor's three numeric
+/// column types, cycling through `vals`.
+fn lane(ty: usize, vals: &[f64], n: usize) -> ColVec {
+    let at = |i: usize| vals[i % vals.len()] + (i / vals.len()) as f64 * 0.37;
+    let nulls = vec![false; n];
+    match ty {
+        0 => ColVec::Int {
+            vals: (0..n).map(|i| at(i).round() as i64).collect(),
+            nulls,
+        },
+        1 => ColVec::Float {
+            vals: (0..n).map(at).collect(),
+            nulls,
+        },
+        _ => ColVec::Bool {
+            vals: (0..n).map(|i| at(i) > 0.0).collect(),
+            nulls,
+        },
+    }
+}
+
+/// `predict_batch` over the lanes of `cols` must equal `predict_one` on
+/// each row, bit for bit.
+fn assert_batch_is_rowwise(
+    what: &str,
+    cols: &[ColVec],
+    predict_one: impl Fn(&[f64]) -> f64,
+    predict_batch: impl Fn(&[&[f64]], &mut [f64]),
+) -> Result<(), String> {
+    let lanes: Vec<_> = cols
+        .iter()
+        .map(|c| c.f64_lane().expect("numeric lane"))
+        .collect();
+    let lanes: Vec<&[f64]> = lanes.iter().map(|l| &l[..]).collect();
+    let n = cols[0].len();
+    let mut out = vec![f64::NAN; n];
+    predict_batch(&lanes, &mut out);
+    for (i, got) in out.iter().enumerate() {
+        let row: Vec<f64> = lanes.iter().map(|l| l[i]).collect();
+        let want = predict_one(&row);
+        prop_assert!(
+            got.to_bits() == want.to_bits(),
+            "{what} row {i} of {n}: batch {got} vs one {want}"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn predict_batch_is_predict_one_bit_for_bit(
+        pts in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 8..40),
+        w0 in -3.0f64..3.0,
+        w1 in -3.0f64..3.0,
+        bias in -5.0f64..5.0,
+    ) {
+        let x: Vec<Vec<f64>> = pts.iter().map(|(a, b)| vec![*a, *b]).collect();
+        let a: Vec<f64> = pts.iter().map(|(a, _)| *a).collect();
+        let b: Vec<f64> = pts.iter().map(|(_, b)| *b).collect();
+        let real: Vec<f64> = pts.iter().map(|(a, b)| 0.3 * a - 0.2 * b).collect();
+        let class: Vec<f64> = pts.iter().map(|(a, b)| f64::from(a + b > 0.0)).collect();
+        let reg = Dataset::new(x.clone(), real).expect("dataset");
+        let cls = Dataset::new(x.clone(), class).expect("dataset");
+        let gd = GdParams { epochs: 5, ..Default::default() };
+
+        let linear = LinearRegression::fit(&reg, gd).expect("fit");
+        let linear_raw = LinearRegression::from_weights(vec![w0, w1], bias);
+        let logistic = LogisticRegression::fit(&cls, gd).expect("fit");
+        let logistic_raw = LogisticRegression::from_weights(vec![w0, w1], bias);
+        let tree = DecisionTree::fit(&cls, TreeParams::default()).expect("fit");
+        let nb = GaussianNb::fit(&cls).expect("fit");
+        let km = KMeans::fit(&x, 3, 20, 7).expect("fit");
+
+        for n in [1usize, 7, 64, 1024] {
+            for (ta, tb) in [(0, 1), (1, 1), (2, 0), (1, 2), (0, 0)] {
+                let cols = [lane(ta, &a, n), lane(tb, &b, n)];
+                assert_batch_is_rowwise("linear", &cols,
+                    |r| linear.predict_one(r), |c, o| linear.predict_batch(c, o))?;
+                assert_batch_is_rowwise("linear, no scaler", &cols,
+                    |r| linear_raw.predict_one(r), |c, o| linear_raw.predict_batch(c, o))?;
+                assert_batch_is_rowwise("logistic", &cols,
+                    |r| logistic.predict_one(r), |c, o| logistic.predict_batch(c, o))?;
+                assert_batch_is_rowwise("logistic, no scaler", &cols,
+                    |r| logistic_raw.predict_one(r), |c, o| logistic_raw.predict_batch(c, o))?;
+                assert_batch_is_rowwise("tree", &cols,
+                    |r| tree.predict_one(r), |c, o| tree.predict_batch(c, o))?;
+                assert_batch_is_rowwise("naive bayes", &cols,
+                    |r| nb.predict_one(r), |c, o| nb.predict_batch(c, o))?;
+                assert_batch_is_rowwise("k-means", &cols,
+                    |r| km.assign(r) as f64, |c, o| km.predict_batch(c, o))?;
+            }
+        }
+    }
 
     #[test]
     fn tree_classifier_predicts_only_seen_labels(

@@ -3,13 +3,15 @@
 //! Expressions are evaluated against a `(Schema, Row)` pair. Column
 //! references may be qualified (`t.a`) or bare (`a`); the engine rewrites
 //! qualified names into the flat output schema of each operator before
-//! evaluation. Scalar functions (including the AISQL `PREDICT`) are
-//! dispatched through the [`ScalarFns`] trait so the SQL crate stays free
-//! of engine/model dependencies.
+//! evaluation. Scalar functions are dispatched through the [`ScalarFns`]
+//! trait, and the AISQL `PREDICT` is bound at plan time to a
+//! [`BoundModel`], so the SQL crate stays free of engine/model
+//! dependencies.
 
 use std::fmt;
+use std::sync::Arc;
 
-use aimdb_common::{AimError, Result, Row, Schema, Value};
+use aimdb_common::{AimError, ColVec, Result, Row, Schema, Value};
 
 /// Binary operators, in ascending precedence groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,11 +100,70 @@ pub enum Expr {
         pattern: String,
         negated: bool,
     },
-    /// Scalar function call, e.g. `ABS(x)`, `PREDICT(model, a, b)`.
+    /// Scalar function call, e.g. `ABS(x)`. The parser also emits
+    /// `PREDICT(model, a, b)` in this form; the planner replaces it with
+    /// [`Expr::Predict`] before the plan leaves it.
     Function {
         name: String,
         args: Vec<Expr>,
     },
+    /// `PREDICT(model, args…)` bound to the model version this statement
+    /// predicts with. `args` are the feature expressions only.
+    Predict {
+        model: ModelRef,
+        args: Vec<Expr>,
+    },
+}
+
+/// One version of a trained model, resolved once when a statement is
+/// planned. Everything the statement predicts goes through this
+/// snapshot, so a re-train that lands mid-scan cannot change the answer
+/// half way, and the row loop takes no lock and looks nothing up.
+pub trait BoundModel: Send + Sync {
+    fn name(&self) -> &str;
+    fn version(&self) -> u32;
+    /// Model family, for `EXPLAIN` (e.g. `linear`, `tree`).
+    fn kind(&self) -> &str;
+    /// Number of feature arguments the model takes.
+    fn arity(&self) -> usize;
+    /// Predict every row of a column batch: `cols[j]` is feature `j`,
+    /// `out[i]` receives row `i`'s prediction. A NULL or non-numeric
+    /// lane is the type error [`Value::as_f64`] reports for it.
+    fn predict_batch(&self, cols: &[ColVec], out: &mut [f64]) -> Result<()>;
+
+    /// One row: a batch of one.
+    fn predict_row(&self, inputs: &[Value]) -> Result<Value> {
+        let cols: Vec<ColVec> = inputs
+            .iter()
+            .map(|v| ColVec::from_values(vec![v.clone()]))
+            .collect();
+        let mut out = [0.0];
+        self.predict_batch(&cols, &mut out)?;
+        Ok(Value::Float(out[0]))
+    }
+}
+
+/// Shared handle to a [`BoundModel`]. Two handles are equal when they
+/// point at the same snapshot.
+#[derive(Clone)]
+pub struct ModelRef(pub Arc<dyn BoundModel>);
+
+impl PartialEq for ModelRef {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl fmt::Debug for ModelRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} v{} {}",
+            self.0.name(),
+            self.0.version(),
+            self.0.kind()
+        )
+    }
 }
 
 impl Expr {
@@ -163,8 +224,8 @@ impl Expr {
     }
 
     /// Column names referenced anywhere in this expression. The first
-    /// argument of `PREDICT(model, ...)` is a model name, not a column,
-    /// and is skipped.
+    /// argument of an unbound `PREDICT(model, ...)` is a model name, not
+    /// a column, and is skipped.
     pub fn referenced_columns(&self) -> Vec<(Option<&str>, &str)> {
         let mut out = Vec::new();
         self.visit(&mut |e| {
@@ -176,41 +237,45 @@ impl Expr {
     }
 
     fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        // PREDICT's model-name argument must not be visited as a column
-        if let Expr::Function { name, args } = self {
-            if name.eq_ignore_ascii_case("PREDICT") && !args.is_empty() {
-                f(self);
-                for a in &args[1..] {
-                    a.visit(f);
-                }
-                return;
-            }
-        }
         f(self);
+        // an unbound PREDICT's model-name argument must not be visited as
+        // a column
+        let skip = match self {
+            Expr::Function { name, args } if name.eq_ignore_ascii_case("PREDICT") => {
+                usize::from(!args.is_empty())
+            }
+            _ => 0,
+        };
+        for child in self.children().into_iter().skip(skip) {
+            child.visit(f);
+        }
+    }
+
+    /// Direct sub-expressions, in evaluation order.
+    pub fn children(&self) -> Vec<&Expr> {
         match self {
-            Expr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
+            Expr::Column { .. } | Expr::Literal(_) => vec![],
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
+                vec![expr]
             }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.visit(f),
-            Expr::Between { expr, lo, hi } => {
-                expr.visit(f);
-                lo.visit(f);
-                hi.visit(f);
+            Expr::Between { expr, lo, hi } => vec![expr, lo, hi],
+            Expr::InList { expr, list, .. } => std::iter::once(expr.as_ref()).chain(list).collect(),
+            Expr::Function { args, .. } | Expr::Predict { args, .. } => args.iter().collect(),
+        }
+    }
+
+    /// [`Self::children`], mutably.
+    pub fn children_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            Expr::Column { .. } | Expr::Literal(_) => vec![],
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
+                vec![expr]
             }
-            Expr::InList { expr, list, .. } => {
-                expr.visit(f);
-                for e in list {
-                    e.visit(f);
-                }
-            }
-            Expr::Like { expr, .. } => expr.visit(f),
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.visit(f);
-                }
-            }
-            Expr::Column { .. } | Expr::Literal(_) => {}
+            Expr::Between { expr, lo, hi } => vec![expr, lo, hi],
+            Expr::InList { expr, list, .. } => std::iter::once(expr.as_mut()).chain(list).collect(),
+            Expr::Function { args, .. } | Expr::Predict { args, .. } => args.iter_mut().collect(),
         }
     }
 
@@ -306,11 +371,39 @@ impl Expr {
                     .collect::<Result<_>>()?;
                 fns.call(name, &vals)
             }
+            // Row-at-a-time evaluation is the reference the batch kernel
+            // is checked against, so it deliberately goes the long way
+            // round: by name through the function registry, one row per
+            // call.
+            Expr::Predict { model, args } => {
+                let mut vals = Vec::with_capacity(args.len() + 1);
+                vals.push(Value::Text(model.0.name().to_string()));
+                for a in args {
+                    vals.push(a.eval(schema, row, fns)?);
+                }
+                fns.call("PREDICT", &vals)
+            }
         }
     }
 
     /// Evaluate as a predicate: NULL counts as false (SQL WHERE semantics).
+    ///
+    /// The AND-ed conjuncts of a predicate are evaluated left to right and
+    /// evaluation stops at the first one that is not TRUE: a later
+    /// conjunct is never evaluated — and so can never raise an error — on
+    /// a row an earlier one already rejected. `vexpr::eval_filter` applies
+    /// the same rule a batch at a time.
     pub fn eval_predicate(&self, schema: &Schema, row: &Row, fns: &dyn ScalarFns) -> Result<bool> {
+        if let Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } = self
+        {
+            return Ok(
+                left.eval_predicate(schema, row, fns)? && right.eval_predicate(schema, row, fns)?
+            );
+        }
         match self.eval(schema, row, fns)? {
             Value::Bool(b) => Ok(b),
             Value::Null => Ok(false),

@@ -20,7 +20,7 @@ pub mod parser;
 pub mod vexpr;
 
 pub use ast::Statement;
-pub use expr::{BinaryOp, Expr, ScalarFns, UnaryOp};
+pub use expr::{BinaryOp, BoundModel, Expr, ModelRef, ScalarFns, UnaryOp};
 pub use lexer::{tokenize, Token};
 pub use logical::LogicalPlan;
 pub use parser::parse;

@@ -15,14 +15,23 @@
 //! `Between`/`Function` children. Whole-column evaluation therefore
 //! errors exactly when the scalar path errors (possibly reporting a
 //! different site, which is why the oracle treats any `Err` pair as
-//! agreement). The only lazy construct, `IN (...)`, keeps its lazy
-//! per-lane loop here.
+//! agreement). Two constructs are lazy in `Expr`, and stay lazy here:
+//! `IN (...)` keeps its per-lane loop, and a *predicate's* AND-ed
+//! conjuncts cascade — [`eval_filter`] evaluates each conjunct only on
+//! the rows every earlier conjunct accepted, the batch form of
+//! `Expr::eval_predicate` stopping at the first conjunct that is not
+//! TRUE. That is what lets a cheap conjunct shield an expensive one
+//! (`PREDICT`) from most of a batch.
+//!
+//! `PREDICT` is not a function call here: the planner binds it to a model
+//! snapshot, and [`VExpr::Predict`] hands the argument columns to that
+//! snapshot's batch kernel in one call.
 
 use std::cmp::Ordering;
 
 use aimdb_common::{AimError, Batch, ColVec, Result, Schema, Value};
 
-use crate::expr::{eval_binary, like_match, BinaryOp, Expr, ScalarFns, UnaryOp};
+use crate::expr::{eval_binary, like_match, BinaryOp, Expr, ModelRef, ScalarFns, UnaryOp};
 
 /// An expression compiled against a fixed input schema: column
 /// references are resolved to positional indices.
@@ -61,6 +70,11 @@ pub enum VExpr {
     },
     Function {
         name: String,
+        args: Vec<VExpr>,
+    },
+    /// Inference over the model snapshot bound at plan time.
+    Predict {
+        model: ModelRef,
         args: Vec<VExpr>,
     },
 }
@@ -126,27 +140,46 @@ pub fn compile(expr: &Expr, schema: &Schema) -> Result<VExpr> {
                 .map(|a| compile(a, schema))
                 .collect::<Result<_>>()?,
         }),
+        Expr::Predict { model, args } => Ok(VExpr::Predict {
+            model: model.clone(),
+            args: args
+                .iter()
+                .map(|a| compile(a, schema))
+                .collect::<Result<_>>()?,
+        }),
     }
 }
 
 /// Evaluate a compiled expression over every row of `batch`, producing
 /// a dense output column of `batch.len()` values.
 pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
-    let n = batch.len();
+    eval_sel(v, batch, None, fns)
+}
+
+/// Evaluate over the rows of `batch` named by `sel` (every row when
+/// `None`), producing a dense column with one lane per selected row.
+/// Only the leaves know about the selection: a column reference gathers
+/// its selected lanes, and every kernel above it sees dense columns.
+fn eval_sel(v: &VExpr, batch: &Batch, sel: Option<&[u32]>, fns: &dyn ScalarFns) -> Result<ColVec> {
+    let n = sel.map_or(batch.len(), <[u32]>::len);
+    let sub = |v: &VExpr| eval_sel(v, batch, sel, fns);
     match v {
-        VExpr::Col(i) => Ok(batch.col(*i).clone()),
+        VExpr::Col(i) => Ok(match sel {
+            None => batch.col(*i).clone(),
+            Some(s) => batch.col(*i).gather(s),
+        }),
         VExpr::Literal(val) => Ok(broadcast(val, n)),
         VExpr::Binary { left, op, right } => {
-            let l = eval(left, batch, fns)?;
-            let r = eval(right, batch, fns)?;
+            let l = sub(left)?;
+            let r = sub(right)?;
             binary_cols(&l, *op, &r, n)
         }
         VExpr::Unary { op, expr } => {
-            let c = eval(expr, batch, fns)?;
+            let c = sub(expr)?;
             unary_col(*op, &c, n)
         }
         VExpr::IsNull { expr, negated } => {
-            let c = eval(expr, batch, fns)?;
+            let c = sub(expr)?;
             let mut vals = Vec::with_capacity(n);
             for i in 0..n {
                 vals.push(c.is_null(i) != *negated);
@@ -158,9 +191,9 @@ pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
         }
         VExpr::Between { expr, lo, hi } => {
             // scalar eval always evaluates all three children
-            let c = eval(expr, batch, fns)?;
-            let l = eval(lo, batch, fns)?;
-            let h = eval(hi, batch, fns)?;
+            let c = sub(expr)?;
+            let l = sub(lo)?;
+            let h = sub(hi)?;
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 let v = c.value(i);
@@ -181,7 +214,7 @@ pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
             // IN is the one lazy construct in Expr::eval: list items
             // after the first match (and for NULL probes) are never
             // evaluated, so the lane loop must stay lazy too.
-            let c = eval(expr, batch, fns)?;
+            let c = sub(expr)?;
             let mut out = Vec::with_capacity(n);
             'lane: for i in 0..n {
                 let v = c.value(i);
@@ -190,8 +223,9 @@ pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
                     continue;
                 }
                 let mut saw_null = false;
+                let row = sel.map_or(i, |s| s[i] as usize);
                 for item in list {
-                    let w = eval_lane(item, batch, i, fns)?;
+                    let w = eval_lane(item, batch, row, fns)?;
                     match v.sql_cmp(&w) {
                         Some(Ordering::Equal) => {
                             out.push(Value::Bool(!*negated));
@@ -214,7 +248,7 @@ pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
             pattern,
             negated,
         } => {
-            let c = eval(expr, batch, fns)?;
+            let c = sub(expr)?;
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 let v = c.value(i);
@@ -227,10 +261,7 @@ pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
             Ok(ColVec::from_values(out))
         }
         VExpr::Function { name, args } => {
-            let cols: Vec<ColVec> = args
-                .iter()
-                .map(|a| eval(a, batch, fns))
-                .collect::<Result<_>>()?;
+            let cols: Vec<ColVec> = args.iter().map(sub).collect::<Result<_>>()?;
             let mut out = Vec::with_capacity(n);
             let mut argv: Vec<Value> = Vec::with_capacity(cols.len());
             for i in 0..n {
@@ -240,6 +271,15 @@ pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
             }
             Ok(ColVec::from_values(out))
         }
+        VExpr::Predict { model, args } => {
+            let cols: Vec<ColVec> = args.iter().map(sub).collect::<Result<_>>()?;
+            let mut vals = vec![0.0; n];
+            model.0.predict_batch(&cols, &mut vals)?;
+            Ok(ColVec::Float {
+                vals,
+                nulls: vec![false; n],
+            })
+        }
     }
 }
 
@@ -247,21 +287,46 @@ pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
 /// vector of rows where it is TRUE (SQL WHERE semantics: NULL drops the
 /// row; a non-boolean result is a type error, as in
 /// [`Expr::eval_predicate`]).
+///
+/// The predicate's AND-ed conjuncts run as a cascade, in order: each is
+/// evaluated only on the rows all earlier ones accepted, and once no row
+/// is left the remaining conjuncts are not evaluated at all.
 pub fn eval_filter(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<Vec<u32>> {
-    let c = eval(v, batch, fns)?;
-    let mut sel = Vec::new();
+    let mut sel = None;
+    narrow(v, batch, fns, &mut sel)?;
+    Ok(sel.unwrap_or_else(|| (0..batch.len() as u32).collect()))
+}
+
+/// Apply the conjuncts of `v`, left to right, to the rows still in `sel`
+/// (`None`: every row of the batch).
+fn narrow(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns, sel: &mut Option<Vec<u32>>) -> Result<()> {
+    if let VExpr::Binary {
+        left,
+        op: BinaryOp::And,
+        right,
+    } = v
+    {
+        narrow(left, batch, fns, sel)?;
+        return narrow(right, batch, fns, sel);
+    }
+    if sel.as_ref().is_some_and(Vec::is_empty) {
+        return Ok(());
+    }
+    let c = eval_sel(v, batch, sel.as_deref(), fns)?;
+    let row = |lane: usize| sel.as_ref().map_or(lane as u32, |s| s[lane]);
+    let mut kept = Vec::new();
     match &c {
         ColVec::Bool { vals, nulls } => {
-            for (i, (b, null)) in vals.iter().zip(nulls).enumerate() {
+            for (lane, (b, null)) in vals.iter().zip(nulls).enumerate() {
                 if *b && !*null {
-                    sel.push(i as u32);
+                    kept.push(row(lane));
                 }
             }
         }
         other => {
-            for i in 0..batch.len() {
-                match other.value(i) {
-                    Value::Bool(true) => sel.push(i as u32),
+            for lane in 0..other.len() {
+                match other.value(lane) {
+                    Value::Bool(true) => kept.push(row(lane)),
                     Value::Bool(false) | Value::Null => {}
                     v => {
                         return Err(AimError::TypeMismatch(format!(
@@ -272,7 +337,8 @@ pub fn eval_filter(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<Vec<
             }
         }
     }
-    Ok(sel)
+    *sel = Some(kept);
+    Ok(())
 }
 
 /// Per-lane interpreter: evaluate one row of a compiled expression,
@@ -346,6 +412,14 @@ fn eval_lane(v: &VExpr, batch: &Batch, i: usize, fns: &dyn ScalarFns) -> Result<
                 .map(|a| eval_lane(a, batch, i, fns))
                 .collect::<Result<_>>()?;
             fns.call(name, &vals)
+        }
+        // the bound kernel on a batch of one
+        VExpr::Predict { model, args } => {
+            let vals: Vec<Value> = args
+                .iter()
+                .map(|a| eval_lane(a, batch, i, fns))
+                .collect::<Result<_>>()?;
+            model.0.predict_row(&vals)
         }
     }
 }
@@ -770,6 +844,108 @@ mod tests {
     #[test]
     fn compile_unknown_column_fails() {
         assert!(compile(&Expr::col("zzz"), &schema()).is_err());
+    }
+
+    /// `PREDICT(m, x…)` = twice the sum of its arguments, as a bound
+    /// model and — for the scalar reference — as a function by name.
+    struct TwiceSum;
+
+    impl crate::expr::BoundModel for TwiceSum {
+        fn name(&self) -> &str {
+            "m"
+        }
+        fn version(&self) -> u32 {
+            1
+        }
+        fn kind(&self) -> &str {
+            "stub"
+        }
+        fn arity(&self) -> usize {
+            2
+        }
+        fn predict_batch(&self, cols: &[ColVec], out: &mut [f64]) -> Result<()> {
+            out.fill(0.0);
+            for c in cols {
+                for (o, x) in out.iter_mut().zip(c.f64_lane()?.iter()) {
+                    *o += 2.0 * x;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    impl ScalarFns for TwiceSum {
+        fn call(&self, name: &str, args: &[Value]) -> Result<Value> {
+            assert_eq!(name, "PREDICT");
+            let mut sum = 0.0;
+            for a in &args[1..] {
+                sum += 2.0 * a.as_f64()?;
+            }
+            Ok(Value::Float(sum))
+        }
+    }
+
+    fn predict(args: Vec<Expr>) -> Expr {
+        Expr::Predict {
+            model: ModelRef(std::sync::Arc::new(TwiceSum)),
+            args,
+        }
+    }
+
+    #[test]
+    fn predict_runs_the_bound_kernel_on_selected_lanes_only() {
+        let (s, b) = (schema(), batch());
+        // row 0 has both inputs; rows 1 and 2 have a NULL one
+        let p = predict(vec![Expr::col("a"), Expr::col("b")]);
+        let v = compile(&p, &s).unwrap();
+        assert!(eval(&v, &b, &TwiceSum).is_err(), "NULL input is an error");
+        let got = eval_sel(&v, &b, Some(&[0]), &TwiceSum).unwrap();
+        assert_eq!(got.value(0), p.eval(&s, &b.row(0), &TwiceSum).unwrap());
+        assert_eq!(got.value(0), Value::Float(25.0));
+        // inside a lazy IN item: the kernel on a batch of one
+        let e = Expr::InList {
+            expr: Box::new(Expr::lit(25.0)),
+            list: vec![p],
+            negated: false,
+        };
+        let v = compile(&e, &s).unwrap();
+        let got = eval_sel(&v, &b, Some(&[0]), &TwiceSum).unwrap();
+        assert_eq!(got.value(0), Value::Bool(true));
+    }
+
+    #[test]
+    fn filter_conjuncts_cascade_like_scalar_predicate() {
+        use BinaryOp::*;
+        let (s, b) = (schema(), batch());
+        let both = Expr::binary(
+            Expr::IsNull {
+                expr: Box::new(Expr::col("a")),
+                negated: true,
+            },
+            And,
+            Expr::IsNull {
+                expr: Box::new(Expr::col("b")),
+                negated: true,
+            },
+        );
+        let over = Expr::binary(
+            predict(vec![Expr::col("a"), Expr::col("b")]),
+            Gt,
+            Expr::lit(20.0),
+        );
+        // shielded: the model only sees rows with both inputs present
+        let shielded = Expr::binary(both.clone(), And, over.clone());
+        let v = compile(&shielded, &s).unwrap();
+        assert_eq!(eval_filter(&v, &b, &TwiceSum).unwrap(), vec![0]);
+        for i in 0..b.len() {
+            let want = shielded.eval_predicate(&s, &b.row(i), &TwiceSum).unwrap();
+            assert_eq!(want, i == 0);
+        }
+        // the other way round the model meets a NULL first, in both forms
+        let exposed = Expr::binary(over, And, both);
+        let v = compile(&exposed, &s).unwrap();
+        assert!(eval_filter(&v, &b, &TwiceSum).is_err());
+        assert!(exposed.eval_predicate(&s, &b.row(1), &TwiceSum).is_err());
     }
 
     #[test]

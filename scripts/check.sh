@@ -79,6 +79,14 @@ run cargo test -q -p aimdb-server --test protocol
 # the wire vs in-process, 64 concurrent sessions held open, and the
 # admission gate shedding under overload; writes BENCH_server.json
 run cargo run -q --release -p aimdb-bench --bin load_bench -- --smoke
+# the standing wire-level benchmark is a frozen instrument with its own
+# workspace: build it against the product crates as they are now and run
+# its four workloads for a few seconds each — oracles only (row shadow,
+# golden hashes, projection-derived counts, TPC-C invariants + recovery),
+# no timing gate — so a product change that breaks benchmark/ fails here.
+# Writes benchmark/out/report.json; the committed BENCH_wire.json is the
+# full run, refreshed by hand (see ROADMAP "how a perf item is judged").
+run bash benchmark/run.sh --smoke
 # observability demo: EXPLAIN ANALYZE tree, metrics page (asserts the
 # exposition format parses via validate_exposition), trace ring,
 # slow-query log — fails on any assertion

@@ -162,3 +162,54 @@ fn concurrent_sessions_see_snapshot_atomic_commits() {
     reader.join().expect("reader");
     server.shutdown().expect("shutdown");
 }
+
+/// A `PREDICT` that cannot run is refused when the statement is planned,
+/// so it is refused even when no row would have reached the model — and
+/// the category the client sees is the one the first row used to raise.
+#[test]
+fn model_errors_keep_their_wire_category() {
+    let db = Database::new();
+    aimdb_db4ai::ModelRuntime::install(&db);
+    db.execute("CREATE TABLE p (id INT, age INT, name TEXT, days FLOAT)")
+        .expect("create");
+    db.execute("INSERT INTO p VALUES (1, 30, 'a', 2.0), (2, 50, 'b', 3.0), (3, 70, 'c', 4.5)")
+        .expect("seed");
+    db.execute("CREATE MODEL stay KIND LINEAR ON p (age) LABEL days")
+        .expect("train");
+    let (server, _db) = serve(db);
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+
+    for (sql, category) in [
+        ("SELECT id FROM p WHERE PREDICT(nope, age) > 1", "not_found"),
+        ("SELECT id FROM p WHERE PREDICT(stay, age, id) > 1", "model"),
+        (
+            "SELECT id FROM p WHERE PREDICT(stay, name) > 1",
+            "type_mismatch",
+        ),
+        // no survivors, so before this change no error either
+        (
+            "SELECT id FROM p WHERE id < 0 AND PREDICT(nope, age) > 1",
+            "not_found",
+        ),
+        (
+            "SELECT id FROM p WHERE id < 0 AND PREDICT(stay, age, id) > 1",
+            "model",
+        ),
+        (
+            "SELECT id FROM p WHERE id < 0 AND PREDICT(stay, name) > 1",
+            "type_mismatch",
+        ),
+    ] {
+        match c.query_ok(sql) {
+            Ok(r) => panic!("{sql}: accepted, returned {r:?}"),
+            Err(e) => assert_eq!(e.category(), category, "{sql}: {e}"),
+        }
+    }
+    // the session survives every one of them
+    let r = c
+        .query_ok("SELECT COUNT(*) FROM p WHERE PREDICT(stay, age) > 0")
+        .expect("well-formed PREDICT");
+    assert_eq!(r.rows()[0].values()[0], Value::Int(3));
+    c.close().expect("close");
+    server.shutdown().expect("shutdown");
+}
