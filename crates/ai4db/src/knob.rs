@@ -208,11 +208,10 @@ impl TuningEnv for DbEnv<'_> {
         let io_before = self.db.disk().stats();
         let mut cost = 0.0;
         for q in &self.queries {
-            if let Ok(stmt) = aimdb_sql::parser::parse_one(q) {
-                if let aimdb_sql::Statement::Select(sel) = stmt {
-                    if let Ok((_, c)) = self.db.execute_select_measured(&sel) {
-                        cost += c;
-                    }
+            if let Ok(aimdb_sql::Statement::Select(sel)) = aimdb_sql::parser::parse_one(q) {
+                let run = self.db.plan(&sel);
+                if let Ok((_, c)) = run.and_then(|p| self.db.run_plan_measured(&p)) {
+                    cost += c;
                 }
             }
         }

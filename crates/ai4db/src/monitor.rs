@@ -537,6 +537,8 @@ mod tests {
         let tuples: Vec<String> = (0..200).map(|i| format!("({i})")).collect();
         db.execute(&format!("INSERT INTO t VALUES {}", tuples.join(",")))
             .unwrap();
+        // exec_parallelism defaults to 0 = all cores: pin it so this window is serial
+        db.execute("SET exec_parallelism = 1").unwrap();
         for _ in 0..4 {
             db.execute("SELECT COUNT(*) FROM t WHERE a < 100").unwrap();
         }

@@ -825,10 +825,15 @@ pub fn e16() -> Report {
 }
 
 /// The E16 fixture: `rows` patients, and a linear model `stay` trained on
-/// them by `CREATE MODEL`.
-pub fn e16_patients(rows: usize) -> aimdb_common::Result<aimdb_engine::Database> {
+/// them by `CREATE MODEL` in the returned runtime.
+fn e16_patients(
+    rows: usize,
+) -> aimdb_common::Result<(
+    aimdb_engine::Database,
+    std::sync::Arc<aimdb_db4ai::ModelRuntime>,
+)> {
     let db = aimdb_engine::Database::new();
-    aimdb_db4ai::ModelRuntime::install(&db);
+    let models = aimdb_db4ai::ModelRuntime::install(&db);
     db.execute("CREATE TABLE patients (id INT, age INT, severity FLOAT, days FLOAT)")?;
     let ids: Vec<usize> = (0..rows).collect();
     for chunk in ids.chunks(1000) {
@@ -847,35 +852,72 @@ pub fn e16_patients(rows: usize) -> aimdb_common::Result<aimdb_engine::Database>
     db.execute(
         "CREATE MODEL stay KIND LINEAR ON patients (age, severity) LABEL days WITH (epochs = 20)",
     )?;
-    Ok(db)
+    Ok((db, models))
 }
 
 /// The tutorial's hybrid query, and the same scan filtering on a stored
 /// column instead of a prediction.
-pub const E16_PREDICT_SQL: &str =
+const E16_PREDICT_SQL: &str =
     "SELECT COUNT(*) FROM patients WHERE PREDICT(stay, age, severity) > 3";
-pub const E16_STORED_SQL: &str = "SELECT COUNT(*) FROM patients WHERE days > 3";
+const E16_STORED_SQL: &str = "SELECT COUNT(*) FROM patients WHERE days > 3";
+
+/// Scalar functions for E16's per-row arm: `PREDICT` looked up in the
+/// registry by name and run on one row, every call — a UDF.
+struct PerRowUdf(std::sync::Arc<aimdb_db4ai::ModelRuntime>);
+
+impl aimdb_sql::expr::ScalarFns for PerRowUdf {
+    fn call(
+        &self,
+        name: &str,
+        args: &[aimdb_common::Value],
+    ) -> aimdb_common::Result<aimdb_common::Value> {
+        use aimdb_engine::ModelHook;
+        match args.split_first() {
+            Some((model, inputs)) if name.eq_ignore_ascii_case("PREDICT") => {
+                self.0.predict(model.as_str()?, inputs)
+            }
+            _ => aimdb_sql::expr::BuiltinFns.call(name, args),
+        }
+    }
+}
 
 fn try_e16() -> aimdb_common::Result<Report> {
-    use aimdb_common::{Clock, WallClock};
+    use aimdb_common::{AimError, Clock, Row, WallClock};
     use aimdb_db4ai::hybrid::*;
-    use aimdb_engine::Database;
+    use aimdb_engine::exec::{execute, ExecContext};
+    use aimdb_engine::{Database, PhysicalPlan};
     use aimdb_ml::linear::LinearRegression;
     let mut r = Report::new("E16", "inference execution + hybrid DB&AI pushdown");
 
-    // per-row UDF vs batch kernel, through SQL: the row executor looks the
-    // model up by name and predicts one row per call, the vectorized
-    // executor runs the model bound into the plan over column batches
+    // per-row UDF vs batch kernel over one plan of the same SQL: the
+    // reference interpreter looks the model up by name and predicts one
+    // row per call, the engine's executor runs the model bound into the
+    // plan over column batches
     const ROWS: usize = 30_000;
-    let db = e16_patients(ROWS)?;
+    let (db, models) = e16_patients(ROWS)?;
+    let plan_of = |sql: &str| match aimdb_sql::parser::parse_one(sql)? {
+        aimdb_sql::Statement::Select(sel) => db.plan(&sel),
+        other => Err(AimError::Plan(format!("not a SELECT: {other:?}"))),
+    };
+    let with_model = plan_of(E16_PREDICT_SQL)?;
+    let stored = plan_of(E16_STORED_SQL)?;
+    let udf = PerRowUdf(models);
+    let per_row = |plan: &PhysicalPlan| execute(plan, &ExecContext::new(&db.catalog, &udf));
+    let batch = |plan: &PhysicalPlan| db.run_plan_measured(plan).map(|(rows, _)| rows);
+    type Arm<'a> = &'a dyn Fn(&PhysicalPlan) -> aimdb_common::Result<Vec<Row>>;
     let clock = WallClock::new();
-    let best_ms = |sql: &str| -> aimdb_common::Result<(f64, i64)> {
+    let best_ms = |run: Arm, plan: &PhysicalPlan| -> aimdb_common::Result<(f64, i64)> {
         let mut best = f64::INFINITY;
         let mut answer = 0;
         for _ in 0..9 {
             let t0 = clock.now_secs();
-            answer = db.execute(sql)?.scalar()?.as_i64()?;
+            let rows = run(plan)?;
             best = best.min((clock.now_secs() - t0) * 1e3);
+            answer = rows
+                .first()
+                .ok_or_else(|| AimError::Execution("COUNT(*) returned no row".into()))?
+                .get(0)
+                .as_i64()?;
         }
         Ok((best, answer))
     };
@@ -883,30 +925,30 @@ fn try_e16() -> aimdb_common::Result<Report> {
         "{:<28} {:>10} {:>14} {:>16}",
         "PREDICT over 30 000 rows", "query ms", "stored-col ms", "PREDICT ns/row"
     ));
-    let mut per_row = Vec::new();
+    let mut timings = Vec::new();
     let mut answers = Vec::new();
-    for (label, knob) in [
-        ("per-row UDF (row executor)", 0),
-        ("batch kernel (vectorized)", 1),
-    ] {
-        db.execute(&format!("SET vectorized_exec = {knob}"))?;
-        let (with_model, answer) = best_ms(E16_PREDICT_SQL)?;
-        let (stored, _) = best_ms(E16_STORED_SQL)?;
-        let ns = (with_model - stored) * 1e6 / ROWS as f64;
+    let arms: [(&str, Arm); 2] = [
+        ("per-row UDF (reference)", &per_row),
+        ("batch kernel (engine)", &batch),
+    ];
+    for (label, run) in arms {
+        let (model_ms, answer) = best_ms(run, &with_model)?;
+        let (stored_ms, _) = best_ms(run, &stored)?;
+        let ns = (model_ms - stored_ms) * 1e6 / ROWS as f64;
         r.row(format!(
-            "{label:<28} {with_model:>10.2} {stored:>14.2} {ns:>16.1}"
+            "{label:<28} {model_ms:>10.2} {stored_ms:>14.2} {ns:>16.1}"
         ));
-        per_row.push((with_model, ns));
+        timings.push(model_ms);
         answers.push(answer);
     }
     if answers[0] != answers[1] {
-        return Err(aimdb_common::AimError::Execution(format!(
+        return Err(AimError::Execution(format!(
             "executors disagree on the hybrid query: {answers:?}"
         )));
     }
     r.row(format!(
         "batch kernel vs per-row UDF: query {:.1}x faster, same {} rows; host: {} core(s), {} build",
-        per_row[0].0 / per_row[1].0,
+        timings[0] / timings[1],
         answers[0],
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         if cfg!(debug_assertions) { "debug" } else { "release" }

@@ -24,7 +24,7 @@ use aimdb_trace::{
 
 use crate::analyze::AnalyzeReport;
 use crate::catalog::{Catalog, Table};
-use crate::exec::{execute, ExecContext, OpKey, OpStats, WorkerSpan};
+use crate::exec::{ExecContext, OpKey, OpStats, WorkerSpan};
 use crate::exec_batch::execute_batched_parallel;
 use crate::fingerprint::{self, StatementStat, StatementStore};
 use crate::knobs::Knobs;
@@ -96,10 +96,10 @@ pub trait ModelHook: Send + Sync {
     }
 }
 
-/// Scalar functions for row-at-a-time evaluation — the reference row
-/// executor and UPDATE/DELETE predicates: built-ins plus
-/// `PREDICT(model, args...)` resolved by name, one row per call. The
-/// batch executor never sees this type: its plans carry bound models.
+/// Scalar functions for UPDATE/DELETE predicates and assignments, which
+/// are evaluated a row at a time: built-ins plus `PREDICT(model, args...)`
+/// resolved by name, one row per call. The executor never sees this
+/// type: its plans carry bound models.
 struct RowFns {
     hook: Option<Arc<dyn ModelHook>>,
 }
@@ -130,7 +130,8 @@ fn trim_label(sql: &str) -> String {
     }
 }
 
-/// Statement-kind label for traces entering through `execute_stmt`.
+/// Statement-kind label: what a statement that arrives already parsed
+/// (no SQL text) is fingerprinted and traced under.
 fn stmt_label(stmt: &Statement) -> &'static str {
     match stmt {
         Statement::CreateTable { .. } => "CREATE TABLE",
@@ -157,6 +158,31 @@ fn stmt_label(stmt: &Statement) -> &'static str {
 /// Label for plans executed directly (no SQL text available).
 fn plan_label(plan: &PhysicalPlan) -> String {
     format!("plan: {}", plan.describe())
+}
+
+/// Run `f` under a span named `name` when a trace is active.
+fn in_span<T>(tb: &mut Option<&mut TraceBuilder<'_>>, name: &str, f: impl FnOnce() -> T) -> T {
+    let id = tb.as_deref_mut().map(|t| t.open(name));
+    let out = f();
+    if let (Some(t), Some(id)) = (tb.as_deref_mut(), id) {
+        t.close(id);
+    }
+    out
+}
+
+/// How a statement reaches [`Database::run_statement`]: as SQL text, or
+/// already parsed out of a script.
+enum StmtSource<'a> {
+    Sql(&'a str),
+    Parsed(&'a Statement),
+}
+
+/// What one run of a plan produced: the rows, the measured cost units,
+/// and the per-operator counters `EXPLAIN ANALYZE` and traces report.
+struct PlanRun {
+    rows: Vec<Row>,
+    cost: f64,
+    ops: Vec<(OpKey, OpStats)>,
 }
 
 /// An in-process database instance.
@@ -593,48 +619,7 @@ impl Database {
     /// `h`. Reads see the handle's snapshot plus its own writes; DDL and
     /// transaction-control statements are rejected.
     pub fn execute_in(&self, h: &TxnHandle, sql: &str) -> Result<QueryResult> {
-        let obs = self.begin_statement(fingerprint::fingerprint(sql));
-        let stmt = match parse_one(sql) {
-            Ok(stmt) => stmt,
-            Err(e) => {
-                let out = Err(e);
-                self.end_statement(obs, &fingerprint::normalize(sql), &out, None);
-                return out;
-            }
-        };
-        let out = match &stmt {
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => self.exec_insert(table, columns.as_deref(), rows, Some(h)),
-            Statement::Update {
-                table,
-                assignments,
-                where_clause,
-            } => self.exec_update(table, assignments, where_clause.as_ref(), Some(h)),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => self.exec_delete(table, where_clause.as_ref(), Some(h)),
-            Statement::Select(sel) => {
-                let plan = self.plan(sel)?;
-                let (rows, _) = self.exec_plan_traced(&plan, None, Some(h.snapshot()))?;
-                Ok(QueryResult::Rows {
-                    schema: plan.schema.clone(),
-                    rows,
-                })
-            }
-            other => Err(AimError::Execution(format!(
-                "transaction handles support DML and SELECT, got {}",
-                stmt_label(other)
-            ))),
-        };
-        if out.is_err() {
-            self.metrics.record_error();
-        }
-        self.end_statement(obs, &fingerprint::normalize(sql), &out, None);
-        out
+        self.run_statement(StmtSource::Sql(sql), Some(h))
     }
 
     /// Commit the transaction of `h`: its commit record becomes durable
@@ -849,76 +834,42 @@ impl Database {
     /// the whole lifecycle — parse, optimize, verify, execute — runs
     /// under a trace recorded into [`Database::tracer`].
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let obs = self.begin_statement(fingerprint::fingerprint(sql));
-        if !self.tracing_enabled() {
-            let stmt = match parse_one(sql) {
-                Ok(stmt) => stmt,
-                Err(e) => {
-                    let out = Err(e);
-                    self.end_statement(obs, &fingerprint::normalize(sql), &out, None);
-                    return out;
-                }
-            };
-            let out = self.dispatch(&stmt, None);
-            if out.is_err() {
-                self.metrics.record_error();
-            }
-            self.end_statement(obs, &fingerprint::normalize(sql), &out, None);
-            return out;
-        }
-        let clock = self.clock();
-        let mut tb = TraceBuilder::new(clock.as_ref(), trim_label(sql));
-        let pid = tb.open("parse");
-        let parsed = parse_one(sql);
-        tb.close(pid);
-        let stmt = match parsed {
-            Ok(stmt) => stmt,
-            Err(e) => {
-                let out = Err(e);
-                self.end_statement(obs, &fingerprint::normalize(sql), &out, Some(&mut tb));
-                self.tracer.record(tb.finish());
-                return out;
-            }
-        };
-        let out = self.dispatch(&stmt, Some(&mut tb));
-        if out.is_err() {
-            self.metrics.record_error();
-        }
-        self.end_statement(obs, &fingerprint::normalize(sql), &out, Some(&mut tb));
-        if self.tracing_enabled() {
-            self.tracer.record(tb.finish());
-        }
-        out
+        self.run_statement(StmtSource::Sql(sql), None)
     }
 
     /// Execute a `;`-separated script, returning each statement's result.
     pub fn run_script(&self, sql: &str) -> Result<Vec<QueryResult>> {
-        parse(sql)?.iter().map(|s| self.execute_stmt(s)).collect()
+        parse(sql)?
+            .iter()
+            .map(|s| self.run_statement(StmtSource::Parsed(s), None))
+            .collect()
     }
 
-    /// Execute a parsed statement (traced like [`Database::execute`],
-    /// minus the parse span).
-    pub fn execute_stmt(&self, stmt: &Statement) -> Result<QueryResult> {
-        // No raw SQL here, so statements fingerprint by kind label — the
-        // same bounded-store surface, one shape per statement kind.
-        let label = stmt_label(stmt);
-        let obs = self.begin_statement(fingerprint::fingerprint(label));
-        if !self.tracing_enabled() {
-            let out = self.dispatch(stmt, None);
-            if out.is_err() {
-                self.metrics.record_error();
-            }
-            self.end_statement(obs, &fingerprint::normalize(label), &out, None);
-            return out;
-        }
+    /// The one statement lifecycle, whichever way the statement came in:
+    /// open the observation window, start a trace if `query_tracing` is
+    /// on (read here, once, so a statement is traced or not as a whole),
+    /// parse SQL text, dispatch — inside `h`'s transaction when one is
+    /// given — count a failure, close the window, publish the trace.
+    fn run_statement(&self, src: StmtSource<'_>, h: Option<&TxnHandle>) -> Result<QueryResult> {
+        let text = match src {
+            StmtSource::Sql(sql) => sql,
+            StmtSource::Parsed(stmt) => stmt_label(stmt),
+        };
+        let obs = self.begin_statement(fingerprint::fingerprint(text));
         let clock = self.clock();
-        let mut tb = TraceBuilder::new(clock.as_ref(), label);
-        let out = self.dispatch(stmt, Some(&mut tb));
+        let mut tb = self
+            .tracing_enabled()
+            .then(|| TraceBuilder::new(clock.as_ref(), trim_label(text)));
+        let out = match src {
+            StmtSource::Sql(sql) => in_span(&mut tb.as_mut(), "parse", || parse_one(sql))
+                .and_then(|stmt| self.dispatch(&stmt, h, tb.as_mut())),
+            StmtSource::Parsed(stmt) => self.dispatch(stmt, h, tb.as_mut()),
+        };
         if out.is_err() {
             self.metrics.record_error();
         }
-        self.end_statement(obs, &fingerprint::normalize(label), &out, Some(&mut tb));
-        if self.tracing_enabled() {
+        self.end_statement(obs, &fingerprint::normalize(text), &out, tb.as_mut());
+        if let Some(tb) = tb {
             self.tracer.record(tb.finish());
         }
         out
@@ -1007,11 +958,28 @@ impl Database {
         *self.clock.write() = clock;
     }
 
+    /// Run one parsed statement — inside the transaction of `h` when one
+    /// is given, which only DML and SELECT can be.
     fn dispatch(
         &self,
         stmt: &Statement,
+        h: Option<&TxnHandle>,
         mut tb: Option<&mut TraceBuilder<'_>>,
     ) -> Result<QueryResult> {
+        if h.is_some()
+            && !matches!(
+                stmt,
+                Statement::Insert { .. }
+                    | Statement::Update { .. }
+                    | Statement::Delete { .. }
+                    | Statement::Select(_)
+            )
+        {
+            return Err(AimError::Execution(format!(
+                "transaction handles support DML and SELECT, got {}",
+                stmt_label(stmt)
+            )));
+        }
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::new(
@@ -1066,31 +1034,24 @@ impl Database {
                 table,
                 columns,
                 rows,
-            } => self.exec_insert(table, columns.as_deref(), rows, None),
+            } => self.exec_insert(table, columns.as_deref(), rows, h),
             Statement::Select(sel) => {
-                let plan = {
-                    let oid = tb.as_deref_mut().map(|t| t.open("optimize"));
-                    let plan = self.plan(sel);
-                    if let (Some(t), Some(id)) = (tb.as_deref_mut(), oid) {
-                        t.close(id);
-                    }
-                    plan?
-                };
-                let (rows, _) = self.exec_plan_traced(&plan, tb, None)?;
+                let plan = in_span(&mut tb, "optimize", || self.plan(sel))?;
+                let run = self.exec_plan(&plan, tb, h.map(TxnHandle::snapshot))?;
                 Ok(QueryResult::Rows {
-                    schema: plan.schema.clone(),
-                    rows,
+                    schema: plan.schema,
+                    rows: run.rows,
                 })
             }
             Statement::Update {
                 table,
                 assignments,
                 where_clause,
-            } => self.exec_update(table, assignments, where_clause.as_ref(), None),
+            } => self.exec_update(table, assignments, where_clause.as_ref(), h),
             Statement::Delete {
                 table,
                 where_clause,
-            } => self.exec_delete(table, where_clause.as_ref(), None),
+            } => self.exec_delete(table, where_clause.as_ref(), h),
             Statement::Begin => {
                 let id = self.txn.lock().begin(&self.wal)?;
                 self.runtime.register(id);
@@ -1098,12 +1059,7 @@ impl Database {
             }
             Statement::Commit => {
                 let id = self.txn.lock().take_active()?;
-                let sid = tb.as_deref_mut().map(|t| t.open("commit"));
-                let out = self.commit_mvcc(id);
-                if let (Some(t), Some(s)) = (tb.as_deref_mut(), sid) {
-                    t.close(s);
-                }
-                out?;
+                in_span(&mut tb, "commit", || self.commit_mvcc(id))?;
                 // Best-effort: the commit is durable; a checkpoint failure
                 // surfaces on the next statement instead.
                 let _ = self.maybe_checkpoint();
@@ -1111,12 +1067,7 @@ impl Database {
             }
             Statement::Rollback => {
                 let id = self.txn.lock().take_active()?;
-                let sid = tb.as_deref_mut().map(|t| t.open("rollback"));
-                let out = self.rollback_mvcc(id);
-                if let (Some(t), Some(s)) = (tb.as_deref_mut(), sid) {
-                    t.close(s);
-                }
-                out?;
+                in_span(&mut tb, "rollback", || self.rollback_mvcc(id))?;
                 self.metrics.record_abort();
                 Ok(QueryResult::Text("rollback".into()))
             }
@@ -1128,10 +1079,7 @@ impl Database {
                 other => Ok(QueryResult::Text(format!("{other:?}"))),
             },
             Statement::ExplainAnalyze(inner) => match inner.as_ref() {
-                Statement::Select(sel) => {
-                    let report = self.explain_analyze_traced(sel, tb)?;
-                    Ok(QueryResult::Text(report.text))
-                }
+                Statement::Select(sel) => Ok(QueryResult::Text(self.analyze_select(sel, tb)?.text)),
                 other => Err(AimError::Plan(format!(
                     "EXPLAIN ANALYZE supports SELECT statements, got {other:?}"
                 ))),
@@ -1229,52 +1177,42 @@ impl Database {
 
     /// Execute a physical plan, recording metrics. Returns rows + schema.
     pub fn run_plan(&self, plan: &PhysicalPlan) -> Result<QueryResult> {
-        let (rows, _) = self.exec_plan(plan)?;
+        let (rows, _) = self.run_plan_measured(plan)?;
         Ok(QueryResult::Rows {
             schema: plan.schema.clone(),
             rows,
         })
     }
 
-    /// Plan + execute returning the measured cost units — the latency
-    /// signal learned optimizers train on.
-    pub fn execute_select_measured(&self, sel: &Select) -> Result<(Vec<Row>, f64)> {
-        let plan = self.plan(sel)?;
-        self.exec_plan(&plan)
-    }
-
-    /// Execute an externally built physical plan and return measured cost
-    /// units (used by learned join-ordering / NEO experiments).
+    /// Execute a physical plan and return the measured cost units — the
+    /// latency signal tuners and learned optimizers train on. The caller
+    /// holds a plan but no statement, so with `query_tracing` on the run
+    /// gets a trace of its own.
     pub fn run_plan_measured(&self, plan: &PhysicalPlan) -> Result<(Vec<Row>, f64)> {
-        self.exec_plan(plan)
-    }
-
-    /// The single plan-execution path. Entry point for callers that hold
-    /// a plan but no statement-level trace (tuners, learned-optimizer
-    /// experiments): starts its own trace when tracing is enabled.
-    fn exec_plan(&self, plan: &PhysicalPlan) -> Result<(Vec<Row>, f64)> {
-        if !self.tracing_enabled() {
-            return self.exec_plan_traced(plan, None, None);
-        }
         let clock = self.clock();
-        let mut tb = TraceBuilder::new(clock.as_ref(), plan_label(plan));
+        let mut tb = self
+            .tracing_enabled()
+            .then(|| TraceBuilder::new(clock.as_ref(), plan_label(plan)));
         let w0 = wait::thread_snapshot();
-        let out = self.exec_plan_traced(plan, Some(&mut tb), None);
-        tb.set_waits(wait::thread_snapshot().delta_since(&w0));
-        self.tracer.record(tb.finish());
-        out
+        let run = self.exec_plan(plan, tb.as_mut(), None);
+        if let Some(mut tb) = tb {
+            tb.set_waits(wait::thread_snapshot().delta_since(&w0));
+            self.tracer.record(tb.finish());
+        }
+        run.map(|r| (r.rows, r.cost))
     }
 
-    /// Verify (debug builds), dispatch to the vectorized or row executor
-    /// per the `vectorized_exec` knob, flush per-operator and per-query
-    /// metrics, and — when a trace is active — record verify/execute
-    /// spans, buffer-pool deltas and the operator profile.
-    fn exec_plan_traced(
+    /// The single plan-execution path: verify (debug builds), run the
+    /// plan through the morsel-parallel batch executor, flush
+    /// per-operator and per-query metrics, and — when a trace is active
+    /// — record verify/execute spans, buffer-pool deltas and the operator
+    /// profile.
+    fn exec_plan(
         &self,
         plan: &PhysicalPlan,
         mut tb: Option<&mut TraceBuilder<'_>>,
         snap: Option<Snapshot>,
-    ) -> Result<(Vec<Row>, f64)> {
+    ) -> Result<PlanRun> {
         // Reads go through a snapshot when a transaction supplies one
         // (handle or session BEGIN); otherwise a statement-scoped
         // read snapshot so concurrent commits appear atomically. The
@@ -1286,42 +1224,23 @@ impl Database {
                 (s, Some(g))
             }
         };
-        let snap = Some(snap);
         // Debug builds statically verify every plan before running it, so
         // the whole test suite doubles as a verifier soak test.
         #[cfg(debug_assertions)]
-        {
-            let vid = tb.as_deref_mut().map(|t| t.open("verify"));
-            crate::verify::verify(plan, &self.catalog)?;
-            if let (Some(t), Some(id)) = (tb.as_deref_mut(), vid) {
-                t.close(id);
-            }
-        }
-        let vectorized = self.knobs.get("vectorized_exec").unwrap_or(1) != 0;
+        in_span(&mut tb, "verify", || {
+            crate::verify::verify(plan, &self.catalog)
+        })?;
         let clock = self.clock();
         let eid = tb.as_deref_mut().map(|t| t.open("execute"));
         let pool_before = tb.is_some().then(|| self.pool.stats());
-        let (rows, cost, ops) = if vectorized {
-            let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
-            let workers = self.exec_workers();
-            let ctx = ExecContext::with_clock(&self.catalog, &BuiltinFns, clock.as_ref());
-            ctx.set_snapshot(snap);
-            let rows = execute_batched_parallel(plan, &ctx, bs, workers)?;
-            let ops = ctx.take_op_stats();
-            self.flush_op_stats(&ops);
-            self.note_worker_spans(ctx.take_worker_spans(), tb.as_deref_mut());
-            let cost = ctx.cost_units();
-            (rows, cost, ops)
-        } else {
-            let fns = RowFns {
-                hook: self.hook.read().clone(),
-            };
-            let ctx = ExecContext::new(&self.catalog, &fns);
-            ctx.set_snapshot(snap);
-            let rows = execute(plan, &ctx)?;
-            let cost = ctx.cost_units();
-            (rows, cost, Vec::new())
-        };
+        let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
+        let ctx = ExecContext::with_clock(&self.catalog, &BuiltinFns, clock.as_ref());
+        ctx.set_snapshot(Some(snap));
+        let rows = execute_batched_parallel(plan, &ctx, bs, self.exec_workers())?;
+        let ops = ctx.take_op_stats();
+        self.flush_op_stats(&ops);
+        self.note_worker_spans(ctx.take_worker_spans(), tb.as_deref_mut());
+        let cost = ctx.cost_units();
         if let Some(t) = tb {
             t.add_rows(rows.len() as u64);
             t.add_batches(ops.iter().map(|(_, st)| st.batches).max().unwrap_or(0));
@@ -1340,7 +1259,7 @@ impl Database {
         }
         self.metrics.record_query(rows.len() as u64, cost);
         STMT_COST.with(|c| c.set(c.get() + cost));
-        Ok((rows, cost))
+        Ok(PlanRun { rows, cost, ops })
     }
 
     fn flush_op_stats(&self, ops: &[(OpKey, OpStats)]) {
@@ -1396,64 +1315,25 @@ impl Database {
         }
     }
 
-    /// `EXPLAIN ANALYZE` as an API: execute `sel` through the
-    /// instrumented vectorized pipeline and return the plan annotated
-    /// with per-node actuals and `QEvalError`s. Metrics are recorded as
-    /// for a normal execution.
+    /// `EXPLAIN ANALYZE` as an API: execute `sel` and return the plan
+    /// annotated with per-node actuals and `QEvalError`s. Metrics are
+    /// recorded as for a normal execution.
     pub fn explain_analyze(&self, sel: &Select) -> Result<AnalyzeReport> {
-        self.explain_analyze_traced(sel, None)
+        self.analyze_select(sel, None)
     }
 
-    fn explain_analyze_traced(
+    fn analyze_select(
         &self,
         sel: &Select,
         mut tb: Option<&mut TraceBuilder<'_>>,
     ) -> Result<AnalyzeReport> {
-        let plan = {
-            let oid = tb.as_deref_mut().map(|t| t.open("optimize"));
-            let plan = self.plan(sel);
-            if let (Some(t), Some(id)) = (tb.as_deref_mut(), oid) {
-                t.close(id);
-            }
-            plan?
-        };
-        #[cfg(debug_assertions)]
-        crate::verify::verify(&plan, &self.catalog)?;
-        // Always the instrumented vectorized pipeline: the per-operator
-        // actuals are the point, whatever `vectorized_exec` says.
-        let clock = self.clock();
-        let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
-        let eid = tb.as_deref_mut().map(|t| t.open("execute"));
-        let workers = self.exec_workers();
-        let ctx = ExecContext::with_clock(&self.catalog, &BuiltinFns, clock.as_ref());
-        let (snap, _read_guard) = match self.session_snapshot() {
-            Some(s) => (s, None),
-            None => {
-                let (s, g) = self.read_snapshot();
-                (s, Some(g))
-            }
-        };
-        ctx.set_snapshot(Some(snap));
-        let rows = execute_batched_parallel(&plan, &ctx, bs, workers)?;
-        let ops = ctx.take_op_stats();
-        self.flush_op_stats(&ops);
-        self.note_worker_spans(ctx.take_worker_spans(), tb.as_deref_mut());
-        let cost = ctx.cost_units();
-        if let Some(t) = tb {
-            t.add_rows(rows.len() as u64);
-            t.add_cost(cost);
-            if let Some(id) = eid {
-                t.close(id);
-            }
-            t.set_ops(crate::analyze::op_profiles(&plan, &ops));
-        }
-        self.metrics.record_query(rows.len() as u64, cost);
-        STMT_COST.with(|c| c.set(c.get() + cost));
+        let plan = in_span(&mut tb, "optimize", || self.plan(sel))?;
+        let run = self.exec_plan(&plan, tb, None)?;
         Ok(crate::analyze::build_report(
             &plan,
-            &ops,
-            rows.len() as u64,
-            cost,
+            &run.ops,
+            run.rows.len() as u64,
+            run.cost,
         ))
     }
 
@@ -2081,7 +1961,13 @@ mod tests {
         let db = Database::new();
         db.execute("SET buffer_pool_pages = 8").unwrap();
         assert_eq!(db.buffer_pool().capacity(), 8);
-        assert!(db.execute("SET no_such_knob = 1").is_err());
+        // a knob that was removed is as unknown as one that never existed
+        for gone in ["no_such_knob", "vectorized_exec"] {
+            assert_eq!(
+                db.execute(&format!("SET {gone} = 0")),
+                Err(AimError::NotFound(format!("knob {gone}")))
+            );
+        }
     }
 
     #[test]
@@ -2141,6 +2027,36 @@ mod tests {
         let db = Database::new();
         let _ = db.execute("SELECT * FROM missing");
         assert_eq!(db.kpis().errors, 1);
+    }
+
+    #[test]
+    fn failed_reads_in_a_txn_handle_are_observed() {
+        let db = db_with_users();
+        let h = db.begin_txn().unwrap();
+        // one read that fails when planned, one that fails in the executor
+        for (sql, category) in [
+            ("SELECT nope FROM users", "not_found"),
+            ("SELECT 10 / (id - 1) FROM users", "execution"),
+        ] {
+            let errors = db.kpis().errors;
+            let events = db.flight_recorder().events().len();
+            let e = db.execute_in(&h, sql).unwrap_err();
+            assert_eq!(e.category(), category, "{sql}: {e}");
+            assert_eq!(db.kpis().errors, errors + 1, "{sql}");
+            let fp = fingerprint::fingerprint(sql);
+            let stat = db
+                .statement_stats()
+                .into_iter()
+                .find(|s| s.fingerprint == fp)
+                .expect("failed statement fingerprinted");
+            assert_eq!((stat.calls, stat.errors), (1, 1), "{sql}");
+            let kinds: Vec<(&str, u64)> = db.flight_recorder().events()[events..]
+                .iter()
+                .map(|ev| (ev.kind.name(), ev.a))
+                .collect();
+            assert_eq!(kinds, [("stmt_begin", fp), ("stmt_end", fp)], "{sql}");
+        }
+        db.rollback_txn(&h).unwrap();
     }
 
     fn observability_fixture() -> Database {
@@ -2353,13 +2269,23 @@ mod tests {
         assert!(exec.cost_units > 0.0);
         assert!(!trace.ops.is_empty());
         assert_eq!(trace.ops[0].node, 0);
+        // EXPLAIN ANALYZE runs its plan the way a SELECT does, so its
+        // trace carries the same batch count and buffer-pool deltas
+        db.execute("EXPLAIN ANALYZE SELECT COUNT(*) FROM ev")
+            .unwrap();
+        let trace = db.tracer.last().expect("trace recorded");
+        let exec = trace.span("execute").unwrap();
+        assert!(exec.batches > 0);
+        assert!(exec.buffer_hits + exec.buffer_misses > 0);
     }
 
     #[test]
     fn query_tracing_knob_disables_tracing() {
         let db = observability_fixture();
-        db.tracer.clear();
+        // the knob is read when a statement begins, so the SET that turns
+        // tracing off is itself the last traced statement
         db.execute("SET query_tracing = 0").unwrap();
+        db.tracer.clear();
         db.execute("SELECT COUNT(*) FROM ev").unwrap();
         assert!(db.tracer.is_empty());
         db.execute("SET query_tracing = 1").unwrap();
@@ -2387,6 +2313,8 @@ mod tests {
     #[test]
     fn two_filters_in_one_plan_keep_separate_counters() {
         let db = observability_fixture();
+        // one worker, so each scan node reports under one (node, worker) key
+        db.execute("SET exec_parallelism = 1").unwrap();
         // self-join where both sides carry a filter: two seq_scan nodes
         // with embedded predicates at distinct node ids
         db.execute("SELECT a.id FROM ev a, ev b WHERE a.id = b.id AND a.amt > 10.0 AND b.grp = 1")

@@ -83,32 +83,11 @@ pub const KNOB_SPECS: &[KnobSpec] = &[
         description: "WAL records between checkpoints",
     },
     KnobSpec {
-        name: "random_page_cost",
-        min: 1,
-        max: 100,
-        default: 4,
-        description: "optimizer cost of a random page read (x seq read)",
-    },
-    KnobSpec {
-        name: "stats_sample_rows",
-        min: 100,
-        max: 1000000,
-        default: 10000,
-        description: "rows sampled by ANALYZE",
-    },
-    KnobSpec {
-        name: "vectorized_exec",
-        min: 0,
-        max: 1,
-        default: 1,
-        description: "execute queries through the batch pipeline (0 = row-at-a-time)",
-    },
-    KnobSpec {
         name: "exec_batch_size",
         min: 64,
         max: 65536,
         default: 1024,
-        description: "rows per column batch in the vectorized executor",
+        description: "rows per column batch in the executor",
     },
     KnobSpec {
         name: "exec_parallelism",

@@ -11,6 +11,9 @@ run() {
 }
 
 run cargo fmt --all -- --check
+# every target of every package must compile — tests, examples, binaries
+# — so nothing that does not build can sit in the tree unnoticed
+run cargo check --workspace --all-targets
 run cargo clippy -p aimdb-storage -p aimdb-engine --all-targets -- -D warnings
 # workspace invariant linter: L001 panic-freedom, L004 lock ranking and
 # L005 atomic-ordering justification (all three ratcheted via
@@ -18,8 +21,8 @@ run cargo clippy -p aimdb-storage -p aimdb-engine --all-targets -- -D warnings
 # L003 error hygiene
 run cargo run -q -p lint --release
 run cargo test -q --workspace
-# executor equivalence: 1200 generated queries through both the row and
-# the vectorized executor (plus the NULL-heavy / empty-table edge suites),
+# executor equivalence: 1200 generated queries through the executor and
+# the reference row interpreter (plus the NULL-heavy / empty-table suites),
 # and the thread-count differential matrix — the same corpus through the
 # morsel-parallel executor at 1/2/4/8 workers, bit-identical required
 run cargo test -q -p aimdb-engine --test exec_differential
@@ -47,9 +50,6 @@ run cargo test -q --release -p parking_lot contention_is_counted_per_rank
 # static plan verifier must accept every executable query in a 1k-query
 # random corpus (debug builds also verify every plan inline)
 run cargo run -q --release -p aimdb-bench --bin verify_corpus
-# vectorized-executor micro-bench: prints batch-vs-row speedup and fails
-# below the 2x floor (release build, reduced --smoke workload)
-run cargo run -q --release -p aimdb-bench --bin exec_bench -- --smoke
 # tracing overhead: full-lifecycle passes with query_tracing on vs off
 # must stay within 5% (min-of-N interleaved, release build)
 run cargo run -q --release -p aimdb-bench --bin exec_bench -- --trace --smoke

@@ -12,7 +12,8 @@ fn measured_cost(db: &Database, sql: &str) -> f64 {
     let Statement::Select(sel) = aimdb::sql::parser::parse_one(sql).expect("parse") else {
         panic!("not a select")
     };
-    db.execute_select_measured(&sel).expect("run").1
+    let plan = db.plan(&sel).expect("plan");
+    db.run_plan_measured(&plan).expect("run").1
 }
 
 #[test]
