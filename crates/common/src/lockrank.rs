@@ -33,7 +33,7 @@
 //! CommitLock(10)                         commit/checkpoint serialization
 //!   |                                    (checkpoint holds it across
 //!   v                                    vacuum + snapshot + WAL append)
-//! TxnManager(15)                         session slot + id allocator;
+//! TxnManager(15)                         transaction-id allocator;
 //!   |                                    fresh_id appends to the WAL with
 //!   v                                    the manager lock held
 //! TxnActive(20) / TxnReaders(25)         MVCC registration maps
@@ -97,7 +97,7 @@ pub enum LockRank {
     /// a checkpoint holds it across vacuum, state snapshot and the WAL
     /// checkpoint append.
     CommitLock = 10,
-    /// `Database::txn` — session transaction slot + id allocator; held
+    /// `Database::txn` — transaction-id allocator; held
     /// across the WAL `Begin` append in `fresh_id`.
     TxnManager = 15,
     /// `TxnRuntime::active` — registered in-flight transactions.

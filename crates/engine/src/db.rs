@@ -149,6 +149,7 @@ fn stmt_label(stmt: &Statement) -> &'static str {
         Statement::ExplainAnalyze(_) => "EXPLAIN ANALYZE",
         Statement::Analyze { .. } => "ANALYZE",
         Statement::Set { .. } => "SET",
+        Statement::Show { .. } => "SHOW",
         Statement::CreateModel { .. } => "CREATE MODEL",
         Statement::DropModel { .. } => "DROP MODEL",
         Statement::Predict { .. } => "PREDICT",
@@ -175,6 +176,19 @@ fn in_span<T>(tb: &mut Option<&mut TraceBuilder<'_>>, name: &str, f: impl FnOnce
 enum StmtSource<'a> {
     Sql(&'a str),
     Parsed(&'a Statement),
+}
+
+/// Whose transaction a statement runs in.
+enum TxnCtx<'a> {
+    /// Nobody's: DML autocommits, and transaction control is refused
+    /// because nothing would own what `BEGIN` opened.
+    Auto,
+    /// A handle the caller holds: DML, SELECT and knob statements only.
+    Handle(&'a TxnHandle),
+    /// A session's slot: `BEGIN` fills it, `COMMIT`/`ROLLBACK` empty it,
+    /// every other statement runs inside it while it is filled and as
+    /// [`TxnCtx::Auto`] while it is empty.
+    Session(&'a mut Option<TxnHandle>),
 }
 
 /// What one run of a plan produced: the rows, the measured cost units,
@@ -237,16 +251,19 @@ thread_local! {
 /// and folded into the fingerprint store by [`Database::end_statement`].
 struct StmtObservation {
     fp: u64,
+    /// The statement's shape, normalized once; `fp` is its hash.
+    normalized: String,
     start_secs: f64,
     w0: WaitSet,
 }
 
-/// A concurrent transaction handle from [`Database::begin_txn`]: many
-/// handles run at once under snapshot isolation, independent of the
-/// session-level `BEGIN`/`COMMIT` statements. Reads through the handle
-/// see the database as of `read_ts` plus the handle's own writes;
-/// conflicting writes surface as retryable
-/// [`AimError::WriteConflict`].
+/// An open transaction, from [`Database::begin_txn`] or a session's
+/// `BEGIN` ([`Database::execute_session`]) — the only kind there is. Its
+/// holder owns it: the database keeps the snapshot registered and the
+/// write-set until the holder commits or rolls back. Many run at once
+/// under snapshot isolation. Reads through the handle see the database
+/// as of `read_ts` plus the handle's own writes; conflicting writes
+/// surface as retryable [`AimError::WriteConflict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxnHandle {
     /// Transaction id (also the id under which WAL records are logged).
@@ -554,13 +571,10 @@ impl Database {
     }
 
     /// Checkpoint if the interval knob says so and the database is
-    /// quiescent (no session transaction, no concurrent handles).
-    pub fn maybe_checkpoint(&self) -> Result<bool> {
+    /// quiescent (no transaction in flight).
+    fn maybe_checkpoint(&self) -> Result<bool> {
         let interval = self.knobs.get("checkpoint_interval")? as u64;
-        if self.txn.lock().in_txn()
-            || self.runtime.active_count() > 0
-            || self.wal.records_since_checkpoint() < interval
-        {
+        if self.runtime.active_count() > 0 || self.wal.records_since_checkpoint() < interval {
             return Ok(false);
         }
         match self.checkpoint_now() {
@@ -601,10 +615,9 @@ impl Database {
         })
     }
 
-    /// Open a concurrent transaction handle: a frozen snapshot plus a
-    /// transaction id, independent of the session `BEGIN`/`COMMIT`
-    /// statements. Any number of handles may be live at once; writes
-    /// conflict under first-updater-wins and surface as retryable
+    /// Open a transaction: a frozen snapshot plus a transaction id, owned
+    /// by the caller. Any number may be live at once; writes conflict
+    /// under first-updater-wins and surface as retryable
     /// [`AimError::WriteConflict`].
     pub fn begin_txn(&self) -> Result<TxnHandle> {
         let id = self.txn.lock().fresh_id(&self.wal)?;
@@ -619,7 +632,18 @@ impl Database {
     /// `h`. Reads see the handle's snapshot plus its own writes; DDL and
     /// transaction-control statements are rejected.
     pub fn execute_in(&self, h: &TxnHandle, sql: &str) -> Result<QueryResult> {
-        self.run_statement(StmtSource::Sql(sql), Some(h))
+        self.run_statement(StmtSource::Sql(sql), TxnCtx::Handle(h))
+    }
+
+    /// Execute one statement of a session whose open transaction, if
+    /// any, lives in `txn`: `BEGIN` opens one there (a second is
+    /// [`AimError::NestedTxn`]), `COMMIT` and `ROLLBACK` close it — the
+    /// slot is empty afterwards whether or not the commit succeeded — and
+    /// anything else runs as [`Database::execute_in`] while it is open
+    /// and as [`Database::execute`] otherwise. Whoever owns the slot
+    /// rolls back what is left in it when the session ends.
+    pub fn execute_session(&self, txn: &mut Option<TxnHandle>, sql: &str) -> Result<QueryResult> {
+        self.run_statement(StmtSource::Sql(sql), TxnCtx::Session(txn))
     }
 
     /// Commit the transaction of `h`: its commit record becomes durable
@@ -719,15 +743,6 @@ impl Database {
         Ok(())
     }
 
-    /// The snapshot a statement outside any handle reads through: the
-    /// open session transaction's frozen view, or latest-committed.
-    fn session_snapshot(&self) -> Option<Snapshot> {
-        self.txn
-            .lock()
-            .current()
-            .and_then(|id| self.runtime.snapshot_of(id))
-    }
-
     /// A statement-scoped read view for plain (auto-commit) SELECTs.
     ///
     /// Freezing `read_ts` at statement start makes concurrent commits
@@ -751,19 +766,14 @@ impl Database {
         )
     }
 
-    /// Resolve the transaction identity for one DML statement: an
-    /// explicit handle, the open session transaction, or a fresh
-    /// auto-commit transaction.
+    /// Resolve the transaction identity for one DML statement: the
+    /// caller's handle, or a fresh auto-commit transaction.
     fn stmt_txn(&self, h: Option<&TxnHandle>) -> Result<(u64, bool, Snapshot)> {
-        if let Some(h) = h {
-            return Ok((h.id, false, h.snapshot()));
-        }
-        let (txn, auto) = self.txn.lock().current_or_auto(&self.wal)?;
-        let snap = match self.runtime.snapshot_of(txn) {
-            Some(s) => s,
-            None => self.runtime.register(txn),
+        let (h, auto) = match h {
+            Some(h) => (*h, false),
+            None => (self.begin_txn()?, true),
         };
-        Ok((txn, auto, snap))
+        Ok((h.id, auto, h.snapshot()))
     }
 
     /// Install a learned cardinality estimator (E5/E7); pass
@@ -834,41 +844,41 @@ impl Database {
     /// the whole lifecycle — parse, optimize, verify, execute — runs
     /// under a trace recorded into [`Database::tracer`].
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.run_statement(StmtSource::Sql(sql), None)
+        self.run_statement(StmtSource::Sql(sql), TxnCtx::Auto)
     }
 
     /// Execute a `;`-separated script, returning each statement's result.
     pub fn run_script(&self, sql: &str) -> Result<Vec<QueryResult>> {
         parse(sql)?
             .iter()
-            .map(|s| self.run_statement(StmtSource::Parsed(s), None))
+            .map(|s| self.run_statement(StmtSource::Parsed(s), TxnCtx::Auto))
             .collect()
     }
 
     /// The one statement lifecycle, whichever way the statement came in:
     /// open the observation window, start a trace if `query_tracing` is
     /// on (read here, once, so a statement is traced or not as a whole),
-    /// parse SQL text, dispatch — inside `h`'s transaction when one is
-    /// given — count a failure, close the window, publish the trace.
-    fn run_statement(&self, src: StmtSource<'_>, h: Option<&TxnHandle>) -> Result<QueryResult> {
+    /// parse SQL text, dispatch in the transaction context `ctx`, count a
+    /// failure, close the window, publish the trace.
+    fn run_statement(&self, src: StmtSource<'_>, ctx: TxnCtx<'_>) -> Result<QueryResult> {
         let text = match src {
             StmtSource::Sql(sql) => sql,
             StmtSource::Parsed(stmt) => stmt_label(stmt),
         };
-        let obs = self.begin_statement(fingerprint::fingerprint(text));
+        let obs = self.begin_statement(fingerprint::normalize(text));
         let clock = self.clock();
         let mut tb = self
             .tracing_enabled()
             .then(|| TraceBuilder::new(clock.as_ref(), trim_label(text)));
         let out = match src {
             StmtSource::Sql(sql) => in_span(&mut tb.as_mut(), "parse", || parse_one(sql))
-                .and_then(|stmt| self.dispatch(&stmt, h, tb.as_mut())),
-            StmtSource::Parsed(stmt) => self.dispatch(stmt, h, tb.as_mut()),
+                .and_then(|stmt| self.dispatch(&stmt, ctx, tb.as_mut())),
+            StmtSource::Parsed(stmt) => self.dispatch(stmt, ctx, tb.as_mut()),
         };
         if out.is_err() {
             self.metrics.record_error();
         }
-        self.end_statement(obs, &fingerprint::normalize(text), &out, tb.as_mut());
+        self.end_statement(obs, &out, tb.as_mut());
         if let Some(tb) = tb {
             self.tracer.record(tb.finish());
         }
@@ -881,11 +891,13 @@ impl Database {
 
     /// Open the per-statement observation window: flight `StmtBegin`,
     /// a wait-set baseline, and a zeroed statement cost accumulator.
-    fn begin_statement(&self, fp: u64) -> StmtObservation {
+    fn begin_statement(&self, normalized: String) -> StmtObservation {
+        let fp = fingerprint::hash_shape(&normalized);
         self.flight.record(FlightKind::StmtBegin, fp, 0, 0);
         STMT_COST.with(|c| c.set(0.0));
         StmtObservation {
             fp,
+            normalized,
             start_secs: self.clock().now_secs(),
             w0: wait::thread_snapshot(),
         }
@@ -897,7 +909,6 @@ impl Database {
     fn end_statement(
         &self,
         obs: StmtObservation,
-        normalized: &str,
         out: &Result<QueryResult>,
         tb: Option<&mut TraceBuilder<'_>>,
     ) {
@@ -920,7 +931,7 @@ impl Database {
         let cost = STMT_COST.with(|c| c.take());
         let err = out.is_err();
         self.stmt_stats
-            .observe(obs.fp, normalized, elapsed_ns, rows, cost, &waits, err);
+            .observe(obs.fp, &obs.normalized, elapsed_ns, rows, cost, &waits, err);
         self.flight
             .record(FlightKind::StmtEnd, obs.fp, elapsed_ns, err as u64);
         if !waits.is_zero() {
@@ -958,14 +969,25 @@ impl Database {
         *self.clock.write() = clock;
     }
 
-    /// Run one parsed statement — inside the transaction of `h` when one
-    /// is given, which only DML and SELECT can be.
+    /// Run one parsed statement in the transaction context `ctx`. Inside
+    /// a transaction only DML, SELECT and the knob statements (which touch
+    /// no table) can run.
     fn dispatch(
         &self,
         stmt: &Statement,
-        h: Option<&TxnHandle>,
+        ctx: TxnCtx<'_>,
         mut tb: Option<&mut TraceBuilder<'_>>,
     ) -> Result<QueryResult> {
+        let h = match ctx {
+            TxnCtx::Auto => None,
+            TxnCtx::Handle(h) => Some(h),
+            TxnCtx::Session(slot) => match stmt {
+                Statement::Begin | Statement::Commit | Statement::Rollback => {
+                    return self.txn_control(stmt, slot, tb);
+                }
+                _ => slot.as_ref(),
+            },
+        };
         if h.is_some()
             && !matches!(
                 stmt,
@@ -973,10 +995,12 @@ impl Database {
                     | Statement::Update { .. }
                     | Statement::Delete { .. }
                     | Statement::Select(_)
+                    | Statement::Set { .. }
+                    | Statement::Show { .. }
             )
         {
             return Err(AimError::Execution(format!(
-                "transaction handles support DML and SELECT, got {}",
+                "a transaction takes DML, SELECT, SET and SHOW, got {}",
                 stmt_label(stmt)
             )));
         }
@@ -1052,24 +1076,12 @@ impl Database {
                 table,
                 where_clause,
             } => self.exec_delete(table, where_clause.as_ref(), h),
-            Statement::Begin => {
-                let id = self.txn.lock().begin(&self.wal)?;
-                self.runtime.register(id);
-                Ok(QueryResult::Text("begin".into()))
-            }
-            Statement::Commit => {
-                let id = self.txn.lock().take_active()?;
-                in_span(&mut tb, "commit", || self.commit_mvcc(id))?;
-                // Best-effort: the commit is durable; a checkpoint failure
-                // surfaces on the next statement instead.
-                let _ = self.maybe_checkpoint();
-                Ok(QueryResult::Text("commit".into()))
-            }
-            Statement::Rollback => {
-                let id = self.txn.lock().take_active()?;
-                in_span(&mut tb, "rollback", || self.rollback_mvcc(id))?;
-                self.metrics.record_abort();
-                Ok(QueryResult::Text("rollback".into()))
+            Statement::Begin | Statement::Commit | Statement::Rollback => {
+                Err(AimError::Execution(format!(
+                    "{} outside a session: no one would own the transaction \
+                     (use execute_session or begin_txn)",
+                    stmt_label(stmt)
+                )))
             }
             Statement::Explain(inner) => match inner.as_ref() {
                 Statement::Select(sel) => {
@@ -1098,20 +1110,23 @@ impl Database {
                 )))
             }
             Statement::Set { knob, value } => {
-                let applied = self.knobs.set(knob, value)?;
-                if knob.eq_ignore_ascii_case("buffer_pool_pages") {
-                    self.pool.resize(applied as usize)?;
+                let name = Knobs::lookup(knob)?.name;
+                let applied = self.knobs.set(name, value)?;
+                match name {
+                    "buffer_pool_pages" => self.pool.resize(applied as usize)?,
+                    "wal_sync" => self.wal.set_sync_on_commit(applied != 0),
+                    "group_commit_window" => self.wal.set_group_window_us(applied as u64),
+                    "slow_query_cost_threshold" => self.tracer.set_slow_threshold(applied as f64),
+                    _ => {}
                 }
-                if knob.eq_ignore_ascii_case("wal_sync") {
-                    self.wal.set_sync_on_commit(applied != 0);
-                }
-                if knob.eq_ignore_ascii_case("group_commit_window") {
-                    self.wal.set_group_window_us(applied as u64);
-                }
-                if knob.eq_ignore_ascii_case("slow_query_cost_threshold") {
-                    self.tracer.set_slow_threshold(applied as f64);
-                }
-                Ok(QueryResult::Text(format!("set {knob} = {applied}")))
+                Ok(QueryResult::Text(format!("SET {name} = {applied}")))
+            }
+            Statement::Show { knob } => {
+                let name = Knobs::lookup(knob)?.name;
+                Ok(QueryResult::Text(format!(
+                    "{name} = {}",
+                    self.knobs.get(name)?
+                )))
             }
             Statement::CreateModel {
                 name,
@@ -1165,6 +1180,42 @@ impl Database {
         }
     }
 
+    /// `BEGIN`/`COMMIT`/`ROLLBACK` on a session's transaction slot.
+    /// `COMMIT` empties the slot before it tries: a commit that fails has
+    /// already rolled its writes back (see `commit_mvcc`), so there is
+    /// nothing left for a later `ROLLBACK` to act on.
+    fn txn_control(
+        &self,
+        stmt: &Statement,
+        slot: &mut Option<TxnHandle>,
+        mut tb: Option<&mut TraceBuilder<'_>>,
+    ) -> Result<QueryResult> {
+        let label = stmt_label(stmt);
+        if let Statement::Begin = stmt {
+            if let Some(open) = slot {
+                return Err(AimError::NestedTxn(format!(
+                    "BEGIN while transaction {} is already open",
+                    open.id
+                )));
+            }
+            *slot = Some(self.begin_txn()?);
+        } else {
+            let h = slot
+                .take()
+                .ok_or_else(|| AimError::Execution(format!("{label} with no open transaction")))?;
+            if let Statement::Commit = stmt {
+                in_span(&mut tb, "commit", || self.commit_mvcc(h.id))?;
+                // Best-effort: the commit is durable; a checkpoint failure
+                // surfaces on the next statement instead.
+                let _ = self.maybe_checkpoint();
+            } else {
+                in_span(&mut tb, "rollback", || self.rollback_mvcc(h.id))?;
+                self.metrics.record_abort();
+            }
+        }
+        Ok(QueryResult::Text(label.into()))
+    }
+
     /// Plan a SELECT with the current stats, estimator and models.
     pub fn plan(&self, sel: &Select) -> Result<PhysicalPlan> {
         let stats = self.stats.read();
@@ -1213,11 +1264,11 @@ impl Database {
         mut tb: Option<&mut TraceBuilder<'_>>,
         snap: Option<Snapshot>,
     ) -> Result<PlanRun> {
-        // Reads go through a snapshot when a transaction supplies one
-        // (handle or session BEGIN); otherwise a statement-scoped
-        // read snapshot so concurrent commits appear atomically. The
-        // guard keeps the checkpoint vacuum at bay until the scan ends.
-        let (snap, _read_guard) = match snap.or_else(|| self.session_snapshot()) {
+        // Reads go through the transaction's snapshot when there is one;
+        // otherwise a statement-scoped read snapshot so concurrent
+        // commits appear atomically. The guard keeps the checkpoint
+        // vacuum at bay until the scan ends.
+        let (snap, _read_guard) = match snap {
             Some(s) => (s, None),
             None => {
                 let (s, g) = self.read_snapshot();
@@ -1500,25 +1551,32 @@ impl Database {
                         full
                     }
                 };
-                let rid = t.mvcc_insert(full, txn)?;
-                self.runtime.record_write(
-                    txn,
-                    WriteOp::Created {
-                        table: table.to_string(),
-                        rid,
-                    },
-                );
-                // Log the stored row (the schema may have coerced values),
-                // so redo reproduces exactly what was persisted.
-                let stored = t.heap.get(rid)?.ok_or_else(|| {
-                    AimError::Storage(format!("row {rid:?} vanished after insert"))
-                })?;
-                log_insert(&self.wal, txn, table, rid, stored)?;
+                self.insert_and_log(&t, table, txn, full)?;
                 n += 1;
             }
             Ok(n)
         };
         self.finish_dml(txn, auto, body())
+    }
+
+    /// Insert one full-width row into `t` as a version `txn` created,
+    /// and log it under the table name the statement used.
+    fn insert_and_log(&self, t: &Table, table: &str, txn: u64, full: Vec<Value>) -> Result<()> {
+        let rid = t.mvcc_insert(full, txn)?;
+        self.runtime.record_write(
+            txn,
+            WriteOp::Created {
+                table: table.to_string(),
+                rid,
+            },
+        );
+        // Log the stored row (the schema may have coerced values), so
+        // redo reproduces exactly what was persisted.
+        let stored = t
+            .heap
+            .get(rid)?
+            .ok_or_else(|| AimError::Storage(format!("row {rid:?} vanished after insert")))?;
+        log_insert(&self.wal, txn, table, rid, stored)
     }
 
     /// Batched ingest: insert many pre-built rows into `table` as one
@@ -1535,20 +1593,7 @@ impl Database {
         let body = || -> Result<usize> {
             let mut n = 0;
             for full in rows {
-                let rid = t.mvcc_insert(full, txn)?;
-                self.runtime.record_write(
-                    txn,
-                    WriteOp::Created {
-                        table: table.to_string(),
-                        rid,
-                    },
-                );
-                // Log the stored row (the schema may have coerced values),
-                // so redo reproduces exactly what was persisted.
-                let stored = t.heap.get(rid)?.ok_or_else(|| {
-                    AimError::Storage(format!("row {rid:?} vanished after insert"))
-                })?;
-                log_insert(&self.wal, txn, table, rid, stored)?;
+                self.insert_and_log(&t, table, txn, full)?;
                 n += 1;
             }
             Ok(n)
@@ -1597,10 +1642,7 @@ impl Database {
         let fns = RowFns {
             hook: self.hook.read().clone(),
         };
-        let pred = match where_clause {
-            Some(w) => Some(bind_expr(w, &t.schema)?),
-            None => None,
-        };
+        let pred = where_clause.map(|w| bind_expr(w, &t.schema)).transpose()?;
         let bound_assign: Vec<(usize, Expr)> = assignments
             .iter()
             .map(|(c, e)| Ok((t.schema.index_of(c)?, bind_expr(e, &t.schema)?)))
@@ -1608,16 +1650,8 @@ impl Database {
         let (txn, auto, snap) = self.stmt_txn(h)?;
         let body = || -> Result<usize> {
             let mut n = 0;
-            // Materialized snapshot scan: new versions inserted below are
-            // never rescanned (no Halloween problem).
-            for (rid, row) in t.scan_visible(Some(snap))? {
-                let keep = match &pred {
-                    Some(p) => p.eval_predicate(&t.schema, &row, &fns)?,
-                    None => true,
-                };
-                if !keep {
-                    continue;
-                }
+            for hit in matching_rows(&t, pred.as_ref(), &fns, snap)? {
+                let (rid, row) = hit?;
                 let mut vals = row.values().to_vec();
                 for (ci, e) in &bound_assign {
                     vals[*ci] = e.eval(&t.schema, &row, &fns)?;
@@ -1661,38 +1695,50 @@ impl Database {
         let fns = RowFns {
             hook: self.hook.read().clone(),
         };
-        let pred = match where_clause {
-            Some(w) => Some(bind_expr(w, &t.schema)?),
-            None => None,
-        };
+        let pred = where_clause.map(|w| bind_expr(w, &t.schema)).transpose()?;
         let (txn, auto, snap) = self.stmt_txn(h)?;
         let body = || -> Result<usize> {
             let mut n = 0;
-            for (rid, row) in t.scan_visible(Some(snap))? {
-                let keep = match &pred {
-                    Some(p) => p.eval_predicate(&t.schema, &row, &fns)?,
-                    None => true,
-                };
-                if keep {
-                    // MVCC delete is a claim: the version stays in the
-                    // heap for concurrent snapshots and is physically
-                    // removed by the checkpoint vacuum.
-                    t.mvcc_claim(rid, &snap)?;
-                    self.runtime.record_write(
-                        txn,
-                        WriteOp::Ended {
-                            table: table.to_string(),
-                            rid,
-                        },
-                    );
-                    log_delete(&self.wal, txn, table, rid, row)?;
-                    n += 1;
-                }
+            for hit in matching_rows(&t, pred.as_ref(), &fns, snap)? {
+                let (rid, row) = hit?;
+                // MVCC delete is a claim: the version stays in the heap
+                // for concurrent snapshots and is physically removed by
+                // the checkpoint vacuum.
+                t.mvcc_claim(rid, &snap)?;
+                self.runtime.record_write(
+                    txn,
+                    WriteOp::Ended {
+                        table: table.to_string(),
+                        rid,
+                    },
+                );
+                log_delete(&self.wal, txn, table, rid, row)?;
+                n += 1;
             }
             Ok(n)
         };
         self.finish_dml(txn, auto, body())
     }
+}
+
+/// The rows an UPDATE or DELETE acts on: what `snap` sees of `t` that
+/// satisfies the bound predicate, in scan order. The scan is
+/// materialized before the first row is handed out, so versions the
+/// statement writes are never rescanned (no Halloween problem); the
+/// predicate runs as rows are pulled, so a row it raises on fails the
+/// statement with the rows before it already written.
+fn matching_rows<'a>(
+    t: &'a Table,
+    pred: Option<&'a Expr>,
+    fns: &'a RowFns,
+    snap: Snapshot,
+) -> Result<impl Iterator<Item = Result<(RowId, Row)>> + 'a> {
+    let rows = t.scan_visible(Some(snap))?;
+    Ok(rows.into_iter().filter_map(move |(rid, row)| {
+        pred.map_or(Ok(true), |p| p.eval_predicate(&t.schema, &row, fns))
+            .map(|keep| keep.then_some((rid, row)))
+            .transpose()
+    }))
 }
 
 /// Locate a row by value (multiset semantics: any one match). Recovery
@@ -1887,13 +1933,22 @@ mod tests {
     #[test]
     fn transaction_rollback_restores_data() {
         let db = db_with_users();
-        db.execute("BEGIN").unwrap();
-        db.execute("DELETE FROM users WHERE id < 50").unwrap();
-        db.execute("INSERT INTO users VALUES (1000, 'temp', 1)")
-            .unwrap();
-        db.execute("UPDATE users SET age = 0 WHERE id = 60")
-            .unwrap();
-        db.execute("ROLLBACK").unwrap();
+        let mut txn = None;
+        for sql in [
+            "BEGIN",
+            "DELETE FROM users WHERE id < 50",
+            "INSERT INTO users VALUES (1000, 'temp', 1)",
+            "UPDATE users SET age = 0 WHERE id = 60",
+        ] {
+            db.execute_session(&mut txn, sql).unwrap();
+        }
+        // the session reads its own writes; nobody else sees them
+        let r = db.execute_session(&mut txn, "SELECT COUNT(*) FROM users");
+        assert_eq!(r.unwrap().scalar().unwrap(), &Value::Int(51));
+        let r = db.execute("SELECT COUNT(*) FROM users").unwrap();
+        assert_eq!(r.scalar().unwrap(), &Value::Int(100));
+        db.execute_session(&mut txn, "ROLLBACK").unwrap();
+        assert_eq!((txn, db.active_txn_count()), (None, 0));
         let r = db.execute("SELECT COUNT(*) FROM users").unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::Int(100));
         let r = db.execute("SELECT age FROM users WHERE id = 60").unwrap();
@@ -1907,11 +1962,81 @@ mod tests {
     #[test]
     fn transaction_commit_persists() {
         let db = db_with_users();
-        db.execute("BEGIN").unwrap();
-        db.execute("DELETE FROM users WHERE id < 10").unwrap();
-        db.execute("COMMIT").unwrap();
+        let mut txn = None;
+        db.execute_session(&mut txn, "BEGIN").unwrap();
+        db.execute_session(&mut txn, "DELETE FROM users WHERE id < 10")
+            .unwrap();
+        db.execute_session(&mut txn, "COMMIT").unwrap();
+        assert_eq!((txn, db.active_txn_count()), (None, 0));
         let r = db.execute("SELECT COUNT(*) FROM users").unwrap();
         assert_eq!(r.scalar().unwrap(), &Value::Int(90));
+    }
+
+    #[test]
+    fn transaction_control_needs_an_owner() {
+        let db = db_with_users();
+        // plain execute and scripts own no transaction: BEGIN would open
+        // one nobody could commit, so it is refused and nothing is opened
+        for sql in ["BEGIN", "-- note\nbegin;", "COMMIT", "ROLLBACK"] {
+            let e = db.execute(sql).unwrap_err();
+            assert_eq!(e.category(), "execution", "{sql}: {e}");
+        }
+        assert!(db.run_script("BEGIN; DELETE FROM users; COMMIT").is_err());
+        assert_eq!(db.active_txn_count(), 0);
+        // a session's slot is the owner: one transaction at a time, and
+        // COMMIT/ROLLBACK need one
+        let mut txn = None;
+        for sql in ["COMMIT", "ROLLBACK"] {
+            let e = db.execute_session(&mut txn, sql).unwrap_err();
+            assert_eq!(e.category(), "execution", "{sql}: {e}");
+        }
+        let begin = db.execute_session(&mut txn, "BEGIN");
+        assert_eq!(begin, Ok(QueryResult::Text("BEGIN".into())));
+        let e = db.execute_session(&mut txn, "BEGIN").unwrap_err();
+        assert_eq!(e.category(), "nested_txn");
+        assert!(txn.is_some(), "the refused BEGIN left the open one alone");
+        // DDL stays out of transactions, whoever holds them
+        assert!(db
+            .execute_session(&mut txn, "CREATE TABLE t2 (a INT)")
+            .is_err());
+        db.execute_session(&mut txn, "ROLLBACK").unwrap();
+        assert_eq!((txn, db.active_txn_count()), (None, 0));
+    }
+
+    #[test]
+    fn session_commit_is_observed_like_any_statement() {
+        let db = db_with_users();
+        let mut txn = None;
+        db.execute_session(&mut txn, "BEGIN").unwrap();
+        db.execute_session(&mut txn, "DELETE FROM users WHERE id = 1")
+            .unwrap();
+        let events = db.flight_recorder().events().len();
+        db.execute_session(&mut txn, "COMMIT").unwrap();
+
+        // fingerprint store: a `commit` shape that waited on the fsync
+        // (wal_sync defaults to 1)
+        let stat = db
+            .statement_stats()
+            .into_iter()
+            .find(|s| s.normalized == "commit")
+            .expect("COMMIT fingerprinted");
+        assert_eq!((stat.calls, stat.errors), (1, 0));
+        assert!(
+            stat.waits.get(wait::WaitClass::WalFsync).1 > 0,
+            "commit saw no fsync wait: {:?}",
+            stat.waits
+        );
+        // flight recorder: the Commit event sits inside the statement
+        let kinds: Vec<&str> = db.flight_recorder().events()[events..]
+            .iter()
+            .map(|ev| ev.kind.name())
+            .collect();
+        assert_eq!(kinds, ["stmt_begin", "commit", "stmt_end"]);
+        // trace: a `commit` span under the statement's label
+        let trace = db.tracer.last().expect("COMMIT traced");
+        assert_eq!(trace.label, "COMMIT");
+        assert!(trace.span("commit").is_some());
+        assert!(trace.waits.get(wait::WaitClass::WalFsync).1 > 0);
     }
 
     #[test]

@@ -128,12 +128,14 @@ fn ends_in_operand_position(out: &str) -> bool {
 /// and platforms (no `RandomState`), cheap, and collision-resistant
 /// enough for workload-shape cardinalities (hundreds of shapes).
 pub fn fingerprint(sql: &str) -> u64 {
-    fnv1a(normalize(sql).as_bytes())
+    hash_shape(&normalize(sql))
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The fingerprint of text [`normalize`] already produced, for a caller
+/// that keeps the shape as well as its hash.
+pub(crate) fn hash_shape(normalized: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in normalized.as_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x1_0000_0000_01b3);
     }

@@ -148,8 +148,14 @@ impl Knobs {
             .find(|s| s.name.eq_ignore_ascii_case(name))
     }
 
+    /// [`Knobs::spec`], with an unknown name as the `not_found` error
+    /// every knob read and write reports.
+    pub fn lookup(name: &str) -> Result<&'static KnobSpec> {
+        Self::spec(name).ok_or_else(|| AimError::NotFound(format!("knob {name}")))
+    }
+
     pub fn get(&self, name: &str) -> Result<i64> {
-        let spec = Self::spec(name).ok_or_else(|| AimError::NotFound(format!("knob {name}")))?;
+        let spec = Self::lookup(name)?;
         self.values
             .read()
             .get(spec.name)
@@ -159,7 +165,7 @@ impl Knobs {
 
     /// Set a knob, clamping into its legal range. Returns the applied value.
     pub fn set(&self, name: &str, value: &Value) -> Result<i64> {
-        let spec = Self::spec(name).ok_or_else(|| AimError::NotFound(format!("knob {name}")))?;
+        let spec = Self::lookup(name)?;
         let v = value.as_i64()?.clamp(spec.min, spec.max);
         self.values.write().insert(spec.name, v);
         Ok(v)

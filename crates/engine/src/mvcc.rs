@@ -243,14 +243,6 @@ impl TxnRuntime {
         Snapshot { txn, read_ts }
     }
 
-    /// The snapshot of an active transaction, if it is registered.
-    pub fn snapshot_of(&self, txn: u64) -> Option<Snapshot> {
-        self.active().get(&txn).map(|info| Snapshot {
-            txn,
-            read_ts: info.read_ts,
-        })
-    }
-
     /// Append one write to `txn`'s write-set (no-op if `txn` is not
     /// registered — defensive, should not happen).
     pub fn record_write(&self, txn: u64, op: WriteOp) {

@@ -1,45 +1,38 @@
-//! Session transaction bookkeeping and WAL logging helpers.
+//! Transaction-id allocation and WAL logging helpers.
 //!
-//! A [`TxnManager`] tracks one *session* transaction (the interactive
-//! BEGIN/COMMIT model) and allocates transaction ids — both for the
-//! session slot and for concurrent transaction handles
-//! ([`crate::db::Database::begin_txn`]), which run many writers at once
-//! under MVCC snapshot isolation. Commit and rollback mechanics live in
-//! the database's MVCC path ([`crate::mvcc`]): rollback reverses the
-//! in-memory write-set, commit group-commits the WAL record and stamps
-//! version timestamps.
+//! The engine keeps no open-transaction state of its own. A transaction
+//! is a [`TxnHandle`](crate::db::TxnHandle) its caller holds — a test, a
+//! load generator, or a server session's slot — and all a [`TxnManager`]
+//! does is hand out the ids, each logged with its `Begin` record, and let
+//! recovery move the floor past every id in the durable log. Commit and
+//! rollback mechanics live in the database's MVCC path ([`crate::mvcc`]):
+//! rollback reverses the in-memory write-set, commit group-commits the
+//! WAL record and stamps version timestamps.
 //!
 //! Every append goes through the durable WAL and is fallible: an injected
 //! storage fault on a log write surfaces as `Err` from the statement, not
 //! a panic.
 
-use aimdb_common::{AimError, Result, Row};
+use aimdb_common::{Result, Row};
 use aimdb_storage::wal::{LogRecord, TxnId, Wal};
 use aimdb_storage::RowId;
 
-/// State of the current session transaction plus the id allocator.
-#[derive(Debug, Default)]
+/// The transaction-id allocator.
+#[derive(Debug)]
 pub struct TxnManager {
     next_id: TxnId,
-    /// Some(id) while an explicit transaction is open.
-    active: Option<TxnId>,
+}
+
+impl Default for TxnManager {
+    fn default() -> Self {
+        TxnManager::new()
+    }
 }
 
 impl TxnManager {
+    /// Ids start at 1: id 0 is the plain reader's "owns no writes" mark.
     pub fn new() -> Self {
-        TxnManager {
-            next_id: 1,
-            active: None,
-        }
-    }
-
-    pub fn in_txn(&self) -> bool {
-        self.active.is_some()
-    }
-
-    /// The open session transaction, if any.
-    pub fn current(&self) -> Option<TxnId> {
-        self.active
+        TxnManager { next_id: 1 }
     }
 
     /// First id that will be handed out next. Recovery bumps this past
@@ -52,46 +45,12 @@ impl TxnManager {
         self.next_id = self.next_id.max(id).max(1);
     }
 
-    /// Open the session transaction. A second `BEGIN` while one is open
-    /// is a first-class [`AimError::NestedTxn`] — the session model has
-    /// no nesting, and callers can match on the variant instead of
-    /// parsing message text.
-    pub fn begin(&mut self, wal: &Wal) -> Result<TxnId> {
-        if let Some(open) = self.active {
-            return Err(AimError::NestedTxn(format!(
-                "BEGIN while transaction {open} is already open"
-            )));
-        }
-        let id = self.fresh_id(wal)?;
-        self.active = Some(id);
-        Ok(id)
-    }
-
-    /// Allocate a fresh transaction id and log its `Begin`, without
-    /// binding it to the session slot — the allocation path for
-    /// concurrent transaction handles.
+    /// Allocate a fresh transaction id and log its `Begin`.
     pub fn fresh_id(&mut self, wal: &Wal) -> Result<TxnId> {
         let id = self.next_id;
         self.next_id += 1;
         wal.append(LogRecord::Begin { txn: id })?;
         Ok(id)
-    }
-
-    /// The id to log DML under: the open transaction, or a fresh
-    /// auto-commit id.
-    pub fn current_or_auto(&mut self, wal: &Wal) -> Result<(TxnId, bool)> {
-        match self.active {
-            Some(id) => Ok((id, false)),
-            None => Ok((self.fresh_id(wal)?, true)),
-        }
-    }
-
-    /// Close the session slot for COMMIT/ROLLBACK, returning the id the
-    /// caller must finish through the MVCC commit or rollback path.
-    pub fn take_active(&mut self) -> Result<TxnId> {
-        self.active
-            .take()
-            .ok_or_else(|| AimError::TxnAborted("no open transaction".into()))
     }
 }
 
@@ -144,70 +103,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn begin_lifecycle_and_nested_begin_is_first_class() {
+    fn ids_stay_fresh_and_monotone_across_restores() {
         let wal = Wal::new();
         let mut tm = TxnManager::new();
-        assert!(!tm.in_txn());
-        let id = tm.begin(&wal).unwrap();
-        assert!(tm.in_txn());
-        assert_eq!(tm.current(), Some(id));
-        // nesting surfaces as NestedTxn, not a generic abort
-        match tm.begin(&wal) {
-            Err(AimError::NestedTxn(msg)) => {
-                assert!(
-                    msg.contains(&id.to_string()),
-                    "message names the open txn: {msg}"
-                );
-            }
-            other => panic!("expected NestedTxn, got {other:?}"),
-        }
-        // the failed BEGIN did not disturb the open transaction
-        assert_eq!(tm.current(), Some(id));
-        let cid = tm.take_active().unwrap();
-        assert_eq!(id, cid);
-        assert!(!tm.in_txn());
-        assert!(tm.take_active().is_err());
-    }
-
-    #[test]
-    fn auto_commit_ids_are_fresh() {
-        let wal = Wal::new();
-        let mut tm = TxnManager::new();
-        let (a, auto_a) = tm.current_or_auto(&wal).unwrap();
-        let (b, auto_b) = tm.current_or_auto(&wal).unwrap();
-        assert!(auto_a && auto_b);
-        assert_ne!(a, b);
-        // inside an explicit txn, reuse the open id
-        let id = tm.begin(&wal).unwrap();
-        let (c, auto_c) = tm.current_or_auto(&wal).unwrap();
-        assert_eq!(c, id);
-        assert!(!auto_c);
-    }
-
-    #[test]
-    fn fresh_ids_do_not_touch_session_slot() {
-        let wal = Wal::new();
-        let mut tm = TxnManager::new();
-        let h1 = tm.fresh_id(&wal).unwrap();
-        let h2 = tm.fresh_id(&wal).unwrap();
-        assert_ne!(h1, h2);
-        assert!(!tm.in_txn());
-        // a session txn can open while handles exist
-        let s = tm.begin(&wal).unwrap();
-        assert!(s > h2);
-    }
-
-    #[test]
-    fn next_id_restore_is_monotone() {
-        let mut tm = TxnManager::new();
+        let a = tm.fresh_id(&wal).unwrap();
+        let b = tm.fresh_id(&wal).unwrap();
+        assert_eq!((a, b), (1, 2), "ids start at 1 and never repeat");
+        // recovery moves the floor past every id in the log...
         tm.set_next_id(40);
         assert_eq!(tm.next_id(), 40);
-        tm.set_next_id(10); // never moves backward
+        // ...and never backward, not even to 0
+        tm.set_next_id(10);
+        tm.set_next_id(0);
         assert_eq!(tm.next_id(), 40);
         // ids handed out after a restore start at the floor
-        let wal = Wal::new();
-        let id = tm.fresh_id(&wal).unwrap();
-        assert_eq!(id, 40);
+        assert_eq!(tm.fresh_id(&wal).unwrap(), 40);
         assert_eq!(tm.next_id(), 41);
+        // every id was logged with its Begin
+        assert_eq!(wal.len(), 3);
     }
 }

@@ -7,7 +7,7 @@
 //! | Layer | Module | What it does |
 //! |---|---|---|
 //! | Wire protocol | [`protocol`] | length-prefixed frames: handshake, query, parse/bind/execute, structured errors |
-//! | Sessions | [`session`] | per-connection txn lifecycle, session-local `SET`, prepared statements via the fingerprint normalizer |
+//! | Sessions | [`session`] | owns the connection's open transaction (rolled back on disconnect) and its prepared statements; every statement, `BEGIN`/`COMMIT`/`SET` included, is the engine's |
 //! | Admission | [`admission`] | bounded session + statement gates with queue-then-shed semantics |
 //! | Server | [`server`] | accept loop, handler threads, graceful drain, tuner control loop |
 //! | Client | [`client`] | blocking test/load-generator client |

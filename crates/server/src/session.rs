@@ -1,17 +1,23 @@
-//! Per-connection session state: the active transaction, session-local
-//! knob settings, and named prepared statements.
+//! Per-connection session state: the connection's open transaction and
+//! its named prepared statements. Nothing else is per-connection.
 //!
-//! The dispatcher classifies statements on their *normalized* shape
-//! (reusing [`aimdb_engine::normalize`], the same normalizer that feeds
-//! the fingerprint store), so `BEGIN`, ` begin ;` and `Begin` all hit the
-//! transaction path. Everything else goes to the engine — inside the
-//! session's MVCC transaction when one is open, autocommit otherwise.
+//! A session does not classify statements. [`Session::dispatch`] hands
+//! the text and the transaction slot to
+//! [`Database::execute_session`], where the statement is parsed once and
+//! the parse decides what it is: `BEGIN` fills the slot (`nested_txn` if
+//! it is full), `COMMIT`/`ROLLBACK` empty it (`execution` if it is
+//! empty; a `COMMIT` that fails has emptied it too), and every other
+//! statement runs inside the slot's transaction when there is one and
+//! autocommits otherwise. Transaction control is therefore observed like
+//! any statement — fingerprint store, flight recorder, trace with its
+//! `commit` span and `wal_fsync` wait. A `WriteConflict` inside a
+//! transaction leaves it open for the client's `ROLLBACK`;
+//! [`Session::close`] rolls back whatever a dropped connection left.
 //!
-//! `SET knob = v` is session-scoped: the value is validated and clamped
-//! against the global [`Knobs`](aimdb_engine::Knobs) spec but stored in a
-//! per-session overlay, so one connection's experiment never leaks into
-//! another's `SHOW` (or into the tuner's actuation path, which writes
-//! the global knobs).
+//! `SET knob = v` and `SHOW knob` are the engine's own statements: a
+//! `SET` over the wire writes the database's knobs, clamped to the knob's
+//! range, exactly as `Database::execute("SET …")` and the admission
+//! tuner's actuations do, and every connection's `SHOW` reads them.
 //!
 //! Prepared statements reuse the fingerprint machinery: `Parse` stores
 //! the template and its fingerprint; `Execute` substitutes parameters
@@ -22,10 +28,10 @@
 //! parameters change the shape; integer, float, and text parameters —
 //! the hot path — are shape-preserving.)
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use aimdb_common::{AimError, Result, Value};
-use aimdb_engine::{fingerprint, normalize, Database, Knobs, QueryResult, TxnHandle};
+use aimdb_engine::{fingerprint, Database, QueryResult, TxnHandle};
 
 use crate::protocol::value_to_sql_literal;
 
@@ -42,10 +48,7 @@ pub struct Prepared {
 pub struct Session {
     id: u64,
     txn: Option<TxnHandle>,
-    knob_overlay: BTreeMap<&'static str, i64>,
     prepared: HashMap<String, Prepared>,
-    /// Statements dispatched through this session.
-    pub statements: u64,
 }
 
 impl Session {
@@ -53,9 +56,7 @@ impl Session {
         Session {
             id,
             txn: None,
-            knob_overlay: BTreeMap::new(),
             prepared: HashMap::new(),
-            statements: 0,
         }
     }
 
@@ -70,84 +71,7 @@ impl Session {
 
     /// Execute one statement in this session's context.
     pub fn dispatch(&mut self, db: &Database, sql: &str) -> Result<QueryResult> {
-        self.statements += 1;
-        let shape = normalize(sql);
-        if shape == "begin" || shape.starts_with("begin ") || shape.starts_with("begin;") {
-            if self.txn.is_some() {
-                return Err(AimError::NestedTxn(format!(
-                    "session {} already has an open transaction",
-                    self.id
-                )));
-            }
-            let h = db.begin_txn()?;
-            self.txn = Some(h);
-            return Ok(QueryResult::Text("BEGIN".into()));
-        }
-        if shape == "commit" || shape.starts_with("commit;") {
-            let h = self.txn.take().ok_or_else(|| {
-                AimError::Execution(format!(
-                    "session {}: COMMIT with no open transaction",
-                    self.id
-                ))
-            })?;
-            db.commit_txn(&h)?;
-            return Ok(QueryResult::Text("COMMIT".into()));
-        }
-        if shape == "rollback" || shape.starts_with("rollback;") {
-            let h = self.txn.take().ok_or_else(|| {
-                AimError::Execution(format!(
-                    "session {}: ROLLBACK with no open transaction",
-                    self.id
-                ))
-            })?;
-            db.rollback_txn(&h)?;
-            return Ok(QueryResult::Text("ROLLBACK".into()));
-        }
-        if shape.starts_with("set ") {
-            return self.set_knob(sql);
-        }
-        if shape.starts_with("show ") {
-            return self.show_knob(db, sql);
-        }
-        match &self.txn {
-            Some(h) => db.execute_in(h, sql),
-            None => db.execute(sql),
-        }
-    }
-
-    /// `SET <knob> = <int>` — session-local overlay, global knobs untouched.
-    fn set_knob(&mut self, sql: &str) -> Result<QueryResult> {
-        let (name, value) = parse_set(sql)?;
-        let spec = Knobs::spec(&name).ok_or_else(|| AimError::NotFound(format!("knob {name}")))?;
-        let v = value.clamp(spec.min, spec.max);
-        self.knob_overlay.insert(spec.name, v);
-        Ok(QueryResult::Text(format!("SET {} = {v}", spec.name)))
-    }
-
-    /// `SHOW <knob>` — session overlay wins over the global value.
-    fn show_knob(&self, db: &Database, sql: &str) -> Result<QueryResult> {
-        let name = sql
-            .trim()
-            .trim_end_matches(';')
-            .split_whitespace()
-            .nth(1)
-            .ok_or_else(|| AimError::Parse("SHOW requires a knob name".into()))?
-            .to_string();
-        let spec = Knobs::spec(&name).ok_or_else(|| AimError::NotFound(format!("knob {name}")))?;
-        let v = match self.knob_overlay.get(spec.name) {
-            Some(v) => *v,
-            None => db.knobs.get(spec.name)?,
-        };
-        Ok(QueryResult::Text(format!("{} = {v}", spec.name)))
-    }
-
-    /// Session-effective value of a knob, for tests and introspection.
-    pub fn effective_knob(&self, db: &Database, name: &str) -> Result<i64> {
-        let spec = Knobs::spec(name).ok_or_else(|| AimError::NotFound(format!("knob {name}")))?;
-        match self.knob_overlay.get(spec.name) {
-            Some(v) => Ok(*v),
-            None => db.knobs.get(spec.name),
-        }
+        db.execute_session(&mut self.txn, sql)
     }
 
     /// Store a named prepared statement (Parse). Re-preparing a name
@@ -197,28 +121,6 @@ impl Session {
         }
         Ok(())
     }
-}
-
-/// Parse `SET <name> = <int>` (case-insensitive, optional `;`).
-fn parse_set(sql: &str) -> Result<(String, i64)> {
-    let body = sql.trim().trim_end_matches(';');
-    let rest = body
-        .get(3..)
-        .ok_or_else(|| AimError::Parse("SET requires a knob and value".into()))?;
-    let mut parts = rest.splitn(2, '=');
-    let name = parts
-        .next()
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .ok_or_else(|| AimError::Parse("SET requires a knob name".into()))?;
-    let value = parts
-        .next()
-        .map(str::trim)
-        .ok_or_else(|| AimError::Parse("SET requires '= <value>'".into()))?;
-    let v: i64 = value
-        .parse()
-        .map_err(|_| AimError::Parse(format!("SET {name}: '{value}' is not an integer")))?;
-    Ok((name.to_string(), v))
 }
 
 /// Substitute `?` holes (outside string literals) with SQL-rendered
@@ -332,40 +234,6 @@ mod tests {
                 .category(),
             "execution"
         );
-    }
-
-    #[test]
-    fn set_is_session_scoped_and_clamped() {
-        let db = db_with_kv();
-        let mut a = Session::new(1);
-        let b = Session::new(2);
-        a.dispatch(&db, "SET work_mem_kb = 128").expect("set");
-        assert_eq!(a.effective_knob(&db, "work_mem_kb").expect("a"), 128);
-        // the global knob and other sessions are untouched
-        assert_eq!(db.knobs.get("work_mem_kb").expect("global"), 4096);
-        assert_eq!(b.effective_knob(&db, "work_mem_kb").expect("b"), 4096);
-        // clamped into the legal range
-        a.dispatch(&db, "SET work_mem_kb = 999999999").expect("set");
-        assert_eq!(a.effective_knob(&db, "work_mem_kb").expect("a"), 65536);
-        // unknown knobs are not_found
-        assert_eq!(
-            a.dispatch(&db, "SET no_such_knob = 1")
-                .expect_err("unknown")
-                .category(),
-            "not_found"
-        );
-        let _ = b;
-    }
-
-    #[test]
-    fn show_prefers_the_overlay() {
-        let db = db_with_kv();
-        let mut s = Session::new(1);
-        let r = s.dispatch(&db, "SHOW work_mem_kb").expect("show");
-        assert_eq!(r, QueryResult::Text("work_mem_kb = 4096".into()));
-        s.dispatch(&db, "SET work_mem_kb = 256").expect("set");
-        let r = s.dispatch(&db, "SHOW work_mem_kb;").expect("show");
-        assert_eq!(r, QueryResult::Text("work_mem_kb = 256".into()));
     }
 
     #[test]

@@ -176,6 +176,10 @@ pub enum Statement {
         knob: String,
         value: Value,
     },
+    /// `SHOW knob` — read a knob's live value.
+    Show {
+        knob: String,
+    },
     /// AISQL: `CREATE MODEL name KIND k ON table (f1, f2) [LABEL col]
     /// [WITH (param = value, ...)]`
     CreateModel {

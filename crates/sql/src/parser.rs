@@ -184,6 +184,12 @@ impl Parser {
                 let value = self.literal_value()?;
                 Ok(Statement::Set { knob, value })
             }
+            t if t.is_kw("SHOW") => {
+                self.pos += 1;
+                Ok(Statement::Show {
+                    knob: self.ident()?,
+                })
+            }
             t if t.is_kw("PREDICT") => {
                 self.pos += 1;
                 let model = self.ident()?;
@@ -904,6 +910,9 @@ mod tests {
         assert!(
             matches!(s, Statement::Set { ref knob, value: Value::Int(4096) } if knob == "work_mem")
         );
+        let s = parse_one("-- why\nshow work_mem;").unwrap();
+        assert!(matches!(s, Statement::Show { ref knob } if knob == "work_mem"));
+        assert!(parse_one("SHOW").is_err());
         let s = parse_one("ANALYZE t").unwrap();
         assert!(matches!(s, Statement::Analyze { table: Some(ref t) } if t == "t"));
         let s = parse_one("EXPLAIN SELECT * FROM t").unwrap();

@@ -20,30 +20,25 @@ run cargo clippy -p aimdb-storage -p aimdb-engine --all-targets -- -D warnings
 # lint-baseline.txt — counts may only go down), L002 determinism,
 # L003 error hygiene
 run cargo run -q -p lint --release
+# every suite runs here, once: unit tests of every crate plus
+# - executor equivalence (engine/tests/exec_differential): 1200 generated
+#   queries through the executor and the reference row interpreter, the
+#   NULL-heavy / empty-table suites, and the same corpus through the
+#   morsel-parallel executor at 1/2/4/8 workers, bit-identical required
+# - concurrency stress (tests/concurrent_scan_recovery): parallel scans
+#   against a writer doing inserts + checkpoints, healthy and through
+#   crash/recovery, under the lock-order witness with zero violations
+# - MVCC first-updater-wins properties at 1/2/4/8 writer threads
+#   (tests/mvcc_conflicts) and the fault-injected writer-race loop
+#   (tests/txn_writer_races)
+# - property suites: storage cursors vs model, batch-vs-scalar expression
+#   kernels, crash-recovery with an index model
+# - statement-fingerprint collision soak (bench/tests/fingerprint_corpus)
+# - wire-protocol conformance + fuzz (server/tests/protocol): seeded
+#   random byte streams, truncated and oversized frames, frames split
+#   across tiny writes — structured errors or clean disconnects, never a
+#   panic or hang
 run cargo test -q --workspace
-# executor equivalence: 1200 generated queries through the executor and
-# the reference row interpreter (plus the NULL-heavy / empty-table suites),
-# and the thread-count differential matrix — the same corpus through the
-# morsel-parallel executor at 1/2/4/8 workers, bit-identical required
-run cargo test -q -p aimdb-engine --test exec_differential
-# concurrency stress: reader threads running parallel scans against a
-# writer doing inserts + checkpoints, healthy and through crash/recovery.
-# These debug-build suites run under the lock-order witness and assert
-# zero hierarchy violations.
-run cargo test -q --test concurrent_scan_recovery
-# MVCC first-updater-wins properties at 1/2/4/8 writer threads, and the
-# fault-injected writer-race loop (pair-write atomicity through torn
-# writes, transient I/O errors and scripted crashes, then recovery)
-run cargo test -q --test mvcc_conflicts
-run cargo test -q --test txn_writer_races
-# property suites: storage cursors vs model, batch-vs-scalar expression
-# kernels, crash-recovery with an index model
-run cargo test -q -p aimdb-storage --test proptests
-run cargo test -q -p aimdb-sql --test vexpr_proptests
-run cargo test -q --test index_model_recovery
-# statement-fingerprint collision soak: 60 statement shapes x 20 literal
-# variants — literal-insensitive within a shape, no cross-shape collisions
-run cargo test -q -p aimdb-bench --test fingerprint_corpus
 # lock contention export must survive the release profile: the witness is
 # debug-only but the contended-acquire count/time counters are not
 run cargo test -q --release -p parking_lot contention_is_counted_per_rank
@@ -71,10 +66,6 @@ run cargo run -q --release -p aimdb-bench --bin exec_bench -- --parallel --smoke
 # life (storage dies under a live TCP server, recover, restart, replay);
 # writes BENCH_macro.json
 run cargo run -q --release -p aimdb-bench --bin macro_bench -- --smoke
-# wire-protocol conformance + fuzz: seeded random byte streams, truncated
-# and oversized frames, frames split across tiny writes — structured
-# errors or clean disconnects, never a panic or hang
-run cargo test -q -p aimdb-server --test protocol
 # serving-layer load smoke: seeded statement stream byte-identical over
 # the wire vs in-process, 64 concurrent sessions held open, and the
 # admission gate shedding under overload; writes BENCH_server.json

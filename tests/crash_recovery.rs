@@ -1,9 +1,11 @@
 //! Crash-recovery harness: deterministic durability tests plus a
 //! randomized loop of `random DML → crash → recover → verify`.
 //!
-//! The oracle is a logical shadow of committed state, maintained purely
-//! from statement outcomes: a statement that returned `Ok` outside an open
-//! transaction is durably committed (`wal_sync = 1` flushes the commit
+//! The driver is one session: it owns its open transaction (an
+//! `Option<TxnHandle>` passed to `execute_session`), as a server
+//! connection does. The oracle is a logical shadow of committed state,
+//! maintained purely from statement outcomes: a statement that returned
+//! `Ok` outside an open transaction is durably committed (`wal_sync = 1` flushes the commit
 //! record before the statement returns), a statement that returned `Err`
 //! or sat in a never-committed transaction must leave no trace after
 //! recovery.
@@ -69,9 +71,12 @@ fn uncommitted_txn_is_discarded_by_recovery() {
         let db = Database::with_store(disk.clone());
         db.execute("CREATE TABLE t (id INT)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
-        db.execute("BEGIN").unwrap();
-        db.execute("INSERT INTO t VALUES (2)").unwrap();
-        db.execute("DELETE FROM t WHERE id = 1").unwrap();
+        let mut txn = None;
+        db.execute_session(&mut txn, "BEGIN").unwrap();
+        db.execute_session(&mut txn, "INSERT INTO t VALUES (2)")
+            .unwrap();
+        db.execute_session(&mut txn, "DELETE FROM t WHERE id = 1")
+            .unwrap();
         // Force the uncommitted records onto the durable log, as if a
         // background flush ran just before the crash.
         db.wal.flush().unwrap();
@@ -268,18 +273,23 @@ fn crash_iteration(seed: u64) -> bool {
     // inside an open transaction (what recovery must discard on a crash).
     let mut committed = Shadow::default();
     let mut pending: Option<Shadow> = None;
+    // The session's open transaction; `pending` is its shadow.
+    let mut txn = None;
     let mut crashed = false;
 
     for step in 0..80u64 {
+        assert_eq!(txn.is_some(), pending.is_some(), "seed {seed} step {step}");
         let view = pending.as_mut().unwrap_or(&mut committed);
         let action = rng.gen_range(0u32..100);
         let table = format!("t{}", rng.gen_range(0u32..2));
         let outcome: Result<(), aimdb::common::AimError> =
             if action < 10 && !view.tables.contains_key(&table) {
+                // DDL is non-transactional and refused inside a transaction,
+                // so it arrives as another connection's autocommit statement
+                // would: it commits immediately even while the session's
+                // transaction is open.
                 db.execute(&format!("CREATE TABLE {table} (id INT, tag TEXT)"))
                     .map(|_| {
-                        // DDL is non-transactional: it commits immediately even
-                        // inside an open transaction.
                         committed.tables.entry(table.clone()).or_default();
                         if let Some(p) = pending.as_mut() {
                             p.tables.entry(table.clone()).or_default();
@@ -299,10 +309,10 @@ fn crash_iteration(seed: u64) -> bool {
                     .iter()
                     .map(|(id, tag)| format!("({id}, '{tag}')"))
                     .collect();
-                db.execute(&format!(
-                    "INSERT INTO {table} VALUES {}",
-                    sql_rows.join(", ")
-                ))
+                db.execute_session(
+                    &mut txn,
+                    &format!("INSERT INTO {table} VALUES {}", sql_rows.join(", ")),
+                )
                 .map(|_| {
                     let view = pending.as_mut().unwrap_or(&mut committed);
                     view.tables.get_mut(&table).map(|t| t.extend(vals));
@@ -310,9 +320,10 @@ fn crash_iteration(seed: u64) -> bool {
             } else if action < 60 {
                 let target = rng.gen_range(0i64..30);
                 let tag = format!("u{step}");
-                db.execute(&format!(
-                    "UPDATE {table} SET tag = '{tag}' WHERE id = {target}"
-                ))
+                db.execute_session(
+                    &mut txn,
+                    &format!("UPDATE {table} SET tag = '{tag}' WHERE id = {target}"),
+                )
                 .map(|_| {
                     let view = pending.as_mut().unwrap_or(&mut committed);
                     if let Some(rows) = view.tables.get_mut(&table) {
@@ -323,31 +334,34 @@ fn crash_iteration(seed: u64) -> bool {
                 })
             } else if action < 72 {
                 let target = rng.gen_range(0i64..30);
-                db.execute(&format!("DELETE FROM {table} WHERE id = {target}"))
-                    .map(|_| {
-                        let view = pending.as_mut().unwrap_or(&mut committed);
-                        if let Some(rows) = view.tables.get_mut(&table) {
-                            rows.retain(|(id, _)| *id != target);
-                        }
-                    })
+                db.execute_session(
+                    &mut txn,
+                    &format!("DELETE FROM {table} WHERE id = {target}"),
+                )
+                .map(|_| {
+                    let view = pending.as_mut().unwrap_or(&mut committed);
+                    if let Some(rows) = view.tables.get_mut(&table) {
+                        rows.retain(|(id, _)| *id != target);
+                    }
+                })
             } else if action < 80 && pending.is_none() {
-                db.execute("BEGIN").map(|_| {
+                db.execute_session(&mut txn, "BEGIN").map(|_| {
                     pending = Some(committed.clone());
                 })
             } else if action < 90 && pending.is_some() {
                 if rng.gen_bool(0.7) {
-                    db.execute("COMMIT").map(|_| {
+                    db.execute_session(&mut txn, "COMMIT").map(|_| {
                         if let Some(p) = pending.take() {
                             committed = p;
                         }
                     })
                 } else {
-                    db.execute("ROLLBACK").map(|_| {
+                    db.execute_session(&mut txn, "ROLLBACK").map(|_| {
                         pending = None;
                     })
                 }
             } else {
-                db.execute(&format!("SELECT COUNT(*) FROM {table}"))
+                db.execute_session(&mut txn, &format!("SELECT COUNT(*) FROM {table}"))
                     .map(|_| ())
             };
 

@@ -78,12 +78,18 @@ fn full_relational_session() {
     assert_eq!(scalar_i64(&db, "SELECT COUNT(*) FROM emp"), 900);
 
     // transaction rollback across statement kinds
-    db.execute("BEGIN").expect("begin");
-    db.execute("DELETE FROM emp WHERE did = 0")
+    let mut txn = None;
+    db.execute_session(&mut txn, "BEGIN").expect("begin");
+    db.execute_session(&mut txn, "DELETE FROM emp WHERE did = 0")
         .expect("txn delete");
-    db.execute("UPDATE emp SET name = 'zz' WHERE eid = 500")
+    db.execute_session(&mut txn, "UPDATE emp SET name = 'zz' WHERE eid = 500")
         .expect("txn update");
-    db.execute("ROLLBACK").expect("rollback");
+    let r = db
+        .execute_session(&mut txn, "SELECT COUNT(*) FROM emp")
+        .expect("txn read");
+    assert_eq!(r.scalar().expect("count"), &Value::Int(800));
+    db.execute_session(&mut txn, "ROLLBACK").expect("rollback");
+    assert!(txn.is_none());
     assert_eq!(scalar_i64(&db, "SELECT COUNT(*) FROM emp"), 900);
     let r = db
         .execute("SELECT name FROM emp WHERE eid = 500")

@@ -1,6 +1,8 @@
-//! Session lifecycle suite (PR 10 satellite): connection-drop rollback
-//! with MVCC snapshot release, session-scoped knobs over the wire, and
-//! snapshot-atomic visibility of commits across concurrent sessions.
+//! Session lifecycle suite: connection-drop rollback with MVCC snapshot
+//! release, one statement classifier (the parser) deciding whose
+//! transaction a statement belongs to, `SET`/`SHOW` over the wire acting
+//! on the database's knobs, and snapshot-atomic visibility of commits
+//! across concurrent sessions.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,43 +72,107 @@ fn dropped_connection_rolls_back_and_releases_the_snapshot() {
     server.shutdown().expect("shutdown");
 }
 
+/// The parser classifies statements, not a prefix match on the text: a
+/// leading comment changes nothing. (Before, `-- note\nBEGIN` missed the
+/// session's transaction path and opened a transaction on the *database*,
+/// which swallowed other connections' autocommit writes and which any
+/// connection's `-- note\nROLLBACK` could discard.)
 #[test]
-fn set_knobs_are_session_scoped_over_the_wire() {
+fn a_comment_does_not_change_whose_transaction_it_is() {
+    let db = Database::new();
+    db.execute("CREATE TABLE kv (k INT, v TEXT)")
+        .expect("create");
+    let (server, db) = serve(db);
+    let addr = server.local_addr();
+    let text = |s: &str| aimdb_engine::QueryResult::Text(s.into());
+
+    let mut a = Client::connect(addr).expect("a");
+    let mut b = Client::connect(addr).expect("b");
+    let mut reader = Client::connect(addr).expect("reader");
+    let keys = |c: &mut Client| -> Vec<Value> {
+        let r = c.query_ok("SELECT k FROM kv ORDER BY k").expect("read");
+        r.rows().iter().map(|r| r.values()[0].clone()).collect()
+    };
+
+    a.query_ok("-- note\nBEGIN").expect("begin");
+    a.query_ok("INSERT INTO kv VALUES (1, 'a')").expect("a ins");
+    assert_eq!(db.active_txn_count(), 1, "the transaction is A's session's");
+
+    // B autocommits: acknowledged means committed and visible to anyone
+    let committed = db.kpis().txns_committed;
+    b.query_ok("INSERT INTO kv VALUES (2, 'b')").expect("b ins");
+    assert_eq!(db.kpis().txns_committed, committed + 1);
+    assert_eq!(keys(&mut reader), [Value::Int(2)], "B's row, not A's");
+    assert_eq!(keys(&mut a), [Value::Int(1)], "A: its snapshot + its own");
+
+    // B has no transaction, so its ROLLBACK has nothing to act on
+    let e = b.query_ok("-- note\nROLLBACK").expect_err("nothing open");
+    assert_eq!(e.category(), "execution");
+    assert!(e.to_string().contains("no open transaction"), "{e}");
+    assert_eq!(keys(&mut reader), [Value::Int(2)], "B's write survived");
+
+    // A drops without COMMIT: its session rolls back, its row never shows
+    drop(a);
+    wait_until("A's handler to roll back", || db.active_txn_count() == 0);
+    assert_eq!(keys(&mut reader), [Value::Int(2)]);
+
+    // the same holds for the knob statements
+    assert_eq!(
+        b.query_ok("-- c\nSET work_mem_kb = 128").expect("set"),
+        b.query_ok("SET work_mem_kb = 128").expect("set")
+    );
+    assert_eq!(
+        b.query_ok("-- c\nSHOW work_mem_kb").expect("show"),
+        text("work_mem_kb = 128")
+    );
+
+    b.close().expect("close b");
+    reader.close().expect("close reader");
+    server.shutdown().expect("shutdown");
+}
+
+/// `SET`/`SHOW` over the wire are the engine's statements on the
+/// database's knobs — the write path the admission tuner actuates
+/// through — while prepared statements are the session's own.
+#[test]
+fn set_over_the_wire_writes_the_databases_knobs() {
     let db = Database::new();
     db.execute("CREATE TABLE t (x INT)").expect("create");
     let (server, db) = serve(db);
     let addr = server.local_addr();
+    let text = |s: &str| aimdb_engine::QueryResult::Text(s.into());
 
     let mut c1 = Client::connect(addr).expect("c1");
     let mut c2 = Client::connect(addr).expect("c2");
-
-    let r = c1.query_ok("SET work_mem_kb = 128").expect("set");
-    assert_eq!(
-        r,
-        aimdb_engine::QueryResult::Text("SET work_mem_kb = 128".into())
-    );
-
-    // c1 sees its overlay, c2 and the global knobs are untouched
     let show = |c: &mut Client| c.query_ok("SHOW work_mem_kb").expect("show");
-    assert_eq!(
-        show(&mut c1),
-        aimdb_engine::QueryResult::Text("work_mem_kb = 128".into())
-    );
-    assert_eq!(
-        show(&mut c2),
-        aimdb_engine::QueryResult::Text("work_mem_kb = 4096".into())
-    );
-    assert_eq!(db.knobs.get("work_mem_kb").expect("global"), 4096);
+    assert_eq!(show(&mut c2), text("work_mem_kb = 4096"));
 
-    // a fresh connection starts clean: no leak across sessions
+    // c1's SET is visible to c2, to db.knobs and to a later connection;
+    // knob statements touch no table, so an open transaction takes them
+    c1.query_ok("BEGIN").expect("begin");
+    let r = c1.query_ok("SET Work_Mem_KB = 128").expect("set");
+    assert_eq!(r, text("SET work_mem_kb = 128"));
+    c1.query_ok("COMMIT").expect("commit");
+    assert_eq!(show(&mut c1), text("work_mem_kb = 128"));
+    assert_eq!(show(&mut c2), text("work_mem_kb = 128"));
+    assert_eq!(db.knobs.get("work_mem_kb").expect("global"), 128);
     c1.close().expect("close");
     let mut c3 = Client::connect(addr).expect("c3");
-    assert_eq!(
-        show(&mut c3),
-        aimdb_engine::QueryResult::Text("work_mem_kb = 4096".into())
-    );
+    assert_eq!(show(&mut c3), text("work_mem_kb = 128"));
 
-    // prepared statements are session-local too
+    // a knob the engine acts on takes effect, whoever set it
+    c3.query_ok("SET buffer_pool_pages = 8").expect("set pool");
+    assert_eq!(db.buffer_pool().capacity(), 8);
+
+    // out-of-range values are clamped, unknown knobs are not_found
+    let r = c3.query_ok("SET work_mem_kb = 999999999").expect("clamp");
+    assert_eq!(r, text("SET work_mem_kb = 65536"));
+    for sql in ["SET no_such_knob = 1", "SHOW no_such_knob"] {
+        let e = c3.query_ok(sql).expect_err("unknown knob");
+        assert_eq!(e.category(), "not_found", "{sql}");
+    }
+
+    // prepared statements are session-local
     c3.parse("mine", "SELECT x FROM t WHERE x = ?")
         .expect("parse");
     let e = match c2.execute("mine", &[Value::Int(1)]) {
