@@ -138,16 +138,6 @@ impl Table {
         Ok((old, new_rid))
     }
 
-    /// Re-insert a previously deleted row (transaction undo).
-    pub fn reinsert(&self, row: Row) -> Result<RowId> {
-        let rid = self.heap.insert(&row)?;
-        for idx in self.indexes.read().values() {
-            let col = self.schema.index_of(&idx.column)?;
-            idx.insert_entry(row.get(col).clone(), rid);
-        }
-        Ok(rid)
-    }
-
     /// Raw heap scan: every physical row, including versions invisible
     /// to the caller. Readers should use [`Table::scan_visible`].
     pub fn scan(&self) -> Result<Vec<(RowId, Row)>> {
@@ -353,14 +343,6 @@ impl Table {
             .read()
             .get(&column.to_ascii_lowercase())
             .cloned()
-    }
-
-    pub fn indexed_columns(&self) -> Vec<String> {
-        self.indexes
-            .read()
-            .values()
-            .map(|i| i.column.clone())
-            .collect()
     }
 }
 

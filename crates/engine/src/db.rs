@@ -17,7 +17,7 @@ use aimdb_sql::expr::{BoundModel, BuiltinFns, ScalarFns};
 use aimdb_sql::parser::{parse, parse_one};
 use aimdb_sql::Expr;
 use aimdb_storage::wal::{CheckpointData, IndexSnapshot, LogRecord, TableSnapshot};
-use aimdb_storage::{scan_wal, BufferPool, Disk, DiskSink, PageStore, RowId, Wal};
+use aimdb_storage::{BufferPool, Disk, DiskSink, PageStore, RowId, Wal, WalReader};
 use aimdb_trace::{
     validate_exposition, FlightKind, FlightRecorder, QueryTrace, TraceBuilder, Tracer,
 };
@@ -380,48 +380,55 @@ impl Database {
     /// is compacted to a single fresh checkpoint of the recovered state.
     pub fn recover(store: Arc<dyn PageStore>) -> Result<(Database, RecoveryReport)> {
         let bytes = store.wal_bytes()?;
-        let scan = scan_wal(&bytes);
         let db = Database::with_store(Arc::clone(&store));
 
-        // Partition at the last intact checkpoint.
-        let mut base: Option<&CheckpointData> = None;
-        let mut tail_start = 0usize;
-        for (i, (_, rec)) in scan.records.iter().enumerate() {
-            if let LogRecord::Checkpoint(data) = rec {
-                base = Some(data);
-                tail_start = i + 1;
-            }
-        }
-        let tail = &scan.records[tail_start..];
-
-        // Winners: transactions with a durable Commit after the checkpoint.
+        // One pass over the durable log, holding only what replay needs:
+        // the last intact checkpoint and the records after it. Winners
+        // are transactions with a durable Commit after that checkpoint
+        // (checkpoints are quiescent, so no transaction spans one).
+        let mut reader = WalReader::new(&bytes);
+        let mut base: Option<Box<CheckpointData>> = None;
+        let mut tail: Vec<LogRecord> = Vec::new();
         let mut committed: HashSet<u64> = HashSet::new();
         let mut begun: HashSet<u64> = HashSet::new();
-        for (_, rec) in tail {
+        let mut total_records = 0usize;
+        let mut max_seen = 0u64;
+        for (_, rec) in reader.by_ref() {
+            total_records += 1;
+            max_seen = max_seen.max(rec.txn());
             match rec {
+                LogRecord::Checkpoint(data) => {
+                    base = Some(data);
+                    tail.clear();
+                    begun.clear();
+                    committed.clear();
+                    continue;
+                }
                 LogRecord::Begin { txn } => {
-                    begun.insert(*txn);
+                    begun.insert(txn);
                 }
                 LogRecord::Commit { txn } => {
-                    committed.insert(*txn);
+                    committed.insert(txn);
                 }
                 LogRecord::Abort { txn } => {
-                    begun.remove(txn);
+                    begun.remove(&txn);
                     // An Abort after a Commit for the same txn is the
                     // commit-durability failure path annulling the commit
                     // (see commit_mvcc): the live engine rolled the txn
                     // back and told the client it failed, so replaying it
                     // as committed would diverge from the pre-crash state.
                     // The later record wins.
-                    committed.remove(txn);
+                    committed.remove(&txn);
                 }
                 _ => {}
             }
+            tail.push(rec);
         }
+        let corrupt_tail_bytes = reader.corrupt_tail_bytes();
         let losers = begun.iter().filter(|t| !committed.contains(t)).count();
 
         // Restore the checkpoint snapshot.
-        if let Some(cp) = base {
+        if let Some(cp) = &base {
             for t in &cp.tables {
                 let table =
                     db.catalog
@@ -440,7 +447,7 @@ impl Database {
         // Row ids were reassigned by the rebuild, so deletes/updates locate
         // their victim by before-image value.
         let mut replayed = 0u64;
-        for (_, rec) in tail {
+        for rec in &tail {
             match rec {
                 LogRecord::CreateTable { name, schema } => {
                     match db
@@ -514,8 +521,7 @@ impl Database {
         }
 
         // Never reuse a transaction id seen in the log.
-        let max_seen = scan.records.iter().map(|(_, r)| r.txn()).max().unwrap_or(0);
-        let floor = base.map_or(1, |cp| cp.next_txn).max(max_seen + 1);
+        let floor = base.as_ref().map_or(1, |cp| cp.next_txn).max(max_seen + 1);
         db.txn.lock().set_next_id(floor);
 
         // Compact: the old log (including any corrupt tail) is replaced by
@@ -527,16 +533,16 @@ impl Database {
         db.flight.record(
             FlightKind::Recovery,
             replayed,
-            scan.records.len() as u64,
-            scan.corrupt_tail_bytes as u64,
+            total_records as u64,
+            corrupt_tail_bytes as u64,
         );
         let report = RecoveryReport {
-            total_records: scan.records.len(),
+            total_records,
             replayed,
             from_checkpoint: base.is_some(),
             committed_txns: committed.len(),
             loser_txns: losers,
-            corrupt_tail_bytes: scan.corrupt_tail_bytes,
+            corrupt_tail_bytes,
         };
         Ok((db, report))
     }

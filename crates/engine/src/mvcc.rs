@@ -299,11 +299,6 @@ impl TxnRuntime {
         }
     }
 
-    /// Plain-statement readers currently in flight.
-    pub fn readers_in_flight(&self) -> usize {
-        self.readers.lock().values().sum()
-    }
-
     /// The vacuum horizon: every version superseded at or before this
     /// timestamp is invisible to all current snapshots (registered
     /// transactions and plain-statement readers) and to every future

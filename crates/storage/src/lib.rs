@@ -27,5 +27,5 @@ pub use heap::{HeapFile, HeapScanCursor, Morsel, MorselDispenser, MorselSource, 
 pub use page::{PageId, PAGE_SIZE};
 pub use wal::{
     scan_wal, CheckpointData, DiskSink, IndexSnapshot, LogRecord, MemSink, TableSnapshot, TxnId,
-    Wal, WalScan, WalSink,
+    Wal, WalReader, WalScan, WalSink,
 };

@@ -14,9 +14,10 @@
 //! records trigger a flush when `sync_on_commit` is set (the `wal_sync`
 //! knob); checkpoint and DDL records always flush.
 //!
-//! An in-memory mirror of appended records serves live rollback
-//! (`undo_chain`) exactly as before; recovery instead re-parses the
-//! durable byte stream.
+//! The sink's bytes are the only copy of the log: [`Wal`] keeps counters,
+//! not records. Live rollback reverses the transaction's MVCC write-set
+//! (the engine's job); recovery streams the durable bytes through a
+//! [`WalReader`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,9 +65,10 @@ pub struct CheckpointData {
     pub indexes: Vec<IndexSnapshot>,
 }
 
-/// One log record. Data records carry full images: before-images drive
-/// undo, after-images drive redo (redo is value-based because row ids are
-/// reassigned when tables are rebuilt at recovery).
+/// One log record. Data records carry full images because redo is
+/// value-based: row ids are reassigned when tables are rebuilt at
+/// recovery, so a delete or update finds its victim by before-image and
+/// writes the after-image.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     Begin {
@@ -484,7 +486,56 @@ pub fn frame_record(lsn: u64, rec: &LogRecord) -> Vec<u8> {
     out
 }
 
-/// Result of scanning a durable WAL byte stream.
+/// Streaming reader over a durable WAL byte stream: yields the intact
+/// records in log order with their LSNs, one decoded record at a time,
+/// and ends at the first torn or corrupt frame. Everything before the
+/// damage is trusted; the damaged tail is counted, not decoded.
+pub struct WalReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> WalReader<'a> {
+    pub fn new(bytes: &'a [u8]) -> Self {
+        WalReader { bytes, pos: 0 }
+    }
+
+    /// Bytes not consumed. Once the iterator has returned `None` this is
+    /// the torn/corrupt tail (0 if the log ended cleanly).
+    pub fn corrupt_tail_bytes(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+}
+
+impl Iterator for WalReader<'_> {
+    type Item = (u64, LogRecord);
+
+    fn next(&mut self) -> Option<(u64, LogRecord)> {
+        let rest = &self.bytes[self.pos..];
+        if rest.len() < 16 {
+            return None; // clean end, or torn header
+        }
+        let mut hdr = rest;
+        let len = hdr.get_u32_le() as usize;
+        let crc = hdr.get_u32_le();
+        let lsn = hdr.get_u64_le();
+        if rest.len() < 16 + len {
+            return None; // torn payload
+        }
+        let payload = &rest[16..16 + len];
+        let mut crc_input = Vec::with_capacity(8 + len);
+        crc_input.put_u64_le(lsn);
+        crc_input.put_slice(payload);
+        if crc32(&crc_input) != crc {
+            return None; // bit rot / torn write inside the frame
+        }
+        let rec = decode_record(payload).ok()?;
+        self.pos += 16 + len;
+        Some((lsn, rec))
+    }
+}
+
+/// A whole durable WAL byte stream, decoded.
 #[derive(Debug, Default)]
 pub struct WalScan {
     /// Intact records in log order, with their LSNs.
@@ -493,40 +544,15 @@ pub struct WalScan {
     pub corrupt_tail_bytes: usize,
 }
 
-/// Parse a durable WAL byte stream, stopping at the first torn or corrupt
-/// record. Everything before the corruption is returned; the damaged tail
-/// is counted, not trusted.
+/// [`WalReader`] collected: every intact record of the log at once. For
+/// tests and tools that want the full history; recovery folds over the
+/// reader instead.
 pub fn scan_wal(bytes: &[u8]) -> WalScan {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < 16 {
-            break; // torn header
-        }
-        let mut hdr = rest;
-        let len = hdr.get_u32_le() as usize;
-        let crc = hdr.get_u32_le();
-        let lsn = hdr.get_u64_le();
-        if rest.len() < 16 + len {
-            break; // torn payload
-        }
-        let payload = &rest[16..16 + len];
-        let mut crc_input = Vec::with_capacity(8 + len);
-        crc_input.put_u64_le(lsn);
-        crc_input.put_slice(payload);
-        if crc32(&crc_input) != crc {
-            break; // bit rot / torn write inside the frame
-        }
-        match decode_record(payload) {
-            Ok(rec) => records.push((lsn, rec)),
-            Err(_) => break,
-        }
-        pos += 16 + len;
-    }
+    let mut reader = WalReader::new(bytes);
+    let records = reader.by_ref().collect();
     WalScan {
         records,
-        corrupt_tail_bytes: bytes.len() - pos,
+        corrupt_tail_bytes: reader.corrupt_tail_bytes(),
     }
 }
 
@@ -627,9 +653,8 @@ impl WalSink for DiskSink {
 // ---------------------------------------------------------------------------
 // The log itself.
 
+/// Counters only: appended records live in the sink's bytes.
 struct WalInner {
-    /// In-memory mirror of every appended record (live rollback, tests).
-    records: Vec<LogRecord>,
     next_lsn: u64,
     since_checkpoint: u64,
     /// Cumulative count of commit records ever appended (group-commit
@@ -655,8 +680,8 @@ struct GroupState {
 /// records the flush made durable (the batch size).
 pub type FlushObserver = Box<dyn Fn(u64) + Send + Sync>;
 
-/// The write-ahead log: serializes records through a sink and mirrors
-/// them in memory for rollback. Commit flushes go through a group-commit
+/// The write-ahead log: serializes records through a sink and keeps
+/// nothing of them but counters. Commit flushes go through a group-commit
 /// protocol: the first committer becomes leader, optionally waits
 /// `group_window_us` for followers to queue their records, then performs
 /// one sink flush on behalf of everyone buffered.
@@ -693,7 +718,6 @@ impl Wal {
             flushes: AtomicU64::new(0),
             inner: Mutex::with_rank(
                 WalInner {
-                    records: Vec::new(),
                     next_lsn: 1,
                     since_checkpoint: 0,
                     commits_appended: 0,
@@ -712,31 +736,6 @@ impl Wal {
             group_cv: Condvar::new(),
             flush_observer: Mutex::with_rank(None, LockRank::WalFlushObserver),
         }
-    }
-
-    /// Adopt state recovered from a durable log: the mirror records, and
-    /// the next LSN to hand out. Used by crash recovery only. The adopted
-    /// records are already durable, so the group-commit watermark starts
-    /// at the end of the adopted log.
-    pub fn adopt_state(&self, records: Vec<LogRecord>, next_lsn: u64) {
-        let mut inner = self.inner.lock();
-        let since = records
-            .iter()
-            .rev()
-            .take_while(|r| !matches!(r, LogRecord::Checkpoint(_)))
-            .count() as u64;
-        let commits = records
-            .iter()
-            .filter(|r| matches!(r, LogRecord::Commit { .. }))
-            .count() as u64;
-        inner.since_checkpoint = since;
-        inner.records = records;
-        inner.next_lsn = next_lsn;
-        inner.commits_appended = commits;
-        drop(inner);
-        let mut g = self.group.lock();
-        g.durable_lsn = next_lsn.saturating_sub(1);
-        g.durable_commits = commits;
     }
 
     /// Set the group-commit window: how long (µs) a flush leader waits
@@ -874,7 +873,6 @@ impl Wal {
             if is_commit {
                 inner.commits_appended += 1;
             }
-            inner.records.push(rec);
         }
         if flush {
             let window = if is_commit {
@@ -917,43 +915,13 @@ impl Wal {
         self.inner.lock().next_lsn
     }
 
+    /// Records appended so far (checkpoints included).
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        (self.inner.lock().next_lsn - 1) as usize
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// All data records of `txn`, newest first — the undo order.
-    pub fn undo_chain(&self, txn: TxnId) -> Vec<LogRecord> {
-        self.inner
-            .lock()
-            .records
-            .iter()
-            .filter(|r| {
-                r.txn() == txn
-                    && matches!(
-                        r,
-                        LogRecord::Insert { .. }
-                            | LogRecord::Delete { .. }
-                            | LogRecord::Update { .. }
-                    )
-            })
-            .rev()
-            .cloned()
-            .collect()
-    }
-
-    /// Whether `txn` reached a terminal record.
-    pub fn is_finished(&self, txn: TxnId) -> bool {
-        self.inner.lock().records.iter().any(|r| {
-            matches!(r, LogRecord::Commit { txn: t } | LogRecord::Abort { txn: t } if *t == txn)
-        })
-    }
-
-    pub fn snapshot(&self) -> Vec<LogRecord> {
-        self.inner.lock().records.clone()
     }
 }
 
@@ -971,47 +939,6 @@ mod tests {
 
     fn row(i: i64) -> Row {
         Row::new(vec![Value::Int(i), Value::Text(format!("r{i}"))])
-    }
-
-    #[test]
-    fn undo_chain_is_newest_first_and_scoped() {
-        let wal = Wal::new();
-        wal.append(LogRecord::Begin { txn: 1 }).unwrap();
-        wal.append(LogRecord::Insert {
-            txn: 1,
-            table: "t".into(),
-            rid: rid(0, 0),
-            row: row(1),
-        })
-        .unwrap();
-        wal.append(LogRecord::Insert {
-            txn: 2,
-            table: "t".into(),
-            rid: rid(0, 1),
-            row: row(2),
-        })
-        .unwrap();
-        wal.append(LogRecord::Delete {
-            txn: 1,
-            table: "t".into(),
-            rid: rid(0, 2),
-            before: Row::new(vec![Value::Int(5)]),
-        })
-        .unwrap();
-        let chain = wal.undo_chain(1);
-        assert_eq!(chain.len(), 2);
-        assert!(matches!(chain[0], LogRecord::Delete { .. }));
-        assert!(matches!(chain[1], LogRecord::Insert { txn: 1, .. }));
-    }
-
-    #[test]
-    fn finished_detection() {
-        let wal = Wal::new();
-        wal.append(LogRecord::Begin { txn: 7 }).unwrap();
-        assert!(!wal.is_finished(7));
-        wal.append(LogRecord::Commit { txn: 7 }).unwrap();
-        assert!(wal.is_finished(7));
-        assert!(!wal.is_finished(8));
     }
 
     fn sample_records() -> Vec<LogRecord> {
@@ -1232,8 +1159,9 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resets_interval_counter() {
+    fn counters_track_appends_and_the_log_reads_back_in_full() {
         let wal = Wal::new();
+        assert!(wal.is_empty());
         wal.append(LogRecord::Begin { txn: 1 }).unwrap();
         wal.append(LogRecord::Commit { txn: 1 }).unwrap();
         assert_eq!(wal.records_since_checkpoint(), 2);
@@ -1241,5 +1169,12 @@ mod tests {
         assert_eq!(wal.records_since_checkpoint(), 0);
         wal.append(LogRecord::Begin { txn: 2 }).unwrap();
         assert_eq!(wal.records_since_checkpoint(), 1);
+        // len() counts every append, checkpoints included, and the sink
+        // still holds all of them for whoever asks.
+        assert_eq!(wal.len(), 4);
+        let scan = scan_wal(&wal.durable_bytes().unwrap());
+        assert_eq!(scan.records.len(), wal.len());
+        assert_eq!(scan.corrupt_tail_bytes, 0);
+        assert!(matches!(scan.records[2], (3, LogRecord::Checkpoint(_))));
     }
 }

@@ -158,6 +158,125 @@ fn checkpoint_bounds_replay() {
     assert_eq!(db.kpis().wal_records_replayed, report.replayed);
 }
 
+/// Recovery reads the log in one pass: every checkpoint replaces the one
+/// before it and resets the tail, so only the last checkpoint and what
+/// follows it decide the recovered state, while the report still counts
+/// the whole log. The history is framed by hand so every field is exact.
+#[test]
+fn recovery_uses_only_the_last_of_many_checkpoints() {
+    use aimdb::common::{DataType, Row, Schema, Value};
+    use aimdb::engine::RecoveryReport;
+    use aimdb::storage::wal::frame_record;
+    use aimdb::storage::{CheckpointData, IndexSnapshot, LogRecord, PageId, RowId, TableSnapshot};
+
+    let schema = Schema::from_pairs(&[("id", DataType::Int), ("tag", DataType::Text)]);
+    let row = |id: i64, tag: &str| Row::new(vec![Value::Int(id), Value::Text(tag.into())]);
+    let rid = RowId {
+        page: PageId(0),
+        slot: 0,
+    };
+    let insert = |txn: u64, id: i64, tag: &str| LogRecord::Insert {
+        txn,
+        table: "t".into(),
+        rid,
+        row: row(id, tag),
+    };
+    let checkpoint = |next_txn: u64, ids: &[(i64, &str)]| {
+        LogRecord::Checkpoint(Box::new(CheckpointData {
+            next_txn,
+            tables: vec![TableSnapshot {
+                name: "t".into(),
+                schema: schema.clone(),
+                rows: ids.iter().map(|(id, tag)| row(*id, tag)).collect(),
+            }],
+            indexes: vec![IndexSnapshot {
+                name: "idx_id".into(),
+                table: "t".into(),
+                column: "id".into(),
+            }],
+        }))
+    };
+
+    let history = vec![
+        LogRecord::CreateTable {
+            name: "t".into(),
+            schema: schema.clone(),
+        },
+        LogRecord::Begin { txn: 1 },
+        insert(1, 1, "a"),
+        LogRecord::Commit { txn: 1 },
+        checkpoint(2, &[(1, "a")]),
+        LogRecord::Begin { txn: 2 },
+        insert(2, 2, "b"),
+        LogRecord::Commit { txn: 2 },
+        checkpoint(3, &[(1, "a"), (2, "b")]),
+        LogRecord::Begin { txn: 3 },
+        insert(3, 3, "c"),
+        LogRecord::Commit { txn: 3 },
+        checkpoint(4, &[(1, "a"), (2, "b"), (3, "c")]),
+        // The tail. Txn 4 commits.
+        LogRecord::Begin { txn: 4 },
+        LogRecord::Update {
+            txn: 4,
+            table: "t".into(),
+            old_rid: rid,
+            new_rid: rid,
+            before: row(2, "b"),
+            after: row(2, "B"),
+        },
+        insert(4, 4, "d"),
+        LogRecord::Commit { txn: 4 },
+        // Txn 5 never reaches a terminal record: a loser.
+        LogRecord::Begin { txn: 5 },
+        insert(5, 5, "loser"),
+        LogRecord::Delete {
+            txn: 5,
+            table: "t".into(),
+            rid,
+            before: row(1, "a"),
+        },
+        // Txn 6's commit failed to become durable and was annulled.
+        LogRecord::Begin { txn: 6 },
+        insert(6, 6, "annulled"),
+        LogRecord::Commit { txn: 6 },
+        LogRecord::Abort { txn: 6 },
+        // Txn 9's commit is the torn frame: a loser too.
+        LogRecord::Begin { txn: 9 },
+        insert(9, 9, "torn"),
+    ];
+    let mut bytes = Vec::new();
+    for (i, rec) in history.iter().enumerate() {
+        bytes.extend_from_slice(&frame_record(i as u64 + 1, rec));
+    }
+    let torn = frame_record(history.len() as u64 + 1, &LogRecord::Commit { txn: 9 });
+    bytes.extend_from_slice(&torn[..torn.len() - 3]);
+
+    let disk: Arc<Disk> = Arc::new(Disk::new());
+    disk.wal_append(&bytes).unwrap();
+    let (db, report) = Database::recover(disk).unwrap();
+    assert_eq!(
+        report,
+        RecoveryReport {
+            total_records: history.len(),
+            replayed: 2,
+            from_checkpoint: true,
+            committed_txns: 1,
+            loser_txns: 2,
+            corrupt_tail_bytes: torn.len() - 3,
+        }
+    );
+    let r = db.execute("SELECT id, tag FROM t ORDER BY id").unwrap();
+    let got: Vec<(i64, &str)> = r
+        .rows()
+        .iter()
+        .map(|r| (r.get(0).as_i64().unwrap(), r.get(1).as_str().unwrap()))
+        .collect();
+    assert_eq!(got, [(1, "a"), (2, "B"), (3, "c"), (4, "d")]);
+    assert!(db.catalog.table("t").unwrap().index_on("id").is_some());
+    // Ids restart above every id in the old log, torn transaction included.
+    assert!(db.begin_txn().unwrap().id > 9);
+}
+
 #[test]
 fn injected_faults_surface_as_errors_not_panics() {
     let disk = Arc::new(Disk::new());
