@@ -55,7 +55,8 @@
 //!   |                                    append holds inner across the
 //!   v                                    sink write; the group-commit
 //! FaultInjector(80) -> DiskInner(85)     leader flushes with no WAL lock
-//!   |                                    held
+//!   |                                    held; the checkpoint cut reaches
+//!   |                                    the store holding inner
 //!   v
 //! WalFlushObserver(90) -> FaultHook(91)  the flush observer calls into
 //!   |                                    the metrics registry; the fault
@@ -122,8 +123,9 @@ pub enum LockRank {
     HeapPages = 55,
     /// `BufferPool::inner` — frame table; held across `PageStore` I/O.
     BufferPool = 60,
-    /// `Wal::inner` — in-memory log + LSN allocator; held across the
-    /// sink append.
+    /// `Wal::inner` — LSN allocator, counters and frame offsets; held
+    /// across the sink append and across the checkpoint cut, which
+    /// reaches the store (`FaultInjector`, `DiskInner`).
     WalInner = 65,
     /// `DiskSink::buf` / `MemSink::bytes` — the WAL byte staging buffer.
     WalSink = 70,

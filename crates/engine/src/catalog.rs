@@ -53,13 +53,25 @@ impl Index {
         }
     }
 
+    /// Row ids with key in the inclusive interval `[lo, hi]`, an absent
+    /// end being unbounded: a point lookup when the ends coincide,
+    /// otherwise the batched range scan in `chunk`-key steps. NULL keys
+    /// sort below every number and are never returned by an open `lo`.
+    pub fn probe(&self, lo: Option<&Value>, hi: Option<&Value>, chunk: usize) -> Vec<RowId> {
+        match (lo, hi) {
+            (Some(l), Some(h)) if l == h => self.lookup(l),
+            (l, h) => {
+                let lo = l.cloned().unwrap_or(Value::Float(f64::NEG_INFINITY));
+                let hi = h.cloned().unwrap_or(Value::Float(f64::INFINITY));
+                self.range_batched(&lo, &hi, chunk)
+            }
+        }
+    }
+
     fn insert_entry(&self, v: Value, rid: RowId) {
         let mut tree = self.tree.write();
-        match tree.get(&v).cloned() {
-            Some(mut rids) => {
-                rids.push(rid);
-                tree.insert(v, rids);
-            }
+        match tree.get_mut(&v) {
+            Some(rids) => rids.push(rid),
             None => {
                 tree.insert(v, vec![rid]);
             }
@@ -68,12 +80,10 @@ impl Index {
 
     fn remove_entry(&self, v: &Value, rid: RowId) {
         let mut tree = self.tree.write();
-        if let Some(mut rids) = tree.get(v).cloned() {
+        if let Some(rids) = tree.get_mut(v) {
             rids.retain(|r| *r != rid);
             if rids.is_empty() {
                 tree.remove(v);
-            } else {
-                tree.insert(v.clone(), rids);
             }
         }
     }
@@ -168,10 +178,26 @@ impl Table {
         Ok(RowVis::new(vs.clone(), wm, snap))
     }
 
+    /// Keep the row ids `snap` (or, without one, the latest-committed
+    /// view) may see — the filter for a rid list that came out of an
+    /// index, checked per rid under the versions lock instead of through
+    /// a clone of the whole map. No insertion watermark is needed here:
+    /// [`Table::mvcc_insert`] holds this lock from before the row's index
+    /// entry exists until its meta is registered, so a rid an index has
+    /// handed out has its meta in the map by the time the lock is ours.
+    /// A version dropped since (rollback, vacuum) lost its heap row
+    /// before its meta, so it either fails here or reads as absent from
+    /// the heap afterwards; slot ids are never reused.
+    pub fn retain_visible(&self, rids: &mut Vec<RowId>, snap: Option<Snapshot>) {
+        let vs = self.versions.lock();
+        rids.retain(|rid| VersionMeta::admits(vs.get(rid), snap.as_ref()));
+    }
+
     /// Insert a new, uncommitted version owned by `txn`. The versions
-    /// lock is held across the heap insert so the row and its meta
-    /// appear atomically to [`Table::visibility`] — a scan never
-    /// observes the row as meta-less (which would read as committed).
+    /// lock is held across the heap insert so the row, its index entries
+    /// and its meta appear atomically to [`Table::visibility`] and
+    /// [`Table::retain_visible`] — a reader never observes the row as
+    /// meta-less (which would read as committed).
     pub fn mvcc_insert(&self, values: Vec<Value>, txn: u64) -> Result<RowId> {
         let mut vs = self.versions.lock();
         let rid = self.insert(values)?;
@@ -546,6 +572,24 @@ mod tests {
         assert_eq!(rids, expect);
         t.delete(a).unwrap();
         assert_eq!(idx.lookup(&Value::Int(7)), vec![b]);
+        // a long rid list grows and shrinks where it lives in the tree
+        let mut rids = vec![b];
+        for i in 0..200 {
+            rids.push(
+                t.insert(vec![Value::Int(7), Value::Text(format!("n{i}"))])
+                    .unwrap(),
+            );
+        }
+        assert_eq!(idx.lookup(&Value::Int(7)), rids);
+        for rid in rids.drain(..).step_by(2).collect::<Vec<_>>() {
+            t.delete(rid).unwrap();
+        }
+        assert_eq!(idx.lookup(&Value::Int(7)).len(), 100);
+        for rid in idx.lookup(&Value::Int(7)) {
+            t.delete(rid).unwrap();
+        }
+        assert!(idx.lookup(&Value::Int(7)).is_empty());
+        assert!(idx.tree.read().is_empty(), "an emptied key leaves the tree");
     }
 
     #[test]

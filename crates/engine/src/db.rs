@@ -30,7 +30,7 @@ use crate::fingerprint::{self, StatementStat, StatementStore};
 use crate::knobs::Knobs;
 use crate::metrics::{KpiSnapshot, Metrics, GROUP_COMMIT_BATCH};
 use crate::mvcc::{CommitTs, Snapshot, TxnRuntime, WriteOp};
-use crate::optimizer::{CardEstimator, HistogramEstimator, Planner};
+use crate::optimizer::{AccessPath, CardEstimator, HistogramEstimator, Planner, TableAccess};
 use crate::plan::{bind_expr, PhysicalPlan};
 use crate::stats::TableStats;
 use crate::txn::{log_delete, log_insert, log_update, TxnManager};
@@ -376,11 +376,13 @@ impl Database {
     /// The durable log is scanned with CRC validation (a torn or corrupt
     /// tail is detected and dropped), state is restored from the last
     /// intact checkpoint, then committed transactions after it are redone
-    /// in log order while uncommitted ones are discarded. Finally the log
-    /// is compacted to a single fresh checkpoint of the recovered state.
+    /// in log order while uncommitted ones are discarded. Finally a
+    /// checkpoint of the recovered state is appended behind the old log,
+    /// which is cut away only once that checkpoint is durable: a crash
+    /// anywhere in here leaves a log the next recovery reads the same
+    /// state from.
     pub fn recover(store: Arc<dyn PageStore>) -> Result<(Database, RecoveryReport)> {
         let bytes = store.wal_bytes()?;
-        let db = Database::with_store(Arc::clone(&store));
 
         // One pass over the durable log, holding only what replay needs:
         // the last intact checkpoint and the records after it. Winners
@@ -426,6 +428,13 @@ impl Database {
         }
         let corrupt_tail_bytes = reader.corrupt_tail_bytes();
         let losers = begun.iter().filter(|t| !committed.contains(t)).count();
+
+        // Only the damaged tail goes before the new checkpoint is durable
+        // (a frame appended behind it would be unreachable). The database
+        // opens after that, so its log continues at the intact length.
+        store.wal_truncate(bytes.len() - corrupt_tail_bytes)?;
+        drop(bytes);
+        let db = Database::with_store(Arc::clone(&store));
 
         // Restore the checkpoint snapshot.
         if let Some(cp) = &base {
@@ -524,9 +533,8 @@ impl Database {
         let floor = base.as_ref().map_or(1, |cp| cp.next_txn).max(max_seen + 1);
         db.txn.lock().set_next_id(floor);
 
-        // Compact: the old log (including any corrupt tail) is replaced by
-        // one checkpoint of the recovered state.
-        store.wal_truncate(0)?;
+        // Compact: one checkpoint of the recovered state, which cuts the
+        // old log away in front of itself once it is durable.
         db.checkpoint_now()?;
 
         db.metrics.record_recovery(replayed);
@@ -1094,6 +1102,28 @@ impl Database {
                     let plan = self.plan(sel)?;
                     Ok(QueryResult::Text(plan.explain()))
                 }
+                Statement::Update {
+                    table,
+                    where_clause,
+                    ..
+                }
+                | Statement::Delete {
+                    table,
+                    where_clause,
+                } => {
+                    let t = self.catalog.table(table)?;
+                    if let Some(w) = where_clause {
+                        bind_expr(w, &t.schema)?;
+                    }
+                    let access = self.dml_access(table, where_clause.as_ref())?;
+                    Ok(QueryResult::Text(format!(
+                        "{} {table}\n  {}  (rows≈{:.0} cost≈{:.1})\n",
+                        stmt_label(inner),
+                        access.path.describe(table),
+                        access.est_rows,
+                        access.est_cost
+                    )))
+                }
                 other => Ok(QueryResult::Text(format!("{other:?}"))),
             },
             Statement::ExplainAnalyze(inner) => match inner.as_ref() {
@@ -1230,6 +1260,20 @@ impl Database {
         let mut planner = Planner::new(&self.catalog, &stats, est.as_ref());
         planner.models = hook.as_deref();
         planner.plan_select(sel)
+    }
+
+    /// How an UPDATE or DELETE on `table` reaches the rows its WHERE
+    /// clause accepts: [`Planner::access_path`] over the clause's
+    /// conjuncts, with the statistics and estimator SELECT plans with.
+    /// `EXPLAIN UPDATE`/`EXPLAIN DELETE` print exactly this.
+    fn dml_access(&self, table: &str, where_clause: Option<&Expr>) -> Result<TableAccess> {
+        let stats = self.stats.read();
+        let est = self.estimator.read().clone();
+        let planner = Planner::new(&self.catalog, &stats, est.as_ref());
+        let conjuncts: Vec<Expr> = where_clause
+            .map(|w| w.conjuncts().into_iter().cloned().collect())
+            .unwrap_or_default();
+        Ok(planner.access_path(table, planner.base_rows(table)?, &conjuncts))
     }
 
     /// Execute a physical plan, recording metrics. Returns rows + schema.
@@ -1653,10 +1697,11 @@ impl Database {
             .iter()
             .map(|(c, e)| Ok((t.schema.index_of(c)?, bind_expr(e, &t.schema)?)))
             .collect::<Result<_>>()?;
+        let path = self.dml_access(table, where_clause)?.path;
         let (txn, auto, snap) = self.stmt_txn(h)?;
         let body = || -> Result<usize> {
             let mut n = 0;
-            for hit in matching_rows(&t, pred.as_ref(), &fns, snap)? {
+            for hit in matching_rows(&t, &path, pred.as_ref(), &fns, snap)? {
                 let (rid, row) = hit?;
                 let mut vals = row.values().to_vec();
                 for (ci, e) in &bound_assign {
@@ -1702,10 +1747,11 @@ impl Database {
             hook: self.hook.read().clone(),
         };
         let pred = where_clause.map(|w| bind_expr(w, &t.schema)).transpose()?;
+        let path = self.dml_access(table, where_clause)?.path;
         let (txn, auto, snap) = self.stmt_txn(h)?;
         let body = || -> Result<usize> {
             let mut n = 0;
-            for hit in matching_rows(&t, pred.as_ref(), &fns, snap)? {
+            for hit in matching_rows(&t, &path, pred.as_ref(), &fns, snap)? {
                 let (rid, row) = hit?;
                 // MVCC delete is a claim: the version stays in the heap
                 // for concurrent snapshots and is physically removed by
@@ -1727,19 +1773,48 @@ impl Database {
     }
 }
 
+/// Keys an index probe pulls per step of the B+tree's leaf cursor.
+const PROBE_CHUNK: usize = 1024;
+
 /// The rows an UPDATE or DELETE acts on: what `snap` sees of `t` that
-/// satisfies the bound predicate, in scan order. The scan is
-/// materialized before the first row is handed out, so versions the
-/// statement writes are never rescanned (no Halloween problem); the
-/// predicate runs as rows are pulled, so a row it raises on fails the
-/// statement with the rows before it already written.
+/// satisfies the bound predicate, in heap order whichever way `path`
+/// finds them. An index probe only proposes candidates: each is checked
+/// for visibility, fetched, and put to the whole predicate like a scanned
+/// row, so NULL keys, a float literal on an integer column, duplicate
+/// keys and bounds wider than the conjunct all come out as a scan would
+/// have them. The candidates are materialized before the first row is
+/// handed out, so versions the statement writes are never revisited (no
+/// Halloween problem); the predicate runs as rows are pulled, so a row it
+/// raises on fails the statement with the rows before it already written.
 fn matching_rows<'a>(
     t: &'a Table,
+    path: &AccessPath,
     pred: Option<&'a Expr>,
     fns: &'a RowFns,
     snap: Snapshot,
 ) -> Result<impl Iterator<Item = Result<(RowId, Row)>> + 'a> {
-    let rows = t.scan_visible(Some(snap))?;
+    let candidates = match path {
+        // an index dropped since the path was chosen: scan instead
+        AccessPath::IndexScan { column, lo, hi } => t
+            .index_on(column)
+            .map(|idx| idx.probe(lo.as_ref(), hi.as_ref(), PROBE_CHUNK)),
+        AccessPath::SeqScan => None,
+    };
+    let rows = match candidates {
+        Some(mut rids) => {
+            t.retain_visible(&mut rids, Some(snap));
+            rids.sort_unstable();
+            let mut rows = Vec::with_capacity(rids.len());
+            for rid in rids {
+                // a version vacuumed or rolled back since the probe is gone
+                if let Some(row) = t.heap.get(rid)? {
+                    rows.push((rid, row));
+                }
+            }
+            rows
+        }
+        None => t.scan_visible(Some(snap))?,
+    };
     Ok(rows.into_iter().filter_map(move |(rid, row)| {
         pred.map_or(Ok(true), |p| p.eval_predicate(&t.schema, &row, fns))
             .map(|keep| keep.then_some((rid, row)))
@@ -1749,8 +1824,25 @@ fn matching_rows<'a>(
 
 /// Locate a row by value (multiset semantics: any one match). Recovery
 /// replays deletes/updates this way because row ids are reassigned when
-/// tables are rebuilt from a checkpoint.
+/// tables are rebuilt from a checkpoint. The checkpoint's indexes are
+/// rebuilt before redo starts, so an indexed column of the image narrows
+/// the search to the rows sharing that key; a table without one is
+/// scanned.
 fn find_row(t: &Table, target: &Row) -> Result<Option<RowId>> {
+    let indexed = t
+        .schema
+        .columns()
+        .iter()
+        .enumerate()
+        .find_map(|(col, c)| t.index_on(&c.name).map(|idx| (col, idx)));
+    if let Some((col, idx)) = indexed {
+        for rid in idx.lookup(target.get(col)) {
+            if t.heap.get(rid)?.as_ref() == Some(target) {
+                return Ok(Some(rid));
+            }
+        }
+        return Ok(None);
+    }
     for (rid, row) in t.scan()? {
         if &row == target {
             return Ok(Some(rid));
@@ -2073,6 +2165,68 @@ mod tests {
             panic!()
         };
         assert!(plan.contains("SeqScan"), "plan: {plan}");
+    }
+
+    #[test]
+    fn explain_dml_prints_the_access_path_the_statement_takes() {
+        let explain = |db: &Database, sql: &str| match db.execute(sql).unwrap() {
+            QueryResult::Text(t) => t,
+            other => panic!("{other:?}"),
+        };
+        let db = Database::new();
+        db.execute("CREATE TABLE big (id INT, v INT)").unwrap();
+        db.insert_rows(
+            "big",
+            (0..5000)
+                .map(|i| vec![Value::Int(i), Value::Int(i % 7)])
+                .collect(),
+        )
+        .unwrap();
+        db.execute("CREATE INDEX idx_id ON big (id)").unwrap();
+        db.execute("ANALYZE big").unwrap();
+        let plan = explain(&db, "EXPLAIN UPDATE big SET v = v + 1 WHERE id = 5");
+        assert!(
+            plan.starts_with("UPDATE big\n  IndexScan big.id = 5  ("),
+            "{plan}"
+        );
+        let plan = explain(&db, "EXPLAIN DELETE FROM big WHERE id >= 10 AND id <= 12");
+        assert!(
+            plan.starts_with("DELETE big\n  IndexScan big.id ["),
+            "{plan}"
+        );
+        // the same chooser as SELECT: unindexed, unselective and absent
+        // predicates all scan
+        for sql in [
+            "EXPLAIN UPDATE big SET v = 0 WHERE v = 3",
+            "EXPLAIN DELETE FROM big WHERE id >= 0",
+            "EXPLAIN DELETE FROM big",
+        ] {
+            let plan = explain(&db, sql);
+            assert!(plan.contains("\n  SeqScan big  ("), "{sql}: {plan}");
+        }
+        // explaining neither runs the statement nor hides its errors
+        assert_eq!(
+            db.execute("SELECT COUNT(*) FROM big")
+                .unwrap()
+                .scalar()
+                .unwrap(),
+            &Value::Int(5000)
+        );
+        assert!(db
+            .execute("EXPLAIN DELETE FROM big WHERE nope = 1")
+            .is_err());
+        assert!(db.execute("EXPLAIN DELETE FROM nope").is_err());
+        // and the path is the one taken: the probe reads a handful of
+        // pages where the scan reads the table
+        let reads = |sql: &str| {
+            let before = db.buffer_pool().stats();
+            db.execute(sql).unwrap();
+            let after = db.buffer_pool().stats();
+            (after.hits + after.misses) - (before.hits + before.misses)
+        };
+        let probe = reads("UPDATE big SET v = v + 1 WHERE id = 5");
+        let scan = reads("UPDATE big SET v = v + 1 WHERE v = 100");
+        assert!(probe * 4 < scan, "probe {probe} page requests, scan {scan}");
     }
 
     #[test]

@@ -213,8 +213,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
                     idx.range(&lo_v, &hi_v)
                 }
             };
-            let vis = t.visibility(ctx.snapshot())?;
-            rids.retain(|r| vis.allows(*r));
+            t.retain_visible(&mut rids, ctx.snapshot());
             ctx.charge(3.0 + rids.len() as f64 * 0.06);
             let mut out = Vec::with_capacity(rids.len());
             for rid in rids {

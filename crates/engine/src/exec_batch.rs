@@ -134,16 +134,8 @@ fn build<'p>(
             let idx = t.index_on(column).ok_or_else(|| {
                 AimError::Execution(format!("planned index on {table}.{column} missing"))
             })?;
-            let mut rids = match (lo, hi) {
-                (Some(l), Some(h)) if l == h => idx.lookup(l),
-                (l, h) => {
-                    let lo_v = l.clone().unwrap_or(Value::Float(f64::NEG_INFINITY));
-                    let hi_v = h.clone().unwrap_or(Value::Float(f64::INFINITY));
-                    idx.range_batched(&lo_v, &hi_v, bs)
-                }
-            };
-            let vis = t.visibility(ctx.snapshot())?;
-            rids.retain(|r| vis.allows(*r));
+            let mut rids = idx.probe(lo.as_ref(), hi.as_ref(), bs);
+            t.retain_visible(&mut rids, ctx.snapshot());
             ctx.charge(3.0 + rids.len() as f64 * 0.06);
             let filter = filter
                 .as_ref()

@@ -96,6 +96,17 @@ impl VersionMeta {
     pub fn latest_committed(&self) -> bool {
         self.begin_ts.is_some() && self.end_ts.is_none()
     }
+
+    /// Does a reader holding `snap` — or none, for the latest-committed
+    /// view — see the version whose meta is `meta`? A row without a meta
+    /// is legacy-committed and visible to everyone.
+    pub fn admits(meta: Option<&VersionMeta>, snap: Option<&Snapshot>) -> bool {
+        match (meta, snap) {
+            (None, _) => true,
+            (Some(m), Some(s)) => m.visible_to(s),
+            (Some(m), None) => m.latest_committed(),
+        }
+    }
 }
 
 /// A resolved row-visibility filter for one scan: the table's live
@@ -143,13 +154,7 @@ impl RowVis {
                 }
             }
         }
-        match self.metas.get(&rid) {
-            None => true,
-            Some(m) => match &self.snap {
-                Some(s) => m.visible_to(s),
-                None => m.latest_committed(),
-            },
-        }
+        VersionMeta::admits(self.metas.get(&rid), self.snap.as_ref())
     }
 }
 

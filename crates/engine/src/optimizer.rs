@@ -23,7 +23,8 @@ use aimdb_sql::Expr;
 use crate::catalog::Catalog;
 use crate::db::ModelHook;
 use crate::plan::{
-    bind_expr, bind_models, call_cost, default_output_name, qualify_schema, PhysOp, PhysicalPlan,
+    bind_expr, bind_models, call_cost, default_output_name, describe_bounds, qualify_schema,
+    PhysOp, PhysicalPlan,
 };
 use crate::stats::TableStats;
 
@@ -62,6 +63,43 @@ pub enum SimplePred {
     },
     /// Anything else (LIKE, IN, OR trees, expressions...).
     Other,
+}
+
+/// How one table's rows are reached.
+#[derive(Debug, Clone)]
+pub enum AccessPath {
+    /// Read every page.
+    SeqScan,
+    /// Probe the index on `column` for keys in the inclusive interval
+    /// `[lo, hi]`; an absent end is unbounded, equal ends are a point
+    /// lookup.
+    IndexScan {
+        column: String,
+        lo: Option<Value>,
+        hi: Option<Value>,
+    },
+}
+
+impl AccessPath {
+    /// `SeqScan t`, `IndexScan t.k = 7` or `IndexScan t.k [1..9]` — how
+    /// EXPLAIN names the path, for queries and for DML.
+    pub fn describe(&self, table: &str) -> String {
+        match self {
+            AccessPath::SeqScan => format!("SeqScan {table}"),
+            AccessPath::IndexScan { column, lo, hi } => {
+                format!("IndexScan {table}.{column} {}", describe_bounds(lo, hi))
+            }
+        }
+    }
+}
+
+/// [`Planner::access_path`]'s answer: the path with the planner's
+/// estimates of the rows that survive the conjuncts and of the cost.
+#[derive(Debug, Clone)]
+pub struct TableAccess {
+    pub path: AccessPath,
+    pub est_rows: f64,
+    pub est_cost: f64,
 }
 
 /// Cardinality estimation seam. Implementations must be pure functions of
@@ -234,16 +272,11 @@ impl<'a> Planner<'a> {
             if aliases.iter().any(|a| a.alias.eq_ignore_ascii_case(&alias)) {
                 return Err(AimError::Plan(format!("duplicate table alias {alias}")));
             }
-            let base_rows = self
-                .table_stats(&tref.name)
-                .map(|s| s.row_count as f64)
-                .unwrap_or_else(|| table.row_count().map(|n| n as f64).unwrap_or(1000.0))
-                .max(1.0);
             aliases.push(AliasInfo {
                 schema: qualify_schema(&table.schema, &alias),
                 alias,
                 table: tref.name.clone(),
-                base_rows,
+                base_rows: self.base_rows(&tref.name)?,
             });
         }
         if aliases.is_empty() {
@@ -499,44 +532,55 @@ impl<'a> Planner<'a> {
             .collect()
     }
 
-    /// Plan the access path for one table with its pushed-down conjuncts.
-    fn plan_scan(&self, a: &AliasInfo, conjuncts: &[Expr]) -> Result<PhysicalPlan> {
-        let preds = Self::classify_preds(conjuncts);
-        let stats = self.table_stats(&a.table);
-        let sel = self.estimator.scan_selectivity(&a.table, &preds, stats);
-        let est_rows = (a.base_rows * sel).max(0.0);
-        let filter = match Expr::conjunction(conjuncts.to_vec()) {
-            Some(p) => Some(bind_expr(&p, &a.schema)?),
-            None => None,
+    /// Rows the planner assumes `table` holds: the analyzed count, else
+    /// what the heap holds now.
+    pub fn base_rows(&self, table: &str) -> Result<f64> {
+        let rows = match self.table_stats(table) {
+            Some(s) => s.row_count as f64,
+            None => self
+                .catalog
+                .table(table)?
+                .row_count()
+                .map_or(1000.0, |n| n as f64),
         };
+        Ok(rows.max(1.0))
+    }
+
+    /// Choose how to reach the rows of `table` that satisfy `conjuncts`
+    /// (single-table, unbound, applied in the order given): the most
+    /// selective `=`/range conjunct on an indexed column if probing it is
+    /// estimated cheaper than reading every page, else a sequential scan.
+    /// This is the only sargability matcher: SELECT's scan nodes and the
+    /// row search of UPDATE/DELETE both come from here. The index bounds
+    /// are a superset of what the conjunct accepts (ranges are inclusive
+    /// and widened to floats), so whoever probes re-checks the conjuncts.
+    pub fn access_path(&self, table: &str, base_rows: f64, conjuncts: &[Expr]) -> TableAccess {
+        let preds = Self::classify_preds(conjuncts);
+        let stats = self.table_stats(table);
+        let sel = self.estimator.scan_selectivity(table, &preds, stats);
+        let est_rows = (base_rows * sel).max(0.0);
 
         // candidate index predicates: Eq first, then the narrowest range
-        let mut best_index: Option<(String, Option<Value>, Option<Value>, f64)> = None;
+        let mut best_index: Option<(AccessPath, f64)> = None;
         for p in &preds {
-            match p {
-                SimplePred::Eq { column, value } if self.has_index(&a.table, column) => {
-                    let s =
-                        self.estimator
-                            .scan_selectivity(&a.table, std::slice::from_ref(p), stats);
-                    if best_index.as_ref().is_none_or(|b| s < b.3) {
-                        best_index =
-                            Some((column.clone(), Some(value.clone()), Some(value.clone()), s));
-                    }
+            let (column, lo, hi) = match p {
+                SimplePred::Eq { column, value } => {
+                    (column, Some(value.clone()), Some(value.clone()))
                 }
-                SimplePred::Range { column, lo, hi } if self.has_index(&a.table, column) => {
-                    let s =
-                        self.estimator
-                            .scan_selectivity(&a.table, std::slice::from_ref(p), stats);
-                    if best_index.as_ref().is_none_or(|b| s < b.3) {
-                        best_index = Some((
-                            column.clone(),
-                            lo.map(Value::Float),
-                            hi.map(Value::Float),
-                            s,
-                        ));
-                    }
+                SimplePred::Range { column, lo, hi } => {
+                    (column, lo.map(Value::Float), hi.map(Value::Float))
                 }
-                _ => {}
+                SimplePred::Other => continue,
+            };
+            if !self.has_index(table, column) {
+                continue;
+            }
+            let s = self
+                .estimator
+                .scan_selectivity(table, std::slice::from_ref(p), stats);
+            if best_index.as_ref().is_none_or(|b| s < b.1) {
+                let column = column.clone();
+                best_index = Some((AccessPath::IndexScan { column, lo, hi }, s));
             }
         }
 
@@ -548,42 +592,57 @@ impl<'a> Planner<'a> {
                 .map(|(k, c)| (k, call_cost(c)))
                 .filter(|&(_, cost)| cost > 0.0)
                 .map(|(k, cost)| {
-                    let reach = self
-                        .estimator
-                        .scan_selectivity(&a.table, &preds[..k], stats);
+                    let reach = self.estimator.scan_selectivity(table, &preds[..k], stats);
                     rows * reach * cost
                 })
                 .sum()
         };
-        let seq_cost = self.seq_scan_cost(a.base_rows) + calls(a.base_rows);
-        if let Some((column, lo, hi, isel)) = best_index {
-            let matched = a.base_rows * isel;
+        let seq_cost = self.seq_scan_cost(base_rows) + calls(base_rows);
+        if let Some((path, isel)) = best_index {
+            let matched = base_rows * isel;
             let idx_cost = self.index_scan_cost(matched) + calls(matched);
             if idx_cost < seq_cost {
-                return Ok(PhysicalPlan {
-                    op: PhysOp::IndexScan {
-                        table: a.table.clone(),
-                        alias: a.alias.clone(),
-                        column,
-                        lo,
-                        hi,
-                        filter,
-                    },
-                    schema: a.schema.clone(),
+                return TableAccess {
+                    path,
                     est_rows,
                     est_cost: idx_cost,
-                });
+                };
             }
         }
+        TableAccess {
+            path: AccessPath::SeqScan,
+            est_rows,
+            est_cost: seq_cost + conjuncts.len() as f64 * base_rows * 0.002,
+        }
+    }
+
+    /// The scan node for one table with its pushed-down conjuncts.
+    fn plan_scan(&self, a: &AliasInfo, conjuncts: &[Expr]) -> Result<PhysicalPlan> {
+        let filter = match Expr::conjunction(conjuncts.to_vec()) {
+            Some(p) => Some(bind_expr(&p, &a.schema)?),
+            None => None,
+        };
+        let access = self.access_path(&a.table, a.base_rows, conjuncts);
+        let (table, alias) = (a.table.clone(), a.alias.clone());
         Ok(PhysicalPlan {
-            op: PhysOp::SeqScan {
-                table: a.table.clone(),
-                alias: a.alias.clone(),
-                filter,
+            op: match access.path {
+                AccessPath::IndexScan { column, lo, hi } => PhysOp::IndexScan {
+                    table,
+                    alias,
+                    column,
+                    lo,
+                    hi,
+                    filter,
+                },
+                AccessPath::SeqScan => PhysOp::SeqScan {
+                    table,
+                    alias,
+                    filter,
+                },
             },
             schema: a.schema.clone(),
-            est_rows,
-            est_cost: seq_cost + conjuncts.len() as f64 * a.base_rows * 0.002,
+            est_rows: access.est_rows,
+            est_cost: access.est_cost,
         })
     }
 

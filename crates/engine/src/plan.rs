@@ -159,7 +159,7 @@ impl PhysicalPlan {
                 hi,
                 ..
             } => {
-                format!("IndexScan {table}.{column} [{lo:?}..{hi:?}]")
+                format!("IndexScan {table}.{column} {}", describe_bounds(lo, hi))
             }
             PhysOp::Filter { predicate, .. } => {
                 format!("Filter {}", describe_predicate(predicate))
@@ -239,6 +239,16 @@ impl PhysicalPlan {
             .iter()
             .map(|c| c.node_count())
             .sum::<usize>()
+    }
+}
+
+/// An index probe's key interval as EXPLAIN prints it: `= v` for a point,
+/// `[lo..hi]` otherwise, an open end left blank.
+pub fn describe_bounds(lo: &Option<Value>, hi: &Option<Value>) -> String {
+    let end = |v: &Option<Value>| v.as_ref().map_or(String::new(), Value::to_string);
+    match (lo, hi) {
+        (Some(l), Some(h)) if l == h => format!("= {l}"),
+        _ => format!("[{}..{}]", end(lo), end(hi)),
     }
 }
 

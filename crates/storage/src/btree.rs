@@ -141,6 +141,15 @@ impl<K: Ord + Clone, V: Clone> BTree<K, V> {
         }
     }
 
+    /// The value stored under `key`, for changing in place.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let (leaf, _) = self.descend(key);
+        match &mut self.nodes[leaf] {
+            Node::Leaf { keys, vals, .. } => keys.binary_search(key).ok().map(|i| &mut vals[i]),
+            Node::Internal { .. } => unreachable!("descend always ends at a leaf"),
+        }
+    }
+
     /// Insert or replace; returns the previous value if the key existed.
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
         let root = self.root;
@@ -450,6 +459,19 @@ mod tests {
         assert_eq!(t.insert(1, "b"), Some("a"));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&1), Some(&"b"));
+    }
+
+    #[test]
+    fn get_mut_changes_a_value_where_it_lives() {
+        let mut t: BTree<i64, Vec<i64>> = BTree::with_fanout(4);
+        for i in 0..100i64 {
+            t.insert(i, vec![i]);
+        }
+        t.get_mut(&37).unwrap().push(-1);
+        assert_eq!(t.get(&37), Some(&vec![37, -1]));
+        assert_eq!(t.get(&36), Some(&vec![36]));
+        assert!(t.get_mut(&1000).is_none());
+        assert_eq!(t.len(), 100);
     }
 
     #[test]

@@ -39,9 +39,18 @@ pub trait PageStore: Send + Sync {
     fn wal_bytes(&self) -> Result<Vec<u8>>;
     /// Durable log length in bytes.
     fn wal_len(&self) -> usize;
-    /// Truncate the log area to `len` bytes (discard a corrupt tail, or
-    /// reset after a recovery checkpoint). No-op if already shorter.
+    /// Truncate the log area to `len` bytes (discard a corrupt tail).
+    /// No-op if already shorter.
     fn wal_truncate(&self, len: usize) -> Result<()>;
+    /// Atomically discard the first `n` bytes of the durable log — a
+    /// switch to a new log segment that starts at byte `n`: after a crash
+    /// the log is either whole or exactly `n` bytes shorter at the front,
+    /// never in between. Returns how many bytes were dropped. A store
+    /// that cannot cut its log keeps everything and returns 0; callers
+    /// subtract only what this returns.
+    fn wal_drop_prefix(&self, _n: usize) -> Result<usize> {
+        Ok(0)
+    }
 }
 
 /// Cumulative I/O counters for a [`Disk`].
@@ -167,6 +176,16 @@ impl Disk {
         inner.wal.truncate(len);
         Ok(())
     }
+
+    /// Drop the first `n` bytes of the WAL area (all of it if shorter)
+    /// and return how many went. The remainder moves to an allocation of
+    /// its own size, so the dropped segment's memory is given back.
+    pub fn wal_drop_prefix(&self, n: usize) -> Result<usize> {
+        let mut inner = self.inner.lock();
+        let n = n.min(inner.wal.len());
+        inner.wal = inner.wal.split_off(n);
+        Ok(n)
+    }
 }
 
 impl PageStore for Disk {
@@ -208,6 +227,10 @@ impl PageStore for Disk {
 
     fn wal_truncate(&self, len: usize) -> Result<()> {
         Disk::wal_truncate(self, len)
+    }
+
+    fn wal_drop_prefix(&self, n: usize) -> Result<usize> {
+        Disk::wal_drop_prefix(self, n)
     }
 }
 
@@ -267,5 +290,17 @@ mod tests {
         assert_eq!(d.wal_bytes().unwrap(), b"abcdef");
         assert_eq!(d.wal_len(), 6);
         assert_eq!(d.stats().wal_appends, 2);
+    }
+
+    #[test]
+    fn wal_drop_prefix_cuts_the_front_and_reports_what_went() {
+        let d = Disk::new();
+        d.wal_append(b"abcdef").unwrap();
+        assert_eq!(d.wal_drop_prefix(4).unwrap(), 4);
+        assert_eq!(d.wal_bytes().unwrap(), b"ef");
+        d.wal_append(b"gh").unwrap();
+        assert_eq!(d.wal_bytes().unwrap(), b"efgh");
+        assert_eq!(d.wal_drop_prefix(99).unwrap(), 4, "clamped to the length");
+        assert_eq!(d.wal_len(), 0);
     }
 }

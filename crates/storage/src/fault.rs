@@ -38,7 +38,7 @@ pub enum TornMode {
 }
 
 /// A scripted failure. Operation numbers are 1-based and count mutating
-/// calls only (`allocate`, `write`, `wal_append`).
+/// calls only (`allocate`, `write`, `wal_append`, `wal_drop_prefix`).
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Crash on the Nth mutating operation (that operation fails and the
@@ -187,15 +187,21 @@ impl FaultInjector {
             Ok(())
         }
     }
+
+    /// Count a mutating operation and run it on the disk if it is to
+    /// succeed; a failing one reaches the disk not at all.
+    fn mutate<T>(&self, op: impl FnOnce(&Disk) -> Result<T>) -> Result<T> {
+        match self.mutating_op().0 {
+            Verdict::Proceed => op(&self.disk),
+            Verdict::Transient => Err(AimError::Storage("transient I/O error (injected)".into())),
+            Verdict::Crash => Err(AimError::Storage("storage crashed (injected)".into())),
+        }
+    }
 }
 
 impl PageStore for FaultInjector {
     fn allocate(&self) -> Result<PageId> {
-        match self.mutating_op().0 {
-            Verdict::Proceed => self.disk.allocate(),
-            Verdict::Transient => Err(AimError::Storage("transient I/O error (injected)".into())),
-            Verdict::Crash => Err(AimError::Storage("storage crashed (injected)".into())),
-        }
+        self.mutate(Disk::allocate)
     }
 
     fn read(&self, id: PageId) -> Result<Page> {
@@ -204,11 +210,7 @@ impl PageStore for FaultInjector {
     }
 
     fn write(&self, id: PageId, page: &Page) -> Result<()> {
-        match self.mutating_op().0 {
-            Verdict::Proceed => self.disk.write(id, page),
-            Verdict::Transient => Err(AimError::Storage("transient I/O error (injected)".into())),
-            Verdict::Crash => Err(AimError::Storage("storage crashed (injected)".into())),
-        }
+        self.mutate(|d| d.write(id, page))
     }
 
     fn num_pages(&self) -> usize {
@@ -266,6 +268,11 @@ impl PageStore for FaultInjector {
     fn wal_truncate(&self, len: usize) -> Result<()> {
         self.check_alive()?;
         self.disk.wal_truncate(len)
+    }
+
+    /// The cut is atomic: a crash here leaves the log whole.
+    fn wal_drop_prefix(&self, n: usize) -> Result<usize> {
+        self.mutate(|d| d.wal_drop_prefix(n))
     }
 }
 
@@ -363,6 +370,17 @@ mod tests {
         assert!(inj.wal_append(b"x").is_err()); // already dead: no re-fire
                                                 // ordering: Relaxed — test counter.
         assert_eq!(fired.load(Ordering::Relaxed), 1, "hook fires only once");
+    }
+
+    #[test]
+    fn log_cut_is_a_mutating_op_and_a_crash_there_cuts_nothing() {
+        let inj = FaultInjector::new(Arc::new(Disk::new()), FaultPlan::crash_after(3));
+        inj.wal_append(b"abcdef").unwrap(); // op 1
+        assert_eq!(inj.wal_drop_prefix(2).unwrap(), 2); // op 2
+        assert_eq!(inj.ops(), 2);
+        assert!(inj.wal_drop_prefix(2).is_err()); // op 3: crash
+        assert!(inj.crashed());
+        assert_eq!(inj.underlying().wal_bytes().unwrap(), b"cdef");
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! not records. Live rollback reverses the transaction's MVCC write-set
 //! (the engine's job); recovery streams the durable bytes through a
 //! [`WalReader`].
+//!
+//! The log is cut at every checkpoint: once a `Checkpoint` record is
+//! durable nothing before its frame is needed again, so [`Wal::append`]
+//! asks the sink to drop that prefix ([`WalSink::drop_prefix`], one atomic
+//! segment switch on the store). A durable log therefore begins with its
+//! last checkpoint, or — before the first one, or on a store that cannot
+//! cut — with its first record.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -568,6 +575,11 @@ pub trait WalSink: Send + Sync {
     /// Bytes appended but not yet flushed (lost by a crash).
     fn buffered(&self) -> usize;
     fn durable_bytes(&self) -> Result<Vec<u8>>;
+    /// Length of the durable byte stream.
+    fn durable_len(&self) -> usize;
+    /// Atomically discard the first `n` durable bytes; returns how many
+    /// went (0 from a sink whose store cannot cut its log).
+    fn drop_prefix(&self, n: usize) -> Result<usize>;
 }
 
 /// Instantly durable in-memory sink (unit tests, ephemeral databases).
@@ -605,6 +617,17 @@ impl WalSink for MemSink {
 
     fn durable_bytes(&self) -> Result<Vec<u8>> {
         Ok(self.bytes.lock().clone())
+    }
+
+    fn durable_len(&self) -> usize {
+        self.bytes.lock().len()
+    }
+
+    fn drop_prefix(&self, n: usize) -> Result<usize> {
+        let mut bytes = self.bytes.lock();
+        let n = n.min(bytes.len());
+        bytes.drain(..n);
+        Ok(n)
     }
 }
 
@@ -648,6 +671,14 @@ impl WalSink for DiskSink {
     fn durable_bytes(&self) -> Result<Vec<u8>> {
         self.store.wal_bytes()
     }
+
+    fn durable_len(&self) -> usize {
+        self.store.wal_len()
+    }
+
+    fn drop_prefix(&self, n: usize) -> Result<usize> {
+        self.store.wal_drop_prefix(n)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -660,6 +691,12 @@ struct WalInner {
     /// Cumulative count of commit records ever appended (group-commit
     /// batch accounting).
     commits_appended: u64,
+    /// Bytes the sink holds, durable and buffered: the offset the next
+    /// frame lands at, counted from the start of the durable log.
+    sink_len: usize,
+    /// LSN and frame offset of the last checkpoint appended, until the
+    /// log has been cut there.
+    uncut_checkpoint: Option<(u64, usize)>,
 }
 
 /// Group-commit coordination. One thread at a time is the flush leader;
@@ -710,7 +747,9 @@ impl Wal {
         Wal::with_sink(Box::new(MemSink::new()))
     }
 
+    /// A log that continues whatever `sink` already holds durably.
     pub fn with_sink(sink: Box<dyn WalSink>) -> Self {
+        let sink_len = sink.durable_len();
         Wal {
             sink,
             sync_on_commit: AtomicBool::new(true),
@@ -721,6 +760,8 @@ impl Wal {
                     next_lsn: 1,
                     since_checkpoint: 0,
                     commits_appended: 0,
+                    sink_len,
+                    uncut_checkpoint: None,
                 },
                 LockRank::WalInner,
             ),
@@ -853,9 +894,11 @@ impl Wal {
 
     /// Append a record, returning its LSN. Commit records flush through
     /// the group-commit protocol when `sync_on_commit` is set; DDL and
-    /// checkpoint records always flush (with no batching window).
+    /// checkpoint records always flush (with no batching window), and a
+    /// checkpoint that flushed cuts the log in front of itself.
     pub fn append(&self, rec: LogRecord) -> Result<u64> {
         let is_commit = matches!(rec, LogRecord::Commit { .. });
+        let is_checkpoint = matches!(rec, LogRecord::Checkpoint(_));
         // ordering: Relaxed — policy flag; see set_sync_on_commit.
         let flush =
             rec.always_flush() || (is_commit && self.sync_on_commit.load(Ordering::Relaxed));
@@ -864,12 +907,15 @@ impl Wal {
             let mut inner = self.inner.lock();
             lsn = inner.next_lsn;
             inner.next_lsn += 1;
-            self.sink.append(&frame_record(lsn, &rec))?;
-            if matches!(rec, LogRecord::Checkpoint(_)) {
+            let frame = frame_record(lsn, &rec);
+            self.sink.append(&frame)?;
+            if is_checkpoint {
                 inner.since_checkpoint = 0;
+                inner.uncut_checkpoint = Some((lsn, inner.sink_len));
             } else {
                 inner.since_checkpoint += 1;
             }
+            inner.sink_len += frame.len();
             if is_commit {
                 inner.commits_appended += 1;
             }
@@ -882,8 +928,29 @@ impl Wal {
                 0
             };
             self.group_commit(lsn, window)?;
+            if is_checkpoint {
+                self.cut_before_checkpoint(lsn)?;
+            }
         }
         Ok(lsn)
+    }
+
+    /// Drop every durable byte in front of the checkpoint frame `lsn`,
+    /// which the caller has just seen flushed. The frame's offset is
+    /// below the durable length, so only durable bytes go; frames behind
+    /// it keep their order and move down by what the sink says it dropped
+    /// — nothing, on a store that cannot cut, and then the offsets stand.
+    /// A checkpoint appended since owns the cut instead (it may not be
+    /// durable yet, and this one is about to be redundant).
+    fn cut_before_checkpoint(&self, lsn: u64) -> Result<()> {
+        let mut inner = self.inner.lock();
+        if let Some((cp_lsn, at)) = inner.uncut_checkpoint {
+            if cp_lsn == lsn {
+                inner.uncut_checkpoint = None;
+                inner.sink_len -= self.sink.drop_prefix(at)?;
+            }
+        }
+        Ok(())
     }
 
     /// Durability barrier: push buffered bytes to the sink's backing
@@ -1159,7 +1226,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_appends_and_the_log_reads_back_in_full() {
+    fn counters_track_appends_and_the_log_reads_back_from_the_checkpoint() {
         let wal = Wal::new();
         assert!(wal.is_empty());
         wal.append(LogRecord::Begin { txn: 1 }).unwrap();
@@ -1169,12 +1236,98 @@ mod tests {
         assert_eq!(wal.records_since_checkpoint(), 0);
         wal.append(LogRecord::Begin { txn: 2 }).unwrap();
         assert_eq!(wal.records_since_checkpoint(), 1);
-        // len() counts every append, checkpoints included, and the sink
-        // still holds all of them for whoever asks.
+        // len() counts every append, checkpoints included; the sink holds
+        // the last checkpoint and what follows it.
         assert_eq!(wal.len(), 4);
         let scan = scan_wal(&wal.durable_bytes().unwrap());
-        assert_eq!(scan.records.len(), wal.len());
         assert_eq!(scan.corrupt_tail_bytes, 0);
-        assert!(matches!(scan.records[2], (3, LogRecord::Checkpoint(_))));
+        assert!(matches!(
+            scan.records[..],
+            [
+                (3, LogRecord::Checkpoint(_)),
+                (4, LogRecord::Begin { txn: 2 })
+            ]
+        ));
+    }
+
+    fn durable_records(disk: &crate::disk::Disk) -> Vec<(u64, LogRecord)> {
+        let scan = scan_wal(&disk.wal_bytes().unwrap());
+        assert_eq!(scan.corrupt_tail_bytes, 0);
+        scan.records
+    }
+
+    #[test]
+    fn every_checkpoint_cuts_the_durable_log_in_front_of_itself() {
+        use crate::disk::Disk;
+        let disk = Arc::new(Disk::new());
+        let wal = Wal::with_sink(Box::new(DiskSink::new(disk.clone())));
+        for round in 0..3u64 {
+            for k in 0..5 {
+                let txn = round * 5 + k + 1;
+                wal.append(LogRecord::Begin { txn }).unwrap();
+                wal.append(LogRecord::Commit { txn }).unwrap();
+            }
+            // an unflushed record rides the checkpoint's flush and must
+            // not confuse the offsets
+            wal.append(LogRecord::Begin { txn: 100 + round }).unwrap();
+            let lsn = wal.append(LogRecord::Checkpoint(Box::default())).unwrap();
+            let recs = durable_records(&disk);
+            assert_eq!(recs.len(), 1, "round {round}: only the checkpoint is left");
+            assert!(matches!(recs[0], (l, LogRecord::Checkpoint(_)) if l == lsn));
+        }
+        // a log reopened over what is durable keeps cutting at the right
+        // byte: its offsets start at the store's length, not at zero
+        let wal = Wal::with_sink(Box::new(DiskSink::new(disk.clone())));
+        wal.append(LogRecord::Begin { txn: 200 }).unwrap();
+        wal.append(LogRecord::Commit { txn: 200 }).unwrap();
+        assert_eq!(durable_records(&disk).len(), 3);
+        wal.append(LogRecord::Checkpoint(Box::default())).unwrap();
+        assert_eq!(durable_records(&disk).len(), 1);
+    }
+
+    #[test]
+    fn a_store_that_cannot_cut_keeps_the_whole_log_readable() {
+        /// `MemSink` that refuses the cut, as a `PageStore` with the
+        /// default `wal_drop_prefix` makes a `DiskSink` do.
+        struct NoCut {
+            sink: MemSink,
+            asked: Arc<Mutex<Vec<usize>>>,
+        }
+        impl WalSink for NoCut {
+            fn append(&self, bytes: &[u8]) -> Result<()> {
+                self.sink.append(bytes)
+            }
+            fn flush(&self) -> Result<()> {
+                self.sink.flush()
+            }
+            fn buffered(&self) -> usize {
+                self.sink.buffered()
+            }
+            fn durable_bytes(&self) -> Result<Vec<u8>> {
+                self.sink.durable_bytes()
+            }
+            fn durable_len(&self) -> usize {
+                self.sink.durable_len()
+            }
+            fn drop_prefix(&self, n: usize) -> Result<usize> {
+                self.asked.lock().push(n);
+                Ok(0)
+            }
+        }
+        let asked = Arc::new(Mutex::with_rank(Vec::new(), LockRank::WalSink));
+        let wal = Wal::with_sink(Box::new(NoCut {
+            sink: MemSink::new(),
+            asked: Arc::clone(&asked),
+        }));
+        let mut frame_starts = Vec::new();
+        for txn in 1..=2 {
+            wal.append(LogRecord::Begin { txn }).unwrap();
+            frame_starts.push(wal.durable_bytes().unwrap().len());
+            wal.append(LogRecord::Checkpoint(Box::default())).unwrap();
+        }
+        // nothing was dropped, so each cut was asked for at the frame's
+        // offset in the uncut log, and every record is still there
+        assert_eq!(*asked.lock(), frame_starts);
+        assert_eq!(scan_wal(&wal.durable_bytes().unwrap()).records.len(), 4);
     }
 }

@@ -1,9 +1,27 @@
 #!/usr/bin/env bash
 # Repo-wide quality gate. Run from anywhere; exits non-zero on the first
-# failure. Pass --crash-loop to also run the long randomized
-# crash/recovery soak (500 iterations via the fault-injection feature).
+# failure.
+#   --fast        stop after the fast tier: fmt, cargo check, clippy, lint
+#                 ratchet, workspace tests, wire-benchmark smoke. Minutes,
+#                 and what "green" means for a product PR; the long
+#                 oracles below it run only in the default (full) gate.
+#   --crash-loop  also run the long randomized crash/recovery soak (500
+#                 iterations via the fault-injection feature).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+fast=0
+crash_loop=0
+for arg in "$@"; do
+    case "$arg" in
+        --fast) fast=1 ;;
+        --crash-loop) crash_loop=1 ;;
+        *)
+            echo "usage: scripts/check.sh [--fast] [--crash-loop]" >&2
+            exit 2
+            ;;
+    esac
+done
 
 run() {
     echo "==> $*"
@@ -39,6 +57,20 @@ run cargo run -q -p lint --release
 #   across tiny writes — structured errors or clean disconnects, never a
 #   panic or hang
 run cargo test -q --workspace
+# the standing wire-level benchmark is a frozen instrument with its own
+# workspace: build it against the product crates as they are now and run
+# its four workloads for a few seconds each — oracles only (row shadow,
+# golden hashes, projection-derived counts, TPC-C invariants + recovery),
+# no timing gate — so a product change that breaks benchmark/ fails here.
+# Writes benchmark/out/report.json; the committed BENCH_wire.json is the
+# full run, refreshed by hand (see ROADMAP "how a perf item is judged").
+run bash benchmark/run.sh --smoke
+
+if [[ $fast == 1 ]]; then
+    echo "Fast checks passed."
+    exit 0
+fi
+
 # lock contention export must survive the release profile: the witness is
 # debug-only but the contended-acquire count/time counters are not
 run cargo test -q --release -p parking_lot contention_is_counted_per_rank
@@ -70,20 +102,12 @@ run cargo run -q --release -p aimdb-bench --bin macro_bench -- --smoke
 # the wire vs in-process, 64 concurrent sessions held open, and the
 # admission gate shedding under overload; writes BENCH_server.json
 run cargo run -q --release -p aimdb-bench --bin load_bench -- --smoke
-# the standing wire-level benchmark is a frozen instrument with its own
-# workspace: build it against the product crates as they are now and run
-# its four workloads for a few seconds each — oracles only (row shadow,
-# golden hashes, projection-derived counts, TPC-C invariants + recovery),
-# no timing gate — so a product change that breaks benchmark/ fails here.
-# Writes benchmark/out/report.json; the committed BENCH_wire.json is the
-# full run, refreshed by hand (see ROADMAP "how a perf item is judged").
-run bash benchmark/run.sh --smoke
 # observability demo: EXPLAIN ANALYZE tree, metrics page (asserts the
 # exposition format parses via validate_exposition), trace ring,
 # slow-query log — fails on any assertion
 run cargo run -q --release --example observability
 
-if [[ "${1:-}" == "--crash-loop" ]]; then
+if [[ $crash_loop == 1 ]]; then
     run cargo test -q --test crash_recovery --features fault-injection
 fi
 

@@ -356,6 +356,161 @@ fn crash_hook_dumps_parseable_flight_snapshot() {
 }
 
 // ---------------------------------------------------------------------------
+// The log cut: every checkpoint drops the durable log in front of itself.
+
+/// A small committed history with checkpoints in it: returns the ids the
+/// table must hold afterwards.
+fn write_history(db: &Database, rows: i64) -> Vec<i64> {
+    db.execute("CREATE TABLE t (id INT NOT NULL, tag TEXT)")
+        .unwrap();
+    db.execute("CREATE INDEX t_id ON t (id)").unwrap();
+    db.execute("SET checkpoint_interval = 16").unwrap();
+    for i in 0..rows {
+        db.execute(&format!("INSERT INTO t VALUES ({i}, 'r{i}')"))
+            .unwrap();
+    }
+    db.execute("DELETE FROM t WHERE id = 3").unwrap();
+    db.execute("UPDATE t SET tag = 'seen' WHERE id = 4")
+        .unwrap();
+    (0..rows).filter(|i| *i != 3).collect()
+}
+
+fn ids_of(db: &Database) -> Vec<i64> {
+    db.execute("SELECT id FROM t ORDER BY id")
+        .unwrap()
+        .rows()
+        .iter()
+        .map(|r| r.get(0).as_i64().unwrap())
+        .collect()
+}
+
+#[test]
+fn durable_log_stays_within_one_checkpoint_and_one_interval() {
+    use aimdb::storage::wal::frame_record;
+    use aimdb::storage::{scan_wal, LogRecord};
+
+    let disk: Arc<Disk> = Arc::new(Disk::new());
+    let db = Database::with_store(disk.clone());
+    let mut high_water = 0;
+    db.execute("CREATE TABLE t (id INT NOT NULL, tag TEXT)")
+        .unwrap();
+    db.execute("SET checkpoint_interval = 16").unwrap();
+    for i in 0..300 {
+        db.execute(&format!("INSERT INTO t VALUES ({i}, 'r{i}')"))
+            .unwrap();
+        high_water = high_water.max(disk.wal_len());
+    }
+    // 300 autocommit inserts are 900 records: dozens of checkpoints. What
+    // is durable is the last of them and the records since — at most one
+    // interval plus the statement that tripped it.
+    let scan = scan_wal(&disk.wal_bytes().unwrap());
+    assert_eq!(scan.corrupt_tail_bytes, 0);
+    let (lsn, first) = &scan.records[0];
+    assert!(matches!(first, LogRecord::Checkpoint(_)), "{first:?}");
+    let tail = &scan.records[1..];
+    assert!(tail.len() <= 16 + 3, "{} records behind it", tail.len());
+    assert!(tail
+        .iter()
+        .all(|(_, r)| !matches!(r, LogRecord::Checkpoint(_))));
+    // and in bytes, at every moment of the run: one whole-table
+    // checkpoint frame plus one interval of insert-sized records
+    let frame = frame_record(*lsn, first).len();
+    assert!(
+        high_water <= frame + (16 + 3) * 64,
+        "log reached {high_water} bytes; the last checkpoint frame is {frame}"
+    );
+    let (rdb, report) = Database::recover(disk).unwrap();
+    assert!(report.from_checkpoint);
+    assert_eq!(report.total_records, scan.records.len());
+    assert_eq!(ids_of(&rdb).len(), 300);
+}
+
+/// Run `checkpoint_now` on a healthy history with the store scripted to
+/// die `back` mutating operations before the checkpoint's last one — its
+/// last is the cut, the one before it the append — and recover.
+fn crash_in_checkpoint(back: u64, torn: TornMode) {
+    let run = |plan: Option<(u64, TornMode)>| {
+        let inj = Arc::new(FaultInjector::new(
+            Arc::new(Disk::new()),
+            FaultPlan::default(),
+        ));
+        let db = Database::with_store(inj.clone() as Arc<dyn PageStore>);
+        let want = write_history(&db, 40);
+        if let Some((at, torn)) = plan {
+            inj.arm(FaultPlan::crash_after(at).with_torn_tail(torn));
+        }
+        let before = inj.ops();
+        let outcome = db.checkpoint_now();
+        (inj, want, before, outcome)
+    };
+    // a dry run counts the checkpoint's mutating operations
+    let (inj, _, before, outcome) = run(None);
+    outcome.unwrap();
+    let cp_ops = inj.ops() - before;
+    assert!(cp_ops >= 2, "a checkpoint appends, then cuts");
+
+    let (inj, want, _, outcome) = run(Some((cp_ops - back, torn)));
+    assert!(outcome.is_err() && inj.crashed(), "back {back} {torn:?}");
+    let disk = inj.underlying();
+    let (rdb, _) = Database::recover(disk.clone()).unwrap();
+    assert_eq!(ids_of(&rdb), want, "back {back} {torn:?}");
+    // recovery left one checkpoint and nothing else
+    assert_eq!(
+        aimdb::storage::scan_wal(&disk.wal_bytes().unwrap())
+            .records
+            .len(),
+        1
+    );
+}
+
+#[test]
+fn crash_at_the_checkpoint_append_or_at_the_cut_loses_nothing() {
+    for torn in [TornMode::DropAll, TornMode::Prefix, TornMode::CorruptLast] {
+        crash_in_checkpoint(1, torn); // the append: the old log is whole
+    }
+    crash_in_checkpoint(0, TornMode::DropAll); // the cut: two checkpoints
+}
+
+/// Recovery ends with a checkpoint of its own. It used to empty the log
+/// first, so dying at that append left nothing to recover from; now the
+/// old log goes only once the new checkpoint is durable.
+#[test]
+fn crash_at_recoverys_own_checkpoint_loses_nothing() {
+    let origin: Arc<Disk> = Arc::new(Disk::new());
+    let want = write_history(&Database::with_store(origin.clone()), 40);
+    let log = origin.wal_bytes().unwrap();
+    let reopen = |plan: FaultPlan| {
+        let disk = Arc::new(Disk::new());
+        disk.wal_append(&log).unwrap();
+        let inj = Arc::new(FaultInjector::new(disk, plan));
+        let outcome = Database::recover(inj.clone() as Arc<dyn PageStore>);
+        (inj, outcome.map(|(db, _)| ids_of(&db)))
+    };
+    let (inj, outcome) = reopen(FaultPlan::default());
+    assert_eq!(outcome.unwrap(), want);
+    let ops = inj.ops(); // the last is the cut, the one before it the append
+
+    for (at, torn) in [
+        (ops - 1, TornMode::DropAll),
+        (ops - 1, TornMode::Prefix),
+        (ops - 1, TornMode::CorruptLast),
+        (ops, TornMode::DropAll),
+    ] {
+        let (inj, outcome) = reopen(FaultPlan::crash_after(at).with_torn_tail(torn));
+        assert!(outcome.is_err() && inj.crashed(), "op {at} {torn:?}");
+        let (rdb, _) = Database::recover(inj.underlying()).unwrap();
+        assert_eq!(ids_of(&rdb), want, "op {at} {torn:?}");
+        assert_eq!(
+            rdb.execute("SELECT tag FROM t WHERE id = 4")
+                .unwrap()
+                .scalar()
+                .unwrap(),
+            &aimdb::common::Value::Text("seen".into())
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Randomized crash/recover loop.
 
 type ShadowRows = Vec<(i64, String)>;
@@ -387,6 +542,10 @@ fn crash_iteration(seed: u64) -> bool {
     ));
     let store: Arc<dyn PageStore> = inj.clone();
     let db = Database::with_store(store);
+    if seed % 2 == 1 {
+        // put checkpoint appends and log cuts among the crash points
+        db.execute("SET checkpoint_interval = 8").unwrap();
+    }
 
     // Committed state (what recovery must reproduce) and the pending view
     // inside an open transaction (what recovery must discard on a crash).
