@@ -121,7 +121,9 @@ pub enum LockRank {
     /// `HeapFile::pages` — the page directory; held across buffer-pool
     /// calls in `insert`.
     HeapPages = 55,
-    /// `BufferPool::inner` — frame table; held across `PageStore` I/O.
+    /// `BufferPool::inner` — frame table and CLOCK ring; still held across
+    /// `PageStore` I/O (a miss's read, a dirty victim's write-back). Page
+    /// contents are read after release, through the `Arc<Page>` handed out.
     BufferPool = 60,
     /// `Wal::inner` — LSN allocator, counters and frame offsets; held
     /// across the sink append and across the checkpoint cut, which

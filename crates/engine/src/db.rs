@@ -436,8 +436,13 @@ impl Database {
         drop(bytes);
         let db = Database::with_store(Arc::clone(&store));
 
-        // Restore the checkpoint snapshot.
-        if let Some(cp) = &base {
+        // Never reuse a transaction id seen in the log.
+        let floor = base.as_ref().map_or(1, |cp| cp.next_txn).max(max_seen + 1);
+        let from_checkpoint = base.is_some();
+
+        // Restore the checkpoint snapshot, then let the decoded copy go:
+        // the checkpoint below builds another snapshot of the same rows.
+        if let Some(cp) = base {
             for t in &cp.tables {
                 let table =
                     db.catalog
@@ -528,9 +533,6 @@ impl Database {
                 _ => {}
             }
         }
-
-        // Never reuse a transaction id seen in the log.
-        let floor = base.as_ref().map_or(1, |cp| cp.next_txn).max(max_seen + 1);
         db.txn.lock().set_next_id(floor);
 
         // Compact: one checkpoint of the recovered state, which cuts the
@@ -547,7 +549,7 @@ impl Database {
         let report = RecoveryReport {
             total_records,
             replayed,
-            from_checkpoint: base.is_some(),
+            from_checkpoint,
             committed_txns: committed.len(),
             loser_txns: losers,
             corrupt_tail_bytes,

@@ -222,7 +222,7 @@ impl MorselDispenser {
     pub fn claim(&self) -> Option<Morsel> {
         loop {
             // ordering: Relaxed — the counter only partitions indices; the
-            // page data a claim grants access to is read through the
+            // page data a claim grants access to is handed out under the
             // buffer pool's lock, which provides the synchronization.
             let start = self.next.load(Ordering::Relaxed);
             if start >= self.page_count {

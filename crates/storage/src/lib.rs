@@ -1,7 +1,8 @@
 //! # aimdb-storage
 //!
 //! The physical storage substrate: a simulated disk with I/O accounting, a
-//! buffer pool with LRU eviction, slotted-page heap files, a B+tree index,
+//! buffer pool that shares pages as `Arc<Page>` and evicts by CLOCK,
+//! slotted-page heap files, a B+tree index,
 //! row value serialization, and a durable CRC-checked write-ahead log with
 //! a fault-injection layer for crash-recovery testing.
 //!

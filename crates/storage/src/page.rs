@@ -23,8 +23,8 @@ const SLOT: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
-/// A slotted page. Owns its bytes; the buffer pool hands out copies of
-/// these under latches.
+/// A slotted page. Owns its bytes; the buffer pool shares these as
+/// `Arc<Page>` and copies one only to write it while a reader holds it.
 #[derive(Clone)]
 pub struct Page {
     data: Box<[u8; PAGE_SIZE]>,
@@ -45,15 +45,12 @@ impl Page {
         Page { data }
     }
 
+    /// A page holding a copy of `bytes` — one copy into a fresh heap
+    /// allocation, no zero-fill first.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(AimError::Storage(format!(
-                "page must be {PAGE_SIZE} bytes, got {}",
-                bytes.len()
-            )));
-        }
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        data.copy_from_slice(bytes);
+        let data = <Box<[u8; PAGE_SIZE]>>::try_from(Box::<[u8]>::from(bytes)).map_err(|b| {
+            AimError::Storage(format!("page must be {PAGE_SIZE} bytes, got {}", b.len()))
+        })?;
         Ok(Page { data })
     }
 

@@ -1,14 +1,16 @@
 //! Property-based tests for the storage layer: the B+tree must behave like
-//! `BTreeMap`, and row encoding must round-trip arbitrary values.
+//! `BTreeMap`, row encoding must round-trip arbitrary values, and the
+//! buffer pool must behave like a map of page contents.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use aimdb_common::{Row, Value};
 use aimdb_storage::codec::{decode_row, encode_row};
-use aimdb_storage::{BTree, BufferPool, Disk, HeapFile};
+use aimdb_storage::page::Page;
+use aimdb_storage::{BTree, BufferPool, Disk, HeapFile, PageId};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -195,6 +197,76 @@ proptest! {
             while cursor.next_chunk(chunk, &mut streamed) > 0 {}
             let expect: Vec<(i64, i64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(streamed, expect);
+        }
+    }
+}
+
+/// Tuples of a page, in slot order.
+fn tuples(page: &Page) -> Vec<Vec<u8>> {
+    page.iter().map(|(_, t)| t.to_vec()).collect()
+}
+
+proptest! {
+    // The buffer pool against a model of page contents: any interleaving
+    // of allocations, reads, writes, resizes and flushes — with a pool
+    // small enough that most steps evict, write back and re-read — keeps
+    // every page's bytes, never holds more frames than its capacity,
+    // counts every access as exactly one hit or miss, and leaves each
+    // shared handle reading the image it was taken from.
+    #[test]
+    fn buffer_pool_matches_model(
+        ops in prop::collection::vec((0u8..5, any::<u8>(), 1usize..200), 1..120),
+        capacity in 1usize..9,
+    ) {
+        let pool = BufferPool::new(Arc::new(Disk::new()), capacity);
+        let mut model: HashMap<PageId, Vec<Vec<u8>>> = HashMap::new();
+        let mut ids: Vec<PageId> = Vec::new();
+        // Handles taken before a write, with the bytes they must keep.
+        let mut held: Vec<(Arc<Page>, Vec<Vec<u8>>)> = Vec::new();
+        let mut accesses = 0u64;
+        for (step, (kind, pick, n)) in ops.into_iter().enumerate() {
+            let target = (!ids.is_empty()).then(|| ids[pick as usize % ids.len()]);
+            match (kind, target) {
+                (0, _) | (_, None) => {
+                    let id = pool.allocate().unwrap();
+                    accesses += 1;
+                    ids.push(id);
+                    model.insert(id, Vec::new());
+                }
+                (1, Some(id)) => {
+                    accesses += 1;
+                    prop_assert_eq!(tuples(&pool.get(id).unwrap()), model[&id].clone());
+                }
+                (2, Some(id)) => {
+                    let tuple = vec![step as u8; n];
+                    let before = pool.get(id).unwrap();
+                    let slot = pool.with_page_mut(id, |p| Ok(p.insert(&tuple))).unwrap();
+                    let after = pool.get(id).unwrap();
+                    accesses += 3;
+                    let old = model[&id].clone();
+                    prop_assert_eq!(tuples(&before), old.clone());
+                    if slot.is_some() {
+                        model.get_mut(&id).unwrap().push(tuple);
+                    }
+                    prop_assert_eq!(tuples(&after), model[&id].clone());
+                    held.push((before, old));
+                    if held.len() > 4 {
+                        held.remove(0);
+                    }
+                }
+                (3, _) => pool.resize(n % 8 + 1).unwrap(),
+                _ => pool.flush_all().unwrap(),
+            }
+            for (handle, want) in &held {
+                prop_assert_eq!(&tuples(handle), want);
+            }
+            for &id in &ids {
+                accesses += 1;
+                prop_assert_eq!(tuples(&pool.get(id).unwrap()), model[&id].clone());
+            }
+            prop_assert!(pool.resident() <= pool.capacity());
+            let s = pool.stats();
+            prop_assert_eq!(s.hits + s.misses, accesses);
         }
     }
 }

@@ -46,10 +46,14 @@ run cargo run -q -p lint --release
 # - concurrency stress (tests/concurrent_scan_recovery): parallel scans
 #   against a writer doing inserts + checkpoints, healthy and through
 #   crash/recovery, under the lock-order witness with zero violations
+# - buffer-pool stress (storage/tests/pool_stress): four cursor readers
+#   against an inserting/deleting writer through a 4-page pool, dirty
+#   write-backs forced, heap equal to the writer's model, witness clean
 # - MVCC first-updater-wins properties at 1/2/4/8 writer threads
 #   (tests/mvcc_conflicts) and the fault-injected writer-race loop
 #   (tests/txn_writer_races)
-# - property suites: storage cursors vs model, batch-vs-scalar expression
+# - property suites: storage cursors vs model, buffer pool vs a page
+#   model, table CRC vs the bitwise reference, batch-vs-scalar expression
 #   kernels, crash-recovery with an index model
 # - statement-fingerprint collision soak (bench/tests/fingerprint_corpus)
 # - wire-protocol conformance + fuzz (server/tests/protocol): seeded
