@@ -21,9 +21,7 @@
 //! | Activity monitoring | [`monitor`] | multi-armed bandit activity selection | record-all / random |
 //! | Performance prediction | [`perf_pred`] | interaction-feature MLP | sum of isolated plan costs |
 //! | Database security | [`security`] | learned SQLi/PII/access-control classifiers | keyword / regex / static ACL |
-//! | Self-driving serving loop (Baihe) | [`admission`] | AIMD admission tuning on live KPIs + wait shares | fixed connection limit |
-
-pub mod admission;
+//!
 pub mod cardinality;
 pub mod index_advisor;
 pub mod join_order;

@@ -6,7 +6,8 @@
 //! records, cluster them with KPI states, and ask DBAs to assign root
 //! causes for each cluster. Next, for an incoming slow SQL, they match it
 //! to a cluster based on similarity of KPI states."
-//! We implement that pipeline over the engine's [`KpiSnapshot`] feature
+//! We implement that pipeline over the engine's
+//! [`KpiSnapshot`](aimdb_engine::KpiSnapshot) feature
 //! space, with a threshold-rule baseline, plus the unmatched-anomaly path
 //! (new cluster → ask the DBA) and P-Store-style *proactive* detection via
 //! forecasting on the arrival trace.
@@ -23,7 +24,6 @@ use rand::rngs::StdRng;
 use aimdb_common::synth::gaussian;
 use aimdb_common::{AimError, Result};
 use aimdb_engine::trace::{QueryTrace, Span};
-use aimdb_engine::KpiSnapshot;
 use aimdb_ml::bandit::{Bandit, BanditPolicy};
 use aimdb_ml::cluster::KMeans;
 use aimdb_ml::forecast::{Forecaster, SeasonalNaive};
@@ -105,41 +105,6 @@ pub fn rule_based_diagnosis(kpis: &[f64]) -> RootCause {
     } else {
         RootCause::SlowDisk
     }
-}
-
-/// Bridge a live engine [`KpiSnapshot`] into the diagnoser's 5-dim
-/// incident space `[cpu, buffer_hit_rate, disk_reads, lock_waits,
-/// latency_p95]`, each squashed into [0, 1] so live vectors are
-/// comparable with the synthetic incident history. The latency signal
-/// uses the histogram-backed p95 cost quantile the snapshot now carries.
-///
-/// The `lock_waits` dimension combines two live signals: the abort rate
-/// (conflicts that already killed transactions) and the lock-acquire
-/// share of attributed wait time (contention that is still only slowing
-/// statements down). Either alone under-reports — aborts lag the onset
-/// of a contention storm, while wait share misses first-updater-wins
-/// kills that never blocked.
-pub fn live_kpi_vector(k: &KpiSnapshot) -> Vec<f64> {
-    let squash = |x: f64| x / (1.0 + x);
-    let txns = (k.txns_committed + k.txns_aborted) as f64;
-    let abort_rate = if txns > 0.0 {
-        k.txns_aborted as f64 / txns
-    } else {
-        0.0
-    };
-    let wait_total = (k.wait_lock_ns + k.wait_wal_ns + k.wait_io_ns) as f64;
-    let lock_share = if wait_total > 0.0 {
-        k.wait_lock_ns as f64 / wait_total
-    } else {
-        0.0
-    };
-    vec![
-        squash(k.avg_cost_per_query / 100.0),
-        k.buffer_hit_rate.clamp(0.0, 1.0),
-        squash(k.disk_reads as f64 / 1000.0),
-        abort_rate.max(lock_share),
-        squash(k.p95_cost_per_query / 1000.0),
-    ]
 }
 
 /// Aggregate view over a window of completed query traces — the stream
@@ -494,36 +459,6 @@ pub fn monitor_oracle(stream: &mut ActivityStream, steps: usize, budget: usize) 
 mod tests {
     use super::*;
     use aimdb_common::synth::seasonal_trace;
-
-    #[test]
-    fn live_kpi_vector_is_bounded_and_ordered() {
-        let mut k = KpiSnapshot::default();
-        let v = live_kpi_vector(&k);
-        assert_eq!(v.len(), 5);
-        assert!(v.iter().all(|&x| (0.0..=1.0).contains(&x)), "{v:?}");
-        // a hotter snapshot moves every dimension monotonically
-        k.avg_cost_per_query = 500.0;
-        k.buffer_hit_rate = 0.4;
-        k.disk_reads = 5000;
-        k.txns_committed = 10;
-        k.txns_aborted = 30;
-        k.p95_cost_per_query = 8000.0;
-        let hot = live_kpi_vector(&k);
-        assert!(hot.iter().all(|&x| (0.0..=1.0).contains(&x)), "{hot:?}");
-        assert!(hot[0] > v[0] && hot[2] > v[2] && hot[3] > v[3] && hot[4] > v[4]);
-        // measured lock-acquire waits raise the contention dimension even
-        // before any transaction has aborted
-        let mut w = KpiSnapshot::default();
-        w.wait_lock_ns = 900;
-        w.wait_wal_ns = 80;
-        w.wait_io_ns = 20;
-        let wv = live_kpi_vector(&w);
-        assert!((0.89..=0.91).contains(&wv[3]), "{wv:?}");
-        // live vectors are diagnosable by the trained pipeline
-        let history = generate_incidents(200, 0.1, 9);
-        let diag = KpiDiagnoser::train(&history, 4, 7).unwrap();
-        let _ = diag.diagnose(&hot);
-    }
 
     #[test]
     fn summarize_traces_profiles_the_stream() {

@@ -2,11 +2,11 @@
 //! pretty writers.
 //!
 //! The build environment is offline, so serde is unavailable; the few
-//! places that need JSON (model-registry catalog export, training
-//! checkpoints) encode and decode through this module instead. Numbers are
-//! written with Rust's shortest-roundtrip float formatting, so an
-//! encode/decode cycle is bit-exact for finite `f64`s — the property the
-//! fault-tolerant-training tests depend on.
+//! places that need JSON (model-registry catalog export, trace and
+//! benchmark reports) encode and decode through this module instead.
+//! Numbers are written with Rust's shortest-roundtrip float formatting, so
+//! an encode/decode cycle is bit-exact for finite `f64`s — the property
+//! the registry snapshot round-trip depends on.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -386,16 +386,6 @@ impl Parser<'_> {
     }
 }
 
-/// Helper: an array of f64s.
-pub fn num_array(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|x| Json::Num(*x)).collect())
-}
-
-/// Helper: decode an array of f64s.
-pub fn parse_num_array(j: &Json) -> Result<Vec<f64>> {
-    j.as_arr()?.iter().map(Json::as_f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,7 +398,10 @@ mod tests {
             ("tags", Json::Arr(vec![Json::Bool(true), Json::Null])),
             (
                 "nested",
-                Json::obj(vec![("w", num_array(&[1.5, -2.25, 0.1]))]),
+                Json::obj(vec![(
+                    "w",
+                    Json::Arr(vec![Json::Num(1.5), Json::Num(-2.25), Json::Num(0.1)]),
+                )]),
             ),
         ]);
         for text in [v.to_string_compact(), v.to_string_pretty()] {

@@ -10,8 +10,7 @@
 //! | Data cleaning (ActiveClean) | [`cleaning`] | budgeted, model-aware iterative cleaning vs. random/no cleaning |
 //! | Data labeling (crowdsourcing) | [`labeling`] | simulated worker pool; Dawid–Skene truth inference vs. majority vote; cost-accuracy curves |
 //! | Data lineage | [`lineage`] | derivation DAG with ancestry queries and staleness propagation |
-//! | Fault-tolerant learning (challenge §2.3) | [`fault`] | checkpointed training with crash recovery, resume ≡ rerun |
-//! | Feature selection | [`features`] | batched + materialized feature evaluation (Zhang et al.) vs. naive recompute |
+//! //! | Feature selection | [`features`] | batched + materialized feature evaluation (Zhang et al.) vs. naive recompute |
 //! | Model selection | [`selection`] | parallel configuration search (task parallelism via crossbeam) vs. serial; successive halving |
 //! | Model management (ModelDB) | [`registry`] | versioned model registry with metadata, search, and serde snapshots; versions are immutable and shared (`Arc<ModelVersion>`), and a version is the `BoundModel` a statement predicts with |
 //! | Hardware acceleration (DAnA/ColumnML) | [`accel`] | simulated accelerator with a transfer-cost/throughput model; offload crossover |
@@ -22,7 +21,6 @@ pub mod accel;
 pub mod cleaning;
 pub mod declarative;
 pub mod discovery;
-pub mod fault;
 pub mod features;
 pub mod hybrid;
 pub mod inference;

@@ -14,14 +14,14 @@
 //!   frame; the connection itself stays up. Engine errors become `Error`
 //!   frames carrying the [`AimError`] category and retryability — the
 //!   connection survives those too.
-//! - **control thread** — every tick, re-reads the gate limits from the
-//!   knob system and (when the tuner is enabled) runs one
-//!   [`AdmissionTuner`] observation over the live KPI vector, the
-//!   wait-class share delta, and the gate's reject-rate delta. A Shrink
-//!   or Grow actuates through `SET admission_max_statements` on the
-//!   global knobs — the same audited path a DBA uses — which the next
-//!   tick folds back into the gate. This closes the Baihe-style loop:
-//!   monitor → tune → actuate → observe.
+//! - **control thread** — every tick, sleeps, re-reads the gate limits
+//!   from the knob system and (when the tuner is enabled) runs one
+//!   `control_tick` over the engine's KPI snapshot, the process-wide
+//!   wait-set delta and the gate's counter delta. A Shrink or Grow
+//!   actuates through `SET admission_max_statements` on the global knobs
+//!   — the same audited path a DBA uses — and the gate re-reads its
+//!   limits. This closes the Baihe-style loop: monitor → tune → actuate
+//!   → observe.
 //!
 //! ## Shutdown
 //!
@@ -40,13 +40,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use aimdb_ai4db::admission::{AdmissionAction, AdmissionTuner, WaitShares};
-use aimdb_ai4db::monitor::live_kpi_vector;
 use aimdb_common::{wait, AimError, LockRank, Result, Value, WaitSet, WallClock};
 use aimdb_engine::{Database, Knobs, QueryResult};
 use parking_lot::Mutex;
 
-use crate::admission::{AdmissionGate, AdmissionLimits, AdmissionStats};
+use crate::admission::{
+    control_tick, limits_from_knobs, AdmissionAction, AdmissionGate, AdmissionLimits,
+    AdmissionStats, AdmissionTuner,
+};
 use crate::protocol::{self, Frame, FrameKind, MAX_FRAME};
 use crate::session::Session;
 
@@ -109,15 +110,6 @@ struct Registry {
     /// Wait events attributed to wire statements, merged per connection
     /// as handlers finish.
     wire_waits: WaitSet,
-}
-
-fn limits_from_knobs(knobs: &Knobs) -> AdmissionLimits {
-    let get = |name: &str, fallback: i64| knobs.get(name).unwrap_or(fallback);
-    AdmissionLimits {
-        max_sessions: get("max_connections", 100).max(1) as usize,
-        max_statements: get("admission_max_statements", 64).max(1) as usize,
-        queue_timeout_ms: get("admission_queue_timeout_ms", 100).max(0) as u64,
-    }
 }
 
 /// A running server. Dropping it performs a graceful shutdown.
@@ -583,38 +575,29 @@ fn control_loop(shared: &Arc<Shared>, tick: Duration, tuner_enabled: bool) {
             continue;
         }
         let now_waits = wait::global_totals();
-        let delta = now_waits.delta_since(&prev_waits);
+        let wait_delta = now_waits.delta_since(&prev_waits);
         prev_waits = now_waits;
         let stats = shared.gate.stats();
-        let offered =
-            (stats.admitted - prev_stats.admitted) + (stats.rejected - prev_stats.rejected);
-        let reject_rate = if offered > 0 {
-            (stats.rejected - prev_stats.rejected) as f64 / offered as f64
-        } else {
-            0.0
+        let stats_delta = AdmissionStats {
+            admitted: stats.admitted - prev_stats.admitted,
+            rejected: stats.rejected - prev_stats.rejected,
+            ..AdmissionStats::default()
         };
         prev_stats = stats;
-        let kpi = live_kpi_vector(&shared.db.kpis());
-        let shares = WaitShares::from_waits(&delta);
-        match tuner.observe(&kpi, &shares, reject_rate) {
-            AdmissionAction::Hold => {}
-            action => {
-                // actuate through the knob system so the change is
-                // observable exactly like a DBA's SET
-                let _ = knobs.set("admission_max_statements", &Value::Int(tuner.limit()));
-                shared.gate.set_limits(limits_from_knobs(knobs));
-                match action {
-                    AdmissionAction::Shrink => {
-                        // ordering: Relaxed — reporting counter only
-                        shared.tuner_shrinks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    AdmissionAction::Grow => {
-                        // ordering: Relaxed — reporting counter only
-                        shared.tuner_grows.fetch_add(1, Ordering::Relaxed);
-                    }
-                    AdmissionAction::Hold => {}
-                }
-            }
-        }
+        let kpis = shared.db.kpis();
+        let counter = match control_tick(
+            &mut tuner,
+            knobs,
+            &shared.gate,
+            &kpis,
+            &wait_delta,
+            &stats_delta,
+        ) {
+            AdmissionAction::Shrink => &shared.tuner_shrinks,
+            AdmissionAction::Grow => &shared.tuner_grows,
+            AdmissionAction::Hold => continue,
+        };
+        // ordering: Relaxed — reporting counter only
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -32,6 +32,15 @@ run cargo fmt --all -- --check
 # every target of every package must compile — tests, examples, binaries
 # — so nothing that does not build can sit in the tree unnoticed
 run cargo check --workspace --all-targets
+# the server links the engine stack only: the learned-technique crates
+# (aimdb-ai4db and, through it, aimdb-ml) must not creep back into its
+# dependency closure
+echo "==> cargo tree -p aimdb-server -e normal --offline (no aimdb-ai4db, no aimdb-ml)"
+server_tree=$(cargo tree -p aimdb-server -e normal --offline)
+if grep -E '(^|[^[:alnum:]_-])aimdb-(ai4db|ml) v' <<<"$server_tree"; then
+    echo "aimdb-server depends on aimdb-ai4db or aimdb-ml" >&2
+    exit 1
+fi
 run cargo clippy -p aimdb-storage -p aimdb-engine --all-targets -- -D warnings
 # workspace invariant linter: L001 panic-freedom, L004 lock ranking and
 # L005 atomic-ordering justification (all three ratcheted via
