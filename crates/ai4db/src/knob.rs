@@ -26,7 +26,7 @@ pub const TUNED_KNOBS: &[&str] = &[
     "buffer_pool_pages",
     "work_mem_kb",
     "wal_sync",
-    "parallel_workers",
+    "exec_parallelism",
 ];
 
 pub const LEVELS: usize = 5;
@@ -130,7 +130,7 @@ impl SurfaceEnv {
         let bp = level_value("buffer_pool_pages", config[0]) as f64;
         let wm = level_value("work_mem_kb", config[1]) as f64;
         let wal = level_value("wal_sync", config[2]) as f64;
-        let pw = level_value("parallel_workers", config[3]) as f64;
+        let pw = level_value("exec_parallelism", config[3]) as f64;
         let [reads, writes, scans] = workload.features();
 
         // buffer pool: log-saturating benefit, strongest for OLTP reads

@@ -6,9 +6,8 @@
 //! records, cluster them with KPI states, and ask DBAs to assign root
 //! causes for each cluster. Next, for an incoming slow SQL, they match it
 //! to a cluster based on similarity of KPI states."
-//! We implement that pipeline over the engine's
-//! [`KpiSnapshot`](aimdb_engine::KpiSnapshot) feature
-//! space, with a threshold-rule baseline, plus the unmatched-anomaly path
+//! We implement that pipeline over a synthetic five-KPI state (cpu,
+//! buffer hit rate, disk reads, lock waits, p95 latency), with a threshold-rule baseline, plus the unmatched-anomaly path
 //! (new cluster → ask the DBA) and P-Store-style *proactive* detection via
 //! forecasting on the arrival trace.
 //!

@@ -441,13 +441,7 @@ fn server_phase(args: &Args) -> ServerLife {
     });
 
     let db = Arc::new(db);
-    let server = match Server::start(
-        Arc::clone(&db),
-        ServerConfig {
-            tuner_enabled: false,
-            ..ServerConfig::default()
-        },
-    ) {
+    let server = match Server::start(Arc::clone(&db), ServerConfig::default()) {
         Ok(s) => s,
         Err(e) => fail(&format!("server life start: {e}")),
     };
@@ -492,13 +486,7 @@ fn server_phase(args: &Args) -> ServerLife {
 
     // Restart the server on the recovered database and replay.
     let rdb = Arc::new(rdb);
-    let server = match Server::start(
-        Arc::clone(&rdb),
-        ServerConfig {
-            tuner_enabled: false,
-            ..ServerConfig::default()
-        },
-    ) {
+    let server = match Server::start(Arc::clone(&rdb), ServerConfig::default()) {
         Ok(s) => s,
         Err(e) => fail(&format!("server life restart: {e}")),
     };

@@ -17,25 +17,24 @@
 //!   TPC-C invariants are re-checked afterwards.
 //! - **Overload** — the same offered load runs twice: once against an
 //!   effectively unbounded gate (the collapse baseline) and once
-//!   against a tiny gate with the AIMD admission tuner enabled. The
-//!   gated run must shed (reject rate > 0) while its p99 stays bounded.
+//!   against a 2-slot gate with a 1 ms queue, both set through the
+//!   knobs. The gated run must shed (reject rate > 0) while its p99
+//!   stays bounded.
 //!
-//! Schema (`schema_version` 1):
+//! Schema (`schema_version` 2):
 //!
 //! ```text
 //! {
-//!   "schema_version": 1, "suite": "server", "mode": "smoke"|"full", "seed": N,
+//!   "schema_version": 2, "suite": "server", "mode": "smoke"|"full", "seed": N,
 //!   "conformance": {"statements": N, "prepared": N, "errors_matched": N,
 //!                   "byte_identical": true},
 //!   "sustain": {"connections": N, "peak_sessions": N, "committed": N,
 //!               "aborted": N, "conflicts": N, "sheds": N,
 //!               "txns_per_sec": f, "p50_ms": f, "p95_ms": f, "p99_ms": f,
 //!               "invariant_checks": N},
-//!   "overload": {"offered": N,
-//!                "baseline": {"ok": N, "p50_ms": f, "p99_ms": f},
-//!                "gated": {"ok": N, "shed": N, "reject_rate": f,
-//!                          "p50_ms": f, "p99_ms": f,
-//!                          "tuner_grows": N, "tuner_shrinks": N}}
+//!   "overload": {"offered": N, "reject_rate": f,
+//!                "baseline": {"ok": N, "shed": N, "p50_ms": f, "p99_ms": f},
+//!                "gated": {"ok": N, "shed": N, "p50_ms": f, "p99_ms": f}}
 //! }
 //! ```
 
@@ -186,14 +185,8 @@ pub fn conformance(seed: u64, statements: usize) -> Result<ConformanceStats, Str
     tpcc::load(&local_db, &scale, seed).map_err(|e| format!("conformance load (local): {e}"))?;
 
     let wire_db = Arc::new(wire_db);
-    let server = Server::start(
-        Arc::clone(&wire_db),
-        ServerConfig {
-            tuner_enabled: false,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("conformance server start: {e}"))?;
+    let server = Server::start(Arc::clone(&wire_db), ServerConfig::default())
+        .map_err(|e| format!("conformance server start: {e}"))?;
     let mut client =
         Client::connect(server.local_addr()).map_err(|e| format!("conformance connect: {e}"))?;
     let mut local = Session::new(1);
@@ -357,14 +350,8 @@ pub fn sustain(cfg: &LoadConfig) -> Result<SustainStats, String> {
         .map_err(|e| format!("sustain knob: {e}"))?;
 
     let db = Arc::new(db);
-    let server = Server::start(
-        Arc::clone(&db),
-        ServerConfig {
-            tuner_enabled: false,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("sustain server start: {e}"))?;
+    let server = Server::start(Arc::clone(&db), ServerConfig::default())
+        .map_err(|e| format!("sustain server start: {e}"))?;
     let addr = server.local_addr();
 
     let registry = MetricsRegistry::new();
@@ -520,33 +507,23 @@ pub struct OverloadStats {
     pub offered: u64,
     /// Unbounded gate: the collapse baseline.
     pub baseline: OverloadRun,
-    /// Tiny gate + AIMD tuner: must shed with bounded p99.
+    /// 2-slot gate with a 1 ms queue: must shed with bounded p99.
     pub gated: OverloadRun,
     pub reject_rate: f64,
-    pub tuner_grows: u64,
-    pub tuner_shrinks: u64,
 }
 
 /// Drive `workers × per_worker` identical heavy aggregates through a
 /// fresh server over `db`, verifying every successful answer against
-/// `expected`. Returns the run plus the tuner's actuation counters.
+/// `expected`; the gate is whatever the knobs on `db` say.
 fn overload_round(
     db: &Arc<Database>,
-    tuner: bool,
     workers: usize,
     per_worker: usize,
     sql: &str,
     expected: &Value,
-) -> Result<(OverloadRun, u64, u64), String> {
-    let server = Server::start(
-        Arc::clone(db),
-        ServerConfig {
-            control_tick_ms: 10,
-            tuner_enabled: tuner,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("overload server start: {e}"))?;
+) -> Result<OverloadRun, String> {
+    let server = Server::start(Arc::clone(db), ServerConfig::default())
+        .map_err(|e| format!("overload server start: {e}"))?;
     let addr = server.local_addr();
     let registry = MetricsRegistry::new();
     let clock = WallClock::new();
@@ -599,24 +576,19 @@ fn overload_round(
     if let Some(e) = errs.into_iter().next() {
         return Err(format!("overload: {e}"));
     }
-    let tuner_stats = server.tuner_stats();
     server
         .shutdown()
         .map_err(|e| format!("overload shutdown: {e}"))?;
-    Ok((
-        OverloadRun {
-            ok: ok.into_inner(),
-            shed: shed.into_inner(),
-            p50_ms: registry.quantile(OVERLOAD_LATENCY, 0.5),
-            p99_ms: registry.quantile(OVERLOAD_LATENCY, 0.99),
-        },
-        tuner_stats.grows,
-        tuner_stats.shrinks,
-    ))
+    Ok(OverloadRun {
+        ok: ok.into_inner(),
+        shed: shed.into_inner(),
+        p50_ms: registry.quantile(OVERLOAD_LATENCY, 0.5),
+        p99_ms: registry.quantile(OVERLOAD_LATENCY, 0.99),
+    })
 }
 
 /// Same offered load against an unbounded gate (collapse baseline) and
-/// a tiny tuned gate; the gated run must shed.
+/// a 2-slot gate; the gated run must shed.
 pub fn overload(cfg: &LoadConfig) -> Result<OverloadStats, String> {
     let rows: i64 = if cfg.smoke { 5_000 } else { 40_000 };
     let db = Database::new();
@@ -640,22 +612,22 @@ pub fn overload(cfg: &LoadConfig) -> Result<OverloadStats, String> {
         .set("max_connections", &Value::Int((workers + 8) as i64))
         .map_err(|e| format!("overload knob: {e}"))?;
 
-    // Round 1 — effectively unbounded gate, tuner off: the baseline.
+    // Round 1 — effectively unbounded gate: the baseline.
     db.knobs
         .set("admission_max_statements", &Value::Int(4096))
         .map_err(|e| format!("overload knob: {e}"))?;
     let db = Arc::new(db);
-    let (baseline, _, _) = overload_round(&db, false, workers, per_worker, sql, &expected)?;
+    let baseline = overload_round(&db, workers, per_worker, sql, &expected)?;
 
-    // Round 2 — tiny gate, short queue, AIMD tuner on: must shed while
-    // keeping the successes' tail bounded.
+    // Round 2 — 2-slot gate, 1 ms queue: must shed while keeping the
+    // successes' tail bounded.
     db.knobs
         .set("admission_max_statements", &Value::Int(2))
         .map_err(|e| format!("overload knob: {e}"))?;
     db.knobs
         .set("admission_queue_timeout_ms", &Value::Int(1))
         .map_err(|e| format!("overload knob: {e}"))?;
-    let (gated, grows, shrinks) = overload_round(&db, true, workers, per_worker, sql, &expected)?;
+    let gated = overload_round(&db, workers, per_worker, sql, &expected)?;
 
     if gated.shed == 0 {
         return Err("overload: the tiny gate never shed a statement".into());
@@ -669,8 +641,6 @@ pub fn overload(cfg: &LoadConfig) -> Result<OverloadStats, String> {
         reject_rate: gated.shed as f64 / (gated.ok + gated.shed) as f64,
         baseline,
         gated,
-        tuner_grows: grows,
-        tuner_shrinks: shrinks,
     })
 }
 
@@ -697,7 +667,7 @@ impl ServerLoadReport {
             ])
         };
         Json::obj(vec![
-            ("schema_version", Json::Num(1.0)),
+            ("schema_version", Json::Num(2.0)),
             ("suite", Json::Str("server".into())),
             ("mode", Json::Str(self.mode.into())),
             ("seed", Json::Num(self.seed as f64)),
@@ -742,11 +712,6 @@ impl ServerLoadReport {
                     ("baseline", run(&self.overload.baseline)),
                     ("gated", run(&self.overload.gated)),
                     ("reject_rate", Json::Num(round3(self.overload.reject_rate))),
-                    ("tuner_grows", Json::Num(self.overload.tuner_grows as f64)),
-                    (
-                        "tuner_shrinks",
-                        Json::Num(self.overload.tuner_shrinks as f64),
-                    ),
                 ]),
             ),
         ])

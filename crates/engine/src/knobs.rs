@@ -50,8 +50,7 @@ pub const KNOB_SPECS: &[KnobSpec] = &[
         min: 1,
         max: 4096,
         default: 64,
-        description: "statements allowed in the engine at once; excess queues then sheds \
-                      (actuated by the ai4db admission tuner)",
+        description: "statements allowed in the engine at once; excess queues then sheds",
     },
     KnobSpec {
         name: "admission_queue_timeout_ms",
@@ -67,13 +66,6 @@ pub const KNOB_SPECS: &[KnobSpec] = &[
         max: 1,
         default: 1,
         description: "synchronous WAL flush on commit (durability vs speed)",
-    },
-    KnobSpec {
-        name: "parallel_workers",
-        min: 1,
-        max: 64,
-        default: 2,
-        description: "workers for parallelizable operators",
     },
     KnobSpec {
         name: "checkpoint_interval",

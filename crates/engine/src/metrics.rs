@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use aimdb_common::{wait, LockRank, WaitClass};
+use aimdb_common::LockRank;
 use aimdb_trace::MetricsRegistry;
 
 use crate::exec::{OpKey, OpStats};
@@ -68,67 +68,6 @@ pub struct KpiSnapshot {
     pub recoveries: u64,
     /// WAL records replayed across all recoveries.
     pub wal_records_replayed: u64,
-    /// Process-wide blocked nanoseconds acquiring contended locks.
-    pub wait_lock_ns: u64,
-    /// Process-wide blocked nanoseconds in WAL fsync (group-commit
-    /// leader window + flush) and follower waits.
-    pub wait_wal_ns: u64,
-    /// Process-wide blocked nanoseconds on buffer misses (disk reads).
-    pub wait_io_ns: u64,
-    /// Process-wide write-conflict events (first-updater-wins losers).
-    pub wait_conflicts: u64,
-}
-
-impl KpiSnapshot {
-    /// Flatten into the fixed feature vector monitors train on.
-    pub fn feature_vector(&self) -> Vec<f64> {
-        vec![
-            self.queries_executed as f64,
-            self.rows_emitted as f64,
-            self.total_cost_units,
-            self.avg_cost_per_query,
-            self.p50_cost_per_query,
-            self.p95_cost_per_query,
-            self.p99_cost_per_query,
-            self.buffer_hit_rate,
-            self.disk_reads as f64,
-            self.disk_writes as f64,
-            self.errors as f64,
-            self.txns_committed as f64,
-            self.txns_aborted as f64,
-            self.recoveries as f64,
-            self.wal_records_replayed as f64,
-            self.wait_lock_ns as f64,
-            self.wait_wal_ns as f64,
-            self.wait_io_ns as f64,
-            self.wait_conflicts as f64,
-        ]
-    }
-
-    /// Names aligned with [`feature_vector`](Self::feature_vector).
-    pub fn feature_names() -> &'static [&'static str] {
-        &[
-            "queries_executed",
-            "rows_emitted",
-            "total_cost_units",
-            "avg_cost_per_query",
-            "p50_cost_per_query",
-            "p95_cost_per_query",
-            "p99_cost_per_query",
-            "buffer_hit_rate",
-            "disk_reads",
-            "disk_writes",
-            "errors",
-            "txns_committed",
-            "txns_aborted",
-            "recoveries",
-            "wal_records_replayed",
-            "wait_lock_ns",
-            "wait_wal_ns",
-            "wait_io_ns",
-            "wait_conflicts",
-        ]
-    }
 }
 
 /// Engine metrics collector over a [`MetricsRegistry`], plus the
@@ -230,7 +169,6 @@ impl Metrics {
             .registry
             .histogram(QUERY_COST_UNITS)
             .unwrap_or_default();
-        let waits = wait::global_totals();
         let avg = if cost.count > 0 {
             cost.sum / cost.count as f64
         } else {
@@ -252,11 +190,6 @@ impl Metrics {
             txns_aborted: self.registry.counter(TXN_ABORTS_TOTAL),
             recoveries: self.registry.counter(RECOVERIES_TOTAL),
             wal_records_replayed: self.registry.counter(WAL_REPLAYED_TOTAL),
-            wait_lock_ns: waits.get(WaitClass::LockAcquire).0,
-            wait_wal_ns: waits.get(WaitClass::WalFsync).0
-                + waits.get(WaitClass::GroupCommitFollower).0,
-            wait_io_ns: waits.get(WaitClass::BufferMiss).0,
-            wait_conflicts: waits.get(WaitClass::WriteConflictRetry).1,
         }
     }
 
@@ -302,12 +235,6 @@ mod tests {
         // quantiles are ordered
         assert!(s.p50_cost_per_query <= s.p95_cost_per_query);
         assert!(s.p95_cost_per_query <= s.p99_cost_per_query);
-    }
-
-    #[test]
-    fn feature_vector_aligned_with_names() {
-        let s = KpiSnapshot::default();
-        assert_eq!(s.feature_vector().len(), KpiSnapshot::feature_names().len());
     }
 
     #[test]

@@ -1,24 +1,20 @@
 //! # aimdb-server
 //!
 //! The serving layer: a dependency-free threaded TCP front end over the
-//! [`aimdb_engine`] database, plus the admission-control half of the
-//! Baihe-style self-driving loop (PAPERS.md, autonomous serving).
+//! [`aimdb_engine`] database, with an admission gate the knobs set.
 //!
 //! | Layer | Module | What it does |
 //! |---|---|---|
 //! | Wire protocol | [`protocol`] | length-prefixed frames: handshake, query, parse/bind/execute, structured errors |
 //! | Sessions | [`session`] | owns the connection's open transaction (rolled back on disconnect) and its prepared statements; every statement, `BEGIN`/`COMMIT`/`SET` included, is the engine's |
-//! | Admission | [`admission`] | bounded session + statement gates with queue-then-shed semantics, the contention `pressure` signal and the AIMD tuner |
-//! | Server | [`server`] | accept loop, handler threads, graceful drain, tuner control loop |
+//! | Admission | [`admission`] | bounded session + statement gates with queue-then-shed semantics |
+//! | Server | [`server`] | accept loop, handler threads, graceful drain, and the control thread that folds the admission knobs into the gate |
 //! | Client | [`client`] | blocking test/load-generator client |
 //!
-//! The control loop closes the loop the paper's self-driving section
-//! sketches: the engine's KPI snapshot and the wait-event profile feed
-//! one contention-pressure signal and an AIMD tuner (both in
-//! [`admission`]), whose actuations go through the ordinary knob system
-//! (`SET admission_max_statements`), and the gate re-reads its limits
-//! from the knobs every tick. Nothing in the loop is privileged — a DBA
-//! `SET` and a tuner actuation are indistinguishable downstream.
+//! The gate holds whatever the knobs say (`max_connections`,
+//! `admission_max_statements`, `admission_queue_timeout_ms`): the
+//! control thread re-reads them every tick, so a DBA's `SET` moves the
+//! gate within one tick, and nothing else moves it.
 
 pub mod admission;
 pub mod client;

@@ -1,5 +1,6 @@
 //! The threaded TCP server: accept loop, per-connection handler threads,
-//! graceful drain, and the admission control loop.
+//! graceful drain, and the control thread that keeps the admission gate
+//! on the knobs.
 //!
 //! ## Thread structure
 //!
@@ -14,14 +15,10 @@
 //!   frame; the connection itself stays up. Engine errors become `Error`
 //!   frames carrying the [`AimError`] category and retryability — the
 //!   connection survives those too.
-//! - **control thread** — every tick, sleeps, re-reads the gate limits
-//!   from the knob system and (when the tuner is enabled) runs one
-//!   `control_tick` over the engine's KPI snapshot, the process-wide
-//!   wait-set delta and the gate's counter delta. A Shrink or Grow
-//!   actuates through `SET admission_max_statements` on the global knobs
-//!   — the same audited path a DBA uses — and the gate re-reads its
-//!   limits. This closes the Baihe-style loop: monitor → tune → actuate
-//!   → observe.
+//! - **control thread** — every `control_tick_ms`, sleeps, then folds
+//!   the knob system's `max_connections`, `admission_max_statements` and
+//!   `admission_queue_timeout_ms` into the gate, so a DBA's `SET`
+//!   reaches the gate within one tick.
 //!
 //! ## Shutdown
 //!
@@ -41,13 +38,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use aimdb_common::{wait, AimError, LockRank, Result, Value, WaitSet, WallClock};
-use aimdb_engine::{Database, Knobs, QueryResult};
+use aimdb_engine::{Database, QueryResult};
 use parking_lot::Mutex;
 
-use crate::admission::{
-    control_tick, limits_from_knobs, AdmissionAction, AdmissionGate, AdmissionLimits,
-    AdmissionStats, AdmissionTuner,
-};
+use crate::admission::{limits_from_knobs, AdmissionGate, AdmissionLimits, AdmissionStats};
 use crate::protocol::{self, Frame, FrameKind, MAX_FRAME};
 use crate::session::Session;
 
@@ -68,8 +62,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Control-loop period in milliseconds.
     pub control_tick_ms: u64,
-    /// Run the AIMD admission tuner (false = static knob-set limits).
-    pub tuner_enabled: bool,
 }
 
 impl Default for ServerConfig {
@@ -77,12 +69,12 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             control_tick_ms: 25,
-            tuner_enabled: true,
         }
     }
 }
 
-/// Counters of the tuner's actuations through the knob system.
+/// Always zero: the server has no admission tuner. Kept only because
+/// the frozen wire benchmark reads [`Server::tuner_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TunerStats {
     pub shrinks: u64,
@@ -95,8 +87,6 @@ struct Shared {
     gate: AdmissionGate,
     shutdown: AtomicBool,
     next_session: AtomicU64,
-    tuner_shrinks: AtomicU64,
-    tuner_grows: AtomicU64,
     /// Handler join handles plus the wait-profile aggregate of finished
     /// connections, under one rank-1 mutex (acquired after the gate's
     /// rank-0 mutex is *released* — neither is ever held across the
@@ -138,8 +128,6 @@ impl Server {
             gate: AdmissionGate::new(limits, Arc::new(WallClock::new())),
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(0),
-            tuner_shrinks: AtomicU64::new(0),
-            tuner_grows: AtomicU64::new(0),
             registry: Mutex::with_rank(Registry::default(), LockRank::ServerSessions),
         });
 
@@ -153,10 +141,9 @@ impl Server {
         let control = {
             let shared = Arc::clone(&shared);
             let tick = Duration::from_millis(config.control_tick_ms.max(1));
-            let tuner_enabled = config.tuner_enabled;
             std::thread::Builder::new()
                 .name("aimdb-control".into())
-                .spawn(move || control_loop(&shared, tick, tuner_enabled))
+                .spawn(move || control_loop(&shared, tick))
                 .map_err(|e| AimError::Storage(format!("spawn control: {e}")))?
         };
 
@@ -178,18 +165,15 @@ impl Server {
         self.shared.gate.stats()
     }
 
-    /// Current gate limits (knob-derived, possibly tuner-actuated).
+    /// Current gate limits, as of the last knob fold.
     pub fn admission_limits(&self) -> AdmissionLimits {
         self.shared.gate.limits()
     }
 
-    /// Tuner actuation counts so far.
+    /// Always [`TunerStats::default()`]: kept only because the frozen
+    /// wire benchmark reads it.
     pub fn tuner_stats(&self) -> TunerStats {
-        TunerStats {
-            // ordering: Relaxed — monotone counters read for reporting only
-            shrinks: self.shared.tuner_shrinks.load(Ordering::Relaxed),
-            grows: self.shared.tuner_grows.load(Ordering::Relaxed),
-        }
+        TunerStats::default()
     }
 
     /// Wait profile attributed to wire statements of connections that
@@ -555,49 +539,14 @@ fn respond(stream: &mut TcpStream, outcome: Result<QueryResult>) -> bool {
     }
 }
 
-fn control_loop(shared: &Arc<Shared>, tick: Duration, tuner_enabled: bool) {
-    let knobs = &shared.db.knobs;
-    let max = Knobs::spec("admission_max_statements").map_or(4096, |s| s.max);
-    let start = knobs.get("admission_max_statements").unwrap_or(64);
-    let mut tuner = AdmissionTuner::new(1, max, start);
-    let mut prev_waits = wait::global_totals();
-    let mut prev_stats = shared.gate.stats();
+fn control_loop(shared: &Arc<Shared>, tick: Duration) {
     loop {
         // ordering: Relaxed — one-way latch, see accept_loop
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
         std::thread::sleep(tick);
-        // fold knob state into the gate: both DBA SETs and the tuner's
-        // own actuation from the previous tick land here
-        shared.gate.set_limits(limits_from_knobs(knobs));
-        if !tuner_enabled {
-            continue;
-        }
-        let now_waits = wait::global_totals();
-        let wait_delta = now_waits.delta_since(&prev_waits);
-        prev_waits = now_waits;
-        let stats = shared.gate.stats();
-        let stats_delta = AdmissionStats {
-            admitted: stats.admitted - prev_stats.admitted,
-            rejected: stats.rejected - prev_stats.rejected,
-            ..AdmissionStats::default()
-        };
-        prev_stats = stats;
-        let kpis = shared.db.kpis();
-        let counter = match control_tick(
-            &mut tuner,
-            knobs,
-            &shared.gate,
-            &kpis,
-            &wait_delta,
-            &stats_delta,
-        ) {
-            AdmissionAction::Shrink => &shared.tuner_shrinks,
-            AdmissionAction::Grow => &shared.tuner_grows,
-            AdmissionAction::Hold => continue,
-        };
-        // ordering: Relaxed — reporting counter only
-        counter.fetch_add(1, Ordering::Relaxed);
+        // fold knob state into the gate: a DBA's SET lands here
+        shared.gate.set_limits(limits_from_knobs(&shared.db.knobs));
     }
 }

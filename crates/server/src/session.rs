@@ -16,8 +16,9 @@
 //!
 //! `SET knob = v` and `SHOW knob` are the engine's own statements: a
 //! `SET` over the wire writes the database's knobs, clamped to the knob's
-//! range, exactly as `Database::execute("SET …")` and the admission
-//! tuner's actuations do, and every connection's `SHOW` reads them.
+//! range, exactly as `Database::execute("SET …")` does; the admission
+//! gate folds them in every control tick, and every connection's `SHOW`
+//! reads them.
 //!
 //! Prepared statements reuse the fingerprint machinery: `Parse` stores
 //! the template and its fingerprint; `Execute` substitutes parameters

@@ -19,14 +19,7 @@ use rand::{Rng, SeedableRng, StdRng};
 
 fn server_over(db: Database) -> (Server, Arc<Database>) {
     let db = Arc::new(db);
-    let server = Server::start(
-        Arc::clone(&db),
-        ServerConfig {
-            tuner_enabled: false,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server start");
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).expect("server start");
     (server, db)
 }
 

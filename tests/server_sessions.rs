@@ -13,14 +13,7 @@ use aimdb_server::{Client, Server, ServerConfig};
 
 fn serve(db: Database) -> (Server, Arc<Database>) {
     let db = Arc::new(db);
-    let server = Server::start(
-        Arc::clone(&db),
-        ServerConfig {
-            tuner_enabled: false,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server start");
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).expect("server start");
     (server, db)
 }
 
@@ -132,8 +125,7 @@ fn a_comment_does_not_change_whose_transaction_it_is() {
 }
 
 /// `SET`/`SHOW` over the wire are the engine's statements on the
-/// database's knobs — the write path the admission tuner actuates
-/// through — while prepared statements are the session's own.
+/// database's knobs — the knobs the admission gate reads — while prepared statements are the session's own.
 #[test]
 fn set_over_the_wire_writes_the_databases_knobs() {
     let db = Database::new();
