@@ -15,7 +15,6 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use aimdb_common::synth::gaussian;
-use aimdb_common::Value;
 use aimdb_engine::knobs::KNOB_SPECS;
 use aimdb_engine::Database;
 use aimdb_ml::qlearn::{QLearner, QParams};
@@ -198,12 +197,12 @@ impl<'a> DbEnv<'a> {
 impl TuningEnv for DbEnv<'_> {
     fn throughput(&mut self, config: &Config) -> f64 {
         self.evals += 1;
+        // through SET, so each knob reaches what it configures (the
+        // buffer pool's size, the WAL's commit sync), not just the table
         for (k, &lvl) in TUNED_KNOBS.iter().zip(config) {
-            let v = level_value(k, lvl);
-            let _ = self.db.knobs.set(k, &Value::Int(v));
-            if *k == "buffer_pool_pages" {
-                let _ = self.db.buffer_pool().resize(v as usize);
-            }
+            let _ = self
+                .db
+                .execute(&format!("SET {k} = {}", level_value(k, lvl)));
         }
         let io_before = self.db.disk().stats();
         let mut cost = 0.0;
@@ -516,9 +515,18 @@ mod tests {
         let rep = tune_random(&mut env, 6, 2);
         assert_eq!(rep.evaluations, 6);
         assert!(rep.best_throughput > 0.0);
-        // knobs really applied
+        // knobs really applied, and reaching what they configure
         let applied = db.knobs.get("buffer_pool_pages").unwrap();
         assert!(applied >= 1);
+        let mut cfg = default_config();
+        cfg[0] = 0; // buffer_pool_pages at its smallest level
+        cfg[2] = 0; // wal_sync off
+        env.throughput(&cfg);
+        assert!(!db.wal.sync_on_commit(), "wal_sync=0 never reached the WAL");
+        assert_eq!(
+            db.buffer_pool().capacity(),
+            level_value("buffer_pool_pages", 0) as usize
+        );
     }
 
     #[test]

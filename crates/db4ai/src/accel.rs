@@ -6,7 +6,7 @@
 //! per-byte transfer cost + a throughput multiplier — because the
 //! decision DAnA automates is exactly a cost-model crossover ("is this
 //! batch big enough to be worth shipping to the device?"). The host side
-//! also gets DAnA's thread-level parallelism via crossbeam.
+//! also gets DAnA's thread-level parallelism via scoped threads.
 
 use aimdb_common::{AimError, Result};
 use aimdb_ml::matrix::Matrix;
@@ -67,7 +67,7 @@ pub fn crossover_batch(acc: &Accelerator, k: usize, host_threads: usize) -> Opti
     (1..=4096).find(|&m| should_offload(acc, m, k, m, host_threads).0)
 }
 
-/// Host matmul parallelized over row chunks with crossbeam — the
+/// Host matmul parallelized over row chunks on scoped threads — the
 /// "thread-level parallelism" half of DAnA's execution model.
 pub fn parallel_matmul(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> {
     if a.cols() != b.rows() {
@@ -83,35 +83,43 @@ pub fn parallel_matmul(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix>
     let rows = a.rows();
     let chunk = rows.div_ceil(threads);
     let out = std::sync::Mutex::new(Matrix::zeros(rows, b.cols()));
-    crossbeam::scope(|s| {
-        for t in 0..threads {
-            let out = &out;
-            s.spawn(move |_| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(rows);
-                for i in lo..hi {
-                    let mut row = vec![0.0; b.cols()];
-                    for k in 0..a.cols() {
-                        let av = a.get(i, k);
-                        if av == 0.0 {
-                            continue;
+    let joined = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let out = &out;
+                s.spawn(move || {
+                    let lo = t * chunk;
+                    let hi = ((t + 1) * chunk).min(rows);
+                    for i in lo..hi {
+                        let mut row = vec![0.0; b.cols()];
+                        for k in 0..a.cols() {
+                            let av = a.get(i, k);
+                            if av == 0.0 {
+                                continue;
+                            }
+                            for (j, r) in row.iter_mut().enumerate() {
+                                *r += av * b.get(k, j);
+                            }
                         }
-                        for (j, r) in row.iter_mut().enumerate() {
-                            *r += av * b.get(k, j);
+                        // a poisoned lock means a sibling panicked; the
+                        // join below surfaces that as an Execution error
+                        if let Ok(mut guard) = out.lock() {
+                            for (j, v) in row.into_iter().enumerate() {
+                                guard.set(i, j, v);
+                            }
                         }
                     }
-                    // a poisoned lock means a sibling panicked; the scope
-                    // join below surfaces that as an Execution error
-                    if let Ok(mut guard) = out.lock() {
-                        for (j, v) in row.into_iter().enumerate() {
-                            guard.set(i, j, v);
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .map_err(|_| AimError::Execution("matmul worker panicked".into()))?;
+                })
+            })
+            .collect();
+        // join every handle, so a worker panic is an error, not a panic
+        handles
+            .into_iter()
+            .fold(true, |ok, h| h.join().is_ok() && ok)
+    });
+    if !joined {
+        return Err(AimError::Execution("matmul worker panicked".into()));
+    }
     out.into_inner()
         .map_err(|_| AimError::Execution("matmul result lock poisoned".into()))
 }

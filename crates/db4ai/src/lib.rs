@@ -11,7 +11,7 @@
 //! | Data labeling (crowdsourcing) | [`labeling`] | simulated worker pool; Dawid–Skene truth inference vs. majority vote; cost-accuracy curves |
 //! | Data lineage | [`lineage`] | derivation DAG with ancestry queries and staleness propagation |
 //! //! | Feature selection | [`features`] | batched + materialized feature evaluation (Zhang et al.) vs. naive recompute |
-//! | Model selection | [`selection`] | parallel configuration search (task parallelism via crossbeam) vs. serial; successive halving |
+//! | Model selection | [`selection`] | parallel configuration search (task parallelism on scoped threads) vs. serial; successive halving |
 //! | Model management (ModelDB) | [`registry`] | versioned model registry with metadata, search, and serde snapshots; versions are immutable and shared (`Arc<ModelVersion>`), and a version is the `BoundModel` a statement predicts with |
 //! | Hardware acceleration (DAnA/ColumnML) | [`accel`] | simulated accelerator with a transfer-cost/throughput model; offload crossover |
 //! | Model inference | [`inference`] | cost-unit model of per-row UDF vs. batched vs. cached inference and operator selection between them (the measured per-row-vs-batch comparison is E16, through SQL) |

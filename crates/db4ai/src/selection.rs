@@ -5,7 +5,7 @@
 //! solution to enhance the throughput is parallelism."
 //!
 //! A configuration grid (model kind × hyperparameters) is evaluated
-//! serially and with task parallelism (crossbeam scoped threads). Both
+//! serially and with task parallelism (scoped threads). Both
 //! return identical results; the parallel path multiplies throughput.
 //! Successive halving is implemented on top: it spends a fraction of the
 //! full grid's epoch budget to reach a comparable winner.
@@ -128,7 +128,7 @@ pub fn select_serial_with_clock(
     })
 }
 
-/// Task-parallel full-grid evaluation over `workers` crossbeam threads.
+/// Task-parallel full-grid evaluation over `workers` scoped threads.
 pub fn select_parallel(
     grid: &[Config],
     train: &Dataset,
@@ -154,28 +154,34 @@ pub fn select_parallel_with_clock(
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: std::sync::Mutex<Vec<(usize, Config, f64)>> =
         std::sync::Mutex::new(Vec::with_capacity(grid.len()));
-    crossbeam::scope(|s| {
-        for _ in 0..workers {
-            let next = &next;
-            let results = &results;
-            s.spawn(move |_| loop {
-                // ordering: Relaxed — the counter only hands out distinct
-                // indices; grid data is read-only and results go via the lock
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= grid.len() {
-                    break;
-                }
-                if let Ok(score) = grid[i].evaluate(train, valid, 1.0) {
-                    // a poisoned lock means a sibling panicked; drop the
-                    // result and let the completeness check below fail
-                    if let Ok(mut guard) = results.lock() {
-                        guard.push((i, grid[i].clone(), score));
+    let joined = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| loop {
+                    // ordering: Relaxed — the counter only hands out distinct
+                    // indices; grid data is read-only and results go via the lock
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= grid.len() {
+                        break;
                     }
-                }
-            });
-        }
-    })
-    .map_err(|_| AimError::Execution("worker thread panicked".into()))?;
+                    if let Ok(score) = grid[i].evaluate(train, valid, 1.0) {
+                        // a poisoned lock means a sibling panicked; drop the
+                        // result and let the completeness check below fail
+                        if let Ok(mut guard) = results.lock() {
+                            guard.push((i, grid[i].clone(), score));
+                        }
+                    }
+                })
+            })
+            .collect();
+        // join every handle, so a worker panic is an error, not a panic
+        handles
+            .into_iter()
+            .fold(true, |ok, h| h.join().is_ok() && ok)
+    });
+    if !joined {
+        return Err(AimError::Execution("worker thread panicked".into()));
+    }
     let collected = results
         .into_inner()
         .map_err(|_| AimError::Execution("result lock poisoned by worker panic".into()))?;

@@ -56,9 +56,10 @@ pub const MAIN_WORKER: usize = 0;
 
 /// Wall-clock footprint of one morsel worker inside a parallel region:
 /// when it started and stopped (context clock, ns), and how much of that
-/// window it spent processing morsels (`busy_ns`) rather than waiting on
-/// the dispenser. Feeds the per-worker trace spans and the
-/// `worker_busy_ratio` gauge.
+/// window it spent processing morsels (`busy_ns`: inside its region
+/// pipeline's `next`, claims included, plus folding what that yields)
+/// rather than setting up or idling. Feeds the per-worker trace spans
+/// and the `worker_busy_ratio` gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSpan {
     /// 1-based worker id (matching the `OpKey` worker dimension).
@@ -131,17 +132,32 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// The injected clock, if any. `Clock` is `Send + Sync`, so the
-    /// reference can be shared with scoped morsel workers.
-    pub(crate) fn clock(&self) -> Option<&'a dyn Clock> {
-        self.clock
+    /// A context for one morsel worker: the same catalog, functions,
+    /// clock and snapshot, with counters of its own (the cells are not
+    /// `Sync`, so each worker owns one). [`ExecContext::absorb`] merges
+    /// it back once the worker has joined.
+    pub(crate) fn fork(&self) -> ExecContext<'a> {
+        let ctx = ExecContext {
+            clock: self.clock,
+            ..Self::new(self.catalog, self.fns)
+        };
+        ctx.set_snapshot(self.snapshot());
+        ctx
+    }
+
+    /// Merge a forked worker context into this one: its cost, and its
+    /// per-operator counters re-keyed from [`MAIN_WORKER`] to `worker`.
+    /// The caller merges workers in worker order, so the counter state
+    /// stays deterministic.
+    pub(crate) fn absorb(&self, forked: ExecContext<'_>, worker: usize) {
+        self.charge(forked.cost_units());
+        for ((name, node, _), st) in forked.take_op_stats() {
+            self.record_op_stats((name, node, worker), st);
+        }
     }
 
     /// Fold one operator observation into the per-operator counters,
-    /// keyed by (operator name, plan-node id, worker id). Also merges
-    /// worker-accumulated bundles on the main thread after a parallel
-    /// region's workers joined — the merge order (and thus the counter
-    /// state) stays deterministic.
+    /// keyed by (operator name, plan-node id, worker id).
     pub(crate) fn record_op_stats(&self, key: OpKey, st: OpStats) {
         let mut stats = self.op_stats.borrow_mut();
         let e = stats.entry(key).or_default();

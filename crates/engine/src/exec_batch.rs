@@ -26,21 +26,32 @@
 //!
 //! [`PhysOp::Exchange`] nodes (inserted by the optimizer over maximal
 //! scan→filter→project regions) become a scoped worker pool when
-//! `workers > 1`: workers pull fixed page-range *morsels* from a shared
-//! atomic [`MorselDispenser`] and run the compiled region pipeline on
-//! each. Per-morsel outputs are merged on the main thread *in morsel
-//! order*, which reproduces the serial scan's row order exactly — so
-//! results are bit-identical at any thread count. Aggregates directly
-//! above an exchange are fused into the workers (partial aggregation)
-//! only when merging partial states is exact: COUNT/MIN/MAX always,
-//! SUM/AVG only over base-table Int columns (exact in f64); float sums
-//! stay on the serial fold path, whose element-wise row order does not
-//! depend on batch or morsel boundaries.
+//! `workers > 1`. The region's page list, row visibility and morsel
+//! dispenser are resolved once, on the main thread; each worker then
+//! builds the region's subtree with the same `Builder` and operators
+//! the serial pipeline uses, on a forked [`ExecContext`] of its own. The
+//! only difference is the scan: it claims fixed page-range *morsels*
+//! from the shared atomic [`MorselDispenser`] instead of reading the
+//! whole heap, and never lets a batch span two morsels. Each batch a
+//! worker pulls is tagged with the morsel its scan is on, and the main
+//! thread merges per-morsel outputs *in morsel order*, which reproduces
+//! the serial scan's row order exactly — so results are bit-identical at
+//! any thread count. Worker contexts (per-node counters, cost) are
+//! merged into the parent after the join, in worker order.
+//!
+//! An aggregate directly above an exchange is fused into the workers
+//! (partial aggregation: one `AggFold` per morsel, merged in morsel
+//! order) only when merging partial states is exact: COUNT/MIN/MAX
+//! always, SUM/AVG only over base-table Int columns (exact in f64);
+//! float sums stay on the serial fold, whose element-wise row order does
+//! not depend on batch or morsel boundaries.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use aimdb_common::{wait, AimError, Batch, Clock, ColVec, DataType, Result, Row, Schema, Value};
+use aimdb_common::{wait, AimError, Batch, ColVec, DataType, Result, Row, Schema, Value, WaitSet};
 use aimdb_sql::ast::AggFunc;
 use aimdb_sql::expr::{Expr, ScalarFns};
 use aimdb_sql::logical::AggExpr;
@@ -50,7 +61,7 @@ use crate::catalog::Table;
 use crate::exec::{AggState, ExecContext, OpStats, WorkerSpan, MAIN_WORKER};
 use crate::mvcc::RowVis;
 use crate::plan::{PhysOp, PhysicalPlan};
-use aimdb_storage::{HeapScanCursor, Morsel, MorselDispenser, MorselSource, RowId};
+use aimdb_storage::{HeapScanCursor, MorselDispenser, MorselSource, RowId};
 
 /// Execute a physical plan to completion through the batch pipeline,
 /// pulling `batch_size`-row batches through the operator tree. Serial:
@@ -72,10 +83,14 @@ pub fn execute_batched_parallel(
     batch_size: usize,
     workers: usize,
 ) -> Result<Vec<Row>> {
-    let bs = batch_size.max(1);
-    let workers = workers.clamp(1, 64);
-    let mut next_id = 0;
-    let mut root = build(plan, ctx, bs, workers, &mut next_id)?;
+    let mut root = Builder {
+        ctx,
+        bs: batch_size.max(1),
+        workers: workers.clamp(1, 64),
+        feed: None,
+        next_id: 0,
+    }
+    .build(plan)?;
     let mut out = Vec::new();
     while let Some(b) = root.next()? {
         out.extend(b.to_rows());
@@ -89,107 +104,106 @@ trait BatchOp {
     fn next(&mut self) -> Result<Option<Batch>>;
 }
 
-/// Build the operator tree for a plan, wrapping each node with the
+fn compile_all(exprs: &[Expr], schema: &Schema) -> Result<Vec<VExpr>> {
+    exprs.iter().map(|e| vexpr::compile(e, schema)).collect()
+}
+
+fn compile_opt(expr: &Option<Expr>, schema: &Schema) -> Result<Option<VExpr>> {
+    expr.as_ref().map(|e| vexpr::compile(e, schema)).transpose()
+}
+
+/// Builds the operator tree for a plan, wrapping each node with the
 /// per-operator instrumentation that feeds `Metrics::operator_stats`.
 /// Nodes are numbered preorder (root = 0, children left to right) via
-/// `next_id`, matching the line order of `PhysicalPlan::explain`.
-fn build<'p>(
-    plan: &'p PhysicalPlan,
+/// `next_id`, matching the line order of `PhysicalPlan::explain`. A
+/// morsel worker builds its region's subtree the same way, starting at
+/// the region root's id, with `feed` set so the scan reads morsels.
+struct Builder<'p> {
     ctx: &'p ExecContext<'p>,
     bs: usize,
     workers: usize,
-    next_id: &mut usize,
-) -> Result<Box<dyn BatchOp + 'p>> {
-    let node = *next_id;
-    *next_id += 1;
-    let (name, op): (&'static str, Box<dyn BatchOp + 'p>) = match &plan.op {
-        PhysOp::SeqScan { table, filter, .. } => {
-            let t = ctx.catalog.table(table)?;
-            let filter = filter
-                .as_ref()
-                .map(|f| vexpr::compile(f, &plan.schema))
-                .transpose()?;
-            (
-                "seq_scan",
-                Box::new(SeqScanOp {
-                    cursor: t.heap.scan_cursor(),
-                    vis: t.visibility(ctx.snapshot())?,
-                    schema: &plan.schema,
-                    filter,
-                    ctx,
-                    bs,
-                    done: false,
-                }),
-            )
-        }
-        PhysOp::IndexScan {
-            table,
-            column,
-            lo,
-            hi,
-            filter,
-            ..
-        } => {
-            let t = ctx.catalog.table(table)?;
-            let idx = t.index_on(column).ok_or_else(|| {
-                AimError::Execution(format!("planned index on {table}.{column} missing"))
-            })?;
-            let mut rids = idx.probe(lo.as_ref(), hi.as_ref(), bs);
-            t.retain_visible(&mut rids, ctx.snapshot());
-            ctx.charge(3.0 + rids.len() as f64 * 0.06);
-            let filter = filter
-                .as_ref()
-                .map(|f| vexpr::compile(f, &plan.schema))
-                .transpose()?;
-            (
-                "index_scan",
-                Box::new(IndexScanOp {
-                    table: t,
-                    rids,
-                    pos: 0,
-                    schema: &plan.schema,
-                    filter,
-                    ctx,
-                    bs,
-                }),
-            )
-        }
-        PhysOp::Filter { input, predicate } => {
-            let pred = vexpr::compile(predicate, &input.schema)?;
-            (
+    feed: Option<&'p MorselFeed<'p>>,
+    next_id: usize,
+}
+
+impl<'p> Builder<'p> {
+    fn build(&mut self, plan: &'p PhysicalPlan) -> Result<Box<dyn BatchOp + 'p>> {
+        let node = self.next_id;
+        self.next_id += 1;
+        let (ctx, bs) = (self.ctx, self.bs);
+        let (name, op): (&'static str, Box<dyn BatchOp + 'p>) = match &plan.op {
+            PhysOp::SeqScan { table, filter, .. } => {
+                let (cursor, vis) = match self.feed {
+                    Some(feed) => (None, Cow::Borrowed(&feed.region.vis)),
+                    None => {
+                        let t = ctx.catalog.table(table)?;
+                        let cursor = t.heap.scan_cursor();
+                        (Some(cursor), Cow::Owned(t.visibility(ctx.snapshot())?))
+                    }
+                };
+                (
+                    "seq_scan",
+                    Box::new(SeqScanOp {
+                        cursor,
+                        feed: self.feed,
+                        vis,
+                        schema: &plan.schema,
+                        filter: compile_opt(filter, &plan.schema)?,
+                        ctx,
+                        bs,
+                    }),
+                )
+            }
+            PhysOp::IndexScan {
+                table,
+                column,
+                lo,
+                hi,
+                filter,
+                ..
+            } => {
+                let t = ctx.catalog.table(table)?;
+                let idx = t.index_on(column).ok_or_else(|| {
+                    AimError::Execution(format!("planned index on {table}.{column} missing"))
+                })?;
+                let mut rids = idx.probe(lo.as_ref(), hi.as_ref(), bs);
+                t.retain_visible(&mut rids, ctx.snapshot());
+                ctx.charge(3.0 + rids.len() as f64 * 0.06);
+                (
+                    "index_scan",
+                    Box::new(IndexScanOp {
+                        table: t,
+                        rids,
+                        pos: 0,
+                        schema: &plan.schema,
+                        filter: compile_opt(filter, &plan.schema)?,
+                        ctx,
+                        bs,
+                    }),
+                )
+            }
+            PhysOp::Filter { input, predicate } => (
                 "filter",
                 Box::new(FilterOp {
-                    input: build(input, ctx, bs, workers, next_id)?,
-                    pred,
+                    pred: vexpr::compile(predicate, &input.schema)?,
+                    input: self.build(input)?,
                     ctx,
                 }),
-            )
-        }
-        PhysOp::Project { input, exprs } => {
-            let compiled = exprs
-                .iter()
-                .map(|e| vexpr::compile(e, &input.schema))
-                .collect::<Result<Vec<_>>>()?;
-            (
+            ),
+            PhysOp::Project { input, exprs } => (
                 "project",
                 Box::new(ProjectOp {
-                    input: build(input, ctx, bs, workers, next_id)?,
-                    exprs: compiled,
+                    exprs: compile_all(exprs, &input.schema)?,
+                    input: self.build(input)?,
                     ctx,
                 }),
-            )
-        }
-        PhysOp::NestedLoopJoin { left, right, on } => {
-            let on = on
-                .as_ref()
-                .map(|p| vexpr::compile(p, &plan.schema))
-                .transpose()?;
-            (
+            ),
+            PhysOp::NestedLoopJoin { left, right, on } => (
                 "nested_loop_join",
                 Box::new(NestedLoopJoinOp {
-                    left: Some(build(left, ctx, bs, workers, next_id)?),
-                    right: Some(build(right, ctx, bs, workers, next_id)?),
-                    on,
+                    on: compile_opt(on, &plan.schema)?,
+                    left: Some(self.build(left)?),
+                    right: Some(self.build(right)?),
                     out_schema: &plan.schema,
                     ctx,
                     bs,
@@ -198,29 +212,21 @@ fn build<'p>(
                     li: 0,
                     ri: 0,
                 }),
-            )
-        }
-        PhysOp::HashJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            residual,
-        } => {
-            let lkey = vexpr::compile(left_key, &left.schema)?;
-            let rkey = vexpr::compile(right_key, &right.schema)?;
-            let residual = residual
-                .as_ref()
-                .map(|r| vexpr::compile(r, &plan.schema))
-                .transpose()?;
-            (
+            ),
+            PhysOp::HashJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+                residual,
+            } => (
                 "hash_join",
                 Box::new(HashJoinOp {
-                    left: Some(build(left, ctx, bs, workers, next_id)?),
-                    right: Some(build(right, ctx, bs, workers, next_id)?),
-                    lkey,
-                    rkey,
-                    residual,
+                    lkey: vexpr::compile(left_key, &left.schema)?,
+                    rkey: vexpr::compile(right_key, &right.schema)?,
+                    residual: compile_opt(residual, &plan.schema)?,
+                    left: Some(self.build(left)?),
+                    right: Some(self.build(right)?),
                     out_schema: &plan.schema,
                     ctx,
                     bs,
@@ -231,145 +237,127 @@ fn build<'p>(
                     build_is_left: true,
                     probe_pos: 0,
                 }),
-            )
-        }
-        PhysOp::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-        } => {
-            let group = group_exprs
-                .iter()
-                .map(|g| vexpr::compile(g, &input.schema))
-                .collect::<Result<Vec<_>>>()?;
-            let args = aggs
-                .iter()
-                .map(|a| {
-                    a.arg
-                        .as_ref()
-                        .map(|e| vexpr::compile(e, &input.schema))
-                        .transpose()
-                })
-                .collect::<Result<Vec<_>>>()?;
-            // fuse the aggregate into the exchange's morsel workers when
-            // partial-state merging is provably exact (see module doc)
-            let fused = match &input.op {
-                PhysOp::Exchange { input: region } if workers > 1 && mergeable(aggs, region) => {
-                    Some(region)
-                }
-                _ => None,
-            };
-            match fused {
-                Some(region_plan) => {
-                    let exchange_node = *next_id;
-                    *next_id += 1;
-                    let region = compile_region(region_plan, ctx, next_id)?;
-                    (
-                        "aggregate",
-                        Box::new(ParallelAggOp {
-                            region,
-                            spec: PartialAggSpec {
-                                group,
-                                args,
-                                aggs,
-                                agg_node: node,
-                                exchange_node,
-                            },
-                            out_schema: &plan.schema,
-                            ctx,
-                            bs,
-                            workers,
-                            out: Vec::new(),
-                            pos: 0,
-                            opened: false,
-                        }),
-                    )
-                }
-                None => (
+            ),
+            PhysOp::Aggregate {
+                input,
+                group_exprs,
+                aggs,
+            } => {
+                let spec = AggSpec {
+                    group: compile_all(group_exprs, &input.schema)?,
+                    args: aggs
+                        .iter()
+                        .map(|a| compile_opt(&a.arg, &input.schema))
+                        .collect::<Result<_>>()?,
+                    aggs,
+                };
+                let input = match &input.op {
+                    // fuse the aggregate into the exchange's morsel
+                    // workers when partial-state merging is provably
+                    // exact (see module doc)
+                    PhysOp::Exchange { input: region }
+                        if self.workers > 1 && mergeable(aggs, region) =>
+                    {
+                        let exchange_node = self.next_id;
+                        self.next_id += 1;
+                        AggInput::Fused(self.region(region, Some(exchange_node))?)
+                    }
+                    _ => AggInput::Pipeline(self.build(input)?),
+                };
+                (
                     "aggregate",
                     Box::new(AggregateOp {
-                        input: Some(build(input, ctx, bs, workers, next_id)?),
-                        group,
-                        args,
-                        aggs,
+                        input: Some(input),
+                        spec,
                         out_schema: &plan.schema,
                         ctx,
                         bs,
                         out: Vec::new(),
                         pos: 0,
                     }),
-                ),
+                )
             }
-        }
-        PhysOp::Sort { input, keys } => {
-            let compiled = keys
-                .iter()
-                .map(|k| Ok((vexpr::compile(&k.expr, &input.schema)?, k.desc)))
-                .collect::<Result<Vec<_>>>()?;
-            (
+            PhysOp::Sort { input, keys } => (
                 "sort",
                 Box::new(SortOp {
-                    input: Some(build(input, ctx, bs, workers, next_id)?),
-                    keys: compiled,
+                    keys: keys
+                        .iter()
+                        .map(|k| Ok((vexpr::compile(&k.expr, &input.schema)?, k.desc)))
+                        .collect::<Result<_>>()?,
+                    input: Some(self.build(input)?),
                     out_schema: &plan.schema,
                     ctx,
                     bs,
                     out: Vec::new(),
                     pos: 0,
                 }),
-            )
-        }
-        PhysOp::Limit { input, n } => (
-            "limit",
-            Box::new(LimitOp {
-                input: build(input, ctx, bs, workers, next_id)?,
-                remaining: *n,
-            }),
-        ),
-        PhysOp::Values { rows } => (
-            "values",
-            Box::new(ValuesOp {
-                rows,
-                schema: &plan.schema,
-                pos: 0,
-                bs,
-            }),
-        ),
-        PhysOp::Exchange { input } => {
-            if workers <= 1 {
-                (
-                    "exchange",
-                    Box::new(PassthroughOp {
-                        input: build(input, ctx, bs, workers, next_id)?,
-                    }),
-                )
-            } else {
-                let region = compile_region(input, ctx, next_id)?;
-                (
-                    "exchange",
-                    Box::new(ExchangeOp {
-                        region,
-                        ctx,
-                        bs,
-                        workers,
-                        out: Vec::new(),
-                        opened: false,
-                    }),
-                )
-            }
-        }
-    };
-    Ok(Box::new(Instrumented {
-        name,
-        node,
-        ctx,
-        inner: op,
-    }))
+            ),
+            PhysOp::Limit { input, n } => (
+                "limit",
+                Box::new(LimitOp {
+                    input: self.build(input)?,
+                    remaining: *n,
+                }),
+            ),
+            PhysOp::Values { rows } => (
+                "values",
+                Box::new(ValuesOp {
+                    rows,
+                    schema: &plan.schema,
+                    pos: 0,
+                    bs,
+                }),
+            ),
+            PhysOp::Exchange { input } if self.workers > 1 => (
+                "exchange",
+                Box::new(ExchangeOp {
+                    region: Some(self.region(input, None)?),
+                    ctx,
+                    out: Vec::new().into_iter(),
+                }),
+            ),
+            // one worker: the parallelism boundary is a no-op
+            PhysOp::Exchange { input } => ("exchange", self.build(input)?),
+        };
+        Ok(Box::new(Instrumented {
+            name,
+            node,
+            ctx,
+            inner: op,
+        }))
+    }
+
+    /// Resolve the exchange region rooted at `plan` on this (the main)
+    /// thread, consuming its preorder node ids; its workers build the
+    /// subtree themselves. `exchange_node` is set when an aggregate is
+    /// fused into the workers, which then report the exchange's rows.
+    fn region(
+        &mut self,
+        plan: &'p PhysicalPlan,
+        exchange_node: Option<usize>,
+    ) -> Result<Region<'p>> {
+        let root_node = self.next_id;
+        self.next_id += plan.node_count();
+        let t = self.ctx.catalog.table(region_table(plan)?)?;
+        let source = t.heap.morsel_source();
+        let vis = t.visibility(self.ctx.snapshot())?;
+        let dispenser = source.dispenser(morsel_pages_for(source.page_count(), self.workers));
+        Ok(Region {
+            plan,
+            root_node,
+            exchange_node,
+            source,
+            vis,
+            dispenser,
+            bs: self.bs,
+            workers: self.workers,
+        })
+    }
 }
 
 /// Wraps an operator to account rows / batches / wall-time / cost units
-/// into the execution context, keyed by (operator, plan-node id). Timing
-/// and cost are inclusive of the operator's subtree.
+/// / waits into the execution context, keyed by (operator, plan-node
+/// id). Timing and cost are inclusive of the operator's subtree.
 struct Instrumented<'p> {
     name: &'static str,
     node: usize,
@@ -404,19 +392,48 @@ impl BatchOp for Instrumented<'_> {
     }
 }
 
+/// Keep the rows of `batch` that `pred` admits (all of them without one).
+fn select(batch: Batch, pred: Option<&VExpr>, fns: &dyn ScalarFns) -> Result<Batch> {
+    let Some(pred) = pred else {
+        return Ok(batch);
+    };
+    let sel = vexpr::eval_filter(pred, &batch, fns)?;
+    Ok(if sel.len() == batch.len() {
+        batch
+    } else {
+        batch.gather(&sel)
+    })
+}
+
 struct SeqScanOp<'p> {
-    cursor: HeapScanCursor,
-    vis: RowVis,
+    /// The page range being read: the whole heap on the serial path, the
+    /// current morsel inside an exchange region.
+    cursor: Option<HeapScanCursor>,
+    /// Inside an exchange region: where the next morsel comes from.
+    feed: Option<&'p MorselFeed<'p>>,
+    vis: Cow<'p, RowVis>,
     schema: &'p Schema,
     filter: Option<VExpr>,
     ctx: &'p ExecContext<'p>,
     bs: usize,
-    done: bool,
 }
 
 impl BatchOp for SeqScanOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
-        while !self.done {
+        loop {
+            let Some(cursor) = &mut self.cursor else {
+                // the serial scan reads one range; a region's moves on
+                // to the next unclaimed morsel
+                let Some(feed) = self.feed else {
+                    return Ok(None);
+                };
+                let Some(m) = feed.region.dispenser.claim() else {
+                    return Ok(None);
+                };
+                feed.morsel.set(m.index);
+                self.cursor = Some(feed.region.source.cursor(m.start, m.end));
+                continue;
+            };
             // decode pages straight into typed column builders — the
             // row-at-a-time decode + columnarize double pass is the
             // single biggest cost the batch pipeline can avoid
@@ -426,35 +443,26 @@ impl BatchOp for SeqScanOp<'_> {
                 .iter()
                 .map(|c| ColVec::with_capacity(c.data_type, self.bs))
                 .collect();
-            let vis = &self.vis;
+            let vis = &*self.vis;
             let (n, more) =
-                self.cursor
-                    .fill_batch_vis(self.bs, &mut cols, Some(&|rid| vis.allows(rid)))?;
+                cursor.fill_batch_vis(self.bs, &mut cols, Some(&|rid| vis.allows(rid)))?;
             if !more {
-                self.done = true;
+                self.cursor = None;
             }
             if n == 0 {
                 continue;
             }
             let nf = n as f64;
             self.ctx.charge(nf * 0.01 + (nf / 64.0).ceil());
-            let batch = Batch::from_cols(cols, n);
-            let batch = match &self.filter {
-                Some(f) => {
-                    let sel = vexpr::eval_filter(f, &batch, self.ctx.fns)?;
-                    if sel.len() == batch.len() {
-                        batch
-                    } else {
-                        batch.gather(&sel)
-                    }
-                }
-                None => batch,
-            };
+            let batch = select(
+                Batch::from_cols(cols, n),
+                self.filter.as_ref(),
+                self.ctx.fns,
+            )?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
         }
-        Ok(None)
     }
 }
 
@@ -483,17 +491,7 @@ impl BatchOp for IndexScanOp<'_> {
                 continue;
             }
             let batch = Batch::from_rows(self.schema, &rows);
-            let batch = match &self.filter {
-                Some(f) => {
-                    let sel = vexpr::eval_filter(f, &batch, self.ctx.fns)?;
-                    if sel.len() == batch.len() {
-                        batch
-                    } else {
-                        batch.gather(&sel)
-                    }
-                }
-                None => batch,
-            };
+            let batch = select(batch, self.filter.as_ref(), self.ctx.fns)?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
@@ -512,15 +510,10 @@ impl BatchOp for FilterOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
         while let Some(b) = self.input.next()? {
             self.ctx.charge(b.len() as f64 * 0.005);
-            let sel = vexpr::eval_filter(&self.pred, &b, self.ctx.fns)?;
-            if sel.is_empty() {
-                continue;
+            let b = select(b, Some(&self.pred), self.ctx.fns)?;
+            if !b.is_empty() {
+                return Ok(Some(b));
             }
-            return Ok(Some(if sel.len() == b.len() {
-                b
-            } else {
-                b.gather(&sel)
-            }));
         }
         Ok(None)
     }
@@ -588,13 +581,7 @@ impl BatchOp for NestedLoopJoinOp<'_> {
                 return Ok(None);
             }
             let batch = Batch::from_rows(self.out_schema, &pending);
-            let batch = match &self.on {
-                Some(p) => {
-                    let sel = vexpr::eval_filter(p, &batch, self.ctx.fns)?;
-                    batch.gather(&sel)
-                }
-                None => batch,
-            };
+            let batch = select(batch, self.on.as_ref(), self.ctx.fns)?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
@@ -678,13 +665,7 @@ impl BatchOp for HashJoinOp<'_> {
                 return Ok(None);
             }
             let batch = Batch::from_rows(self.out_schema, &pending);
-            let batch = match &self.residual {
-                Some(r) => {
-                    let sel = vexpr::eval_filter(r, &batch, self.ctx.fns)?;
-                    batch.gather(&sel)
-                }
-                None => batch,
-            };
+            let batch = select(batch, self.residual.as_ref(), self.ctx.fns)?;
             if !batch.is_empty() {
                 self.ctx.charge(batch.len() as f64 * 0.01);
                 return Ok(Some(batch));
@@ -693,11 +674,156 @@ impl BatchOp for HashJoinOp<'_> {
     }
 }
 
-struct AggregateOp<'p> {
-    input: Option<Box<dyn BatchOp + 'p>>,
+/// Compiled GROUP BY keys and aggregate arguments.
+struct AggSpec<'p> {
     group: Vec<VExpr>,
     args: Vec<Option<VExpr>>,
     aggs: &'p [AggExpr],
+}
+
+impl AggSpec<'_> {
+    fn fresh(&self) -> Vec<AggState> {
+        self.aggs.iter().map(|a| AggState::new(a.func)).collect()
+    }
+}
+
+/// Aggregate states per group, in first-seen group order: the one fold
+/// behind the serial aggregate, the per-morsel partial states of a fused
+/// one, and their morsel-order merge. Without GROUP BY it is the single
+/// empty-key group, present from the start — a global aggregate yields
+/// exactly one row, even over zero rows.
+struct AggFold {
+    groups: Vec<(Vec<Value>, Vec<AggState>)>,
+    /// single-column keys probe on a bare `Value` (no per-row Vec)
+    index1: HashMap<Value, usize>,
+    indexn: HashMap<Vec<Value>, usize>,
+}
+
+impl AggFold {
+    fn new(spec: &AggSpec<'_>) -> Self {
+        let groups = if spec.group.is_empty() {
+            vec![(Vec::new(), spec.fresh())]
+        } else {
+            Vec::new()
+        };
+        AggFold {
+            groups,
+            index1: HashMap::new(),
+            indexn: HashMap::new(),
+        }
+    }
+
+    fn find(&self, key: &[Value]) -> Option<usize> {
+        match key {
+            [] => Some(0),
+            [k] => self.index1.get(k).copied(),
+            _ => self.indexn.get(key).copied(),
+        }
+    }
+
+    fn insert(&mut self, key: Vec<Value>, states: Vec<AggState>) -> usize {
+        let gi = self.groups.len();
+        match key.as_slice() {
+            [] => {}
+            [k] => {
+                self.index1.insert(k.clone(), gi);
+            }
+            _ => {
+                self.indexn.insert(key.clone(), gi);
+            }
+        }
+        self.groups.push((key, states));
+        gi
+    }
+
+    /// Fold one input batch. A global aggregate updates its states a
+    /// column at a time — no per-row hash probe, no per-row `Value` for
+    /// typed lanes.
+    fn add(&mut self, spec: &AggSpec<'_>, b: &Batch, ctx: &ExecContext<'_>) -> Result<()> {
+        ctx.charge(b.len() as f64 * 0.02);
+        let key_cols = spec
+            .group
+            .iter()
+            .map(|g| vexpr::eval(g, b, ctx.fns))
+            .collect::<Result<Vec<_>>>()?;
+        let arg_cols = spec
+            .args
+            .iter()
+            .map(|a| a.as_ref().map(|e| vexpr::eval(e, b, ctx.fns)).transpose())
+            .collect::<Result<Vec<_>>>()?;
+        if key_cols.is_empty() {
+            for (st, col) in self.groups[0].1.iter_mut().zip(&arg_cols) {
+                update_state_col(st, col.as_ref(), b.len())?;
+            }
+            return Ok(());
+        }
+        for i in 0..b.len() {
+            let gi = match key_cols.as_slice() {
+                [c] => {
+                    let k = c.value(i);
+                    match self.index1.get(&k) {
+                        Some(&gi) => gi,
+                        None => self.insert(vec![k], spec.fresh()),
+                    }
+                }
+                cols => {
+                    let key: Vec<Value> = cols.iter().map(|c| c.value(i)).collect();
+                    match self.indexn.get(&key) {
+                        Some(&gi) => gi,
+                        None => self.insert(key, spec.fresh()),
+                    }
+                }
+            };
+            for (st, col) in self.groups[gi].1.iter_mut().zip(&arg_cols) {
+                update_state_lane(st, col.as_ref(), i)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Merge a fold over a *later* run of rows into this one: existing
+    /// groups merge their states, new ones append, so group order stays
+    /// first-seen order.
+    fn merge(&mut self, later: AggFold) -> Result<()> {
+        for (key, states) in later.groups {
+            match self.find(&key) {
+                Some(gi) => {
+                    for (st, s) in self.groups[gi].1.iter_mut().zip(states) {
+                        st.merge(s)?;
+                    }
+                }
+                None => {
+                    self.insert(key, states);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Vec<Row> {
+        self.groups
+            .into_iter()
+            .map(|(mut vals, states)| {
+                vals.extend(states.into_iter().map(AggState::finish));
+                Row::new(vals)
+            })
+            .collect()
+    }
+}
+
+/// Where an aggregate's input comes from.
+enum AggInput<'p> {
+    /// The child operator, folded on this thread.
+    Pipeline(Box<dyn BatchOp + 'p>),
+    /// An exchange region whose morsel workers fold partial states; every
+    /// merge is exact (checked by [`mergeable`] at build time) and runs
+    /// in morsel order, so group order is the serial first-seen order.
+    Fused(Region<'p>),
+}
+
+struct AggregateOp<'p> {
+    input: Option<AggInput<'p>>,
+    spec: AggSpec<'p>,
     out_schema: &'p Schema,
     ctx: &'p ExecContext<'p>,
     bs: usize,
@@ -705,100 +831,27 @@ struct AggregateOp<'p> {
     pos: usize,
 }
 
-impl AggregateOp<'_> {
-    fn eval_args(&self, b: &Batch) -> Result<Vec<Option<ColVec>>> {
-        self.args
-            .iter()
-            .map(|a| {
-                a.as_ref()
-                    .map(|e| vexpr::eval(e, b, self.ctx.fns))
-                    .transpose()
-            })
-            .collect()
-    }
-
-    /// No GROUP BY: one state set updated column-at-a-time — no per-row
-    /// hash probe, no per-row `Value` materialization for typed lanes.
-    fn drain_global(&mut self, input: &mut Box<dyn BatchOp + '_>) -> Result<()> {
-        let mut states: Vec<AggState> = self.aggs.iter().map(|a| AggState::new(a.func)).collect();
-        while let Some(b) = input.next()? {
-            self.ctx.charge(b.len() as f64 * 0.02);
-            let arg_cols = self.eval_args(&b)?;
-            for (st, col) in states.iter_mut().zip(&arg_cols) {
-                update_state_col(st, col.as_ref(), b.len())?;
-            }
-        }
-        // a global aggregate yields exactly one row, even over zero rows
-        self.out
-            .push(Row::new(states.into_iter().map(AggState::finish).collect()));
-        Ok(())
-    }
-
-    fn drain_grouped(&mut self, input: &mut Box<dyn BatchOp + '_>) -> Result<()> {
-        // single-column keys probe on a bare `Value` (no per-row Vec)
-        let mut index1: HashMap<Value, usize> = HashMap::new();
-        let mut indexn: HashMap<Vec<Value>, usize> = HashMap::new();
-        // first-seen group order, like the row executor
-        let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-        let single = self.group.len() == 1;
-        while let Some(b) = input.next()? {
-            self.ctx.charge(b.len() as f64 * 0.02);
-            let key_cols = self
-                .group
-                .iter()
-                .map(|g| vexpr::eval(g, &b, self.ctx.fns))
-                .collect::<Result<Vec<_>>>()?;
-            let arg_cols = self.eval_args(&b)?;
-            for i in 0..b.len() {
-                let gi = if single {
-                    let k = key_cols[0].value(i);
-                    match index1.get(&k) {
-                        Some(&gi) => gi,
-                        None => {
-                            index1.insert(k.clone(), groups.len());
-                            groups.push((
-                                vec![k],
-                                self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                            ));
-                            groups.len() - 1
-                        }
-                    }
-                } else {
-                    let key: Vec<Value> = key_cols.iter().map(|c| c.value(i)).collect();
-                    match indexn.get(&key) {
-                        Some(&gi) => gi,
-                        None => {
-                            indexn.insert(key.clone(), groups.len());
-                            groups.push((
-                                key,
-                                self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                            ));
-                            groups.len() - 1
-                        }
-                    }
-                };
-                for (st, col) in groups[gi].1.iter_mut().zip(&arg_cols) {
-                    update_state_lane(st, col.as_ref(), i)?;
-                }
-            }
-        }
-        for (key, states) in groups {
-            let mut vals = key;
-            vals.extend(states.into_iter().map(AggState::finish));
-            self.out.push(Row::new(vals));
-        }
-        Ok(())
-    }
-}
-
 impl BatchOp for AggregateOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
-        if let Some(mut input) = self.input.take() {
-            if self.group.is_empty() {
-                self.drain_global(&mut input)?;
-            } else {
-                self.drain_grouped(&mut input)?;
+        let spec = &self.spec;
+        if let Some(input) = self.input.take() {
+            let mut fold = AggFold::new(spec);
+            match input {
+                AggInput::Pipeline(mut input) => {
+                    while let Some(b) = input.next()? {
+                        fold.add(spec, &b, self.ctx)?;
+                    }
+                }
+                AggInput::Fused(region) => {
+                    let new = || AggFold::new(spec);
+                    let add =
+                        |f: &mut AggFold, b: Batch, ctx: &ExecContext<'_>| f.add(spec, &b, ctx);
+                    for part in run_region(&region, self.ctx, new, add)? {
+                        fold.merge(part)?;
+                    }
+                }
             }
+            self.out = fold.finish();
         }
         emit_chunk(&mut self.pos, &self.out, self.out_schema, self.bs)
     }
@@ -1036,119 +1089,40 @@ fn drain_keyed(
 // Morsel-driven parallel regions
 // ---------------------------------------------------------------------------
 
-/// `Exchange` with one worker: the parallelism boundary is a no-op.
-struct PassthroughOp<'p> {
-    input: Box<dyn BatchOp + 'p>,
-}
-
-impl BatchOp for PassthroughOp<'_> {
-    fn next(&mut self) -> Result<Option<Batch>> {
-        self.input.next()
-    }
-}
-
-/// One pipeline stage above the scan inside an exchange region.
-enum StageKind {
-    Filter(VExpr),
-    Project(Vec<VExpr>),
-}
-
-struct RegionStage {
-    kind: StageKind,
-    node: usize,
-}
-
-impl RegionStage {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            StageKind::Filter(_) => "filter",
-            StageKind::Project(_) => "project",
-        }
-    }
-}
-
-/// A compiled scan→filter→project pipeline under an `Exchange`:
-/// everything a morsel worker needs, with no reference back into the
-/// (single-threaded) execution context, so it can be shared across the
-/// scoped worker pool.
-struct RegionSpec<'p> {
-    source: MorselSource,
-    /// MVCC row filter resolved at compile time (metas cloned once, so
-    /// workers share it without touching the catalog).
-    vis: RowVis,
-    scan_schema: &'p Schema,
-    scan_filter: Option<VExpr>,
-    scan_node: usize,
-    /// Stages above the scan, in application (scan-upwards) order.
-    stages: Vec<RegionStage>,
-}
-
-/// Compile the plan subtree under an exchange into a [`RegionSpec`],
-/// consuming preorder node ids exactly like `build` would so the ids in
-/// worker-side counters line up with `EXPLAIN` / `EXPLAIN ANALYZE`.
-fn compile_region<'p>(
+/// An exchange region, resolved once on the main thread and shared by
+/// its morsel workers: the subtree they build, the scan's page list and
+/// row visibility (whose watermark keeps rows inserted after this point
+/// out), and the dispenser they claim morsels from.
+struct Region<'p> {
     plan: &'p PhysicalPlan,
-    ctx: &ExecContext<'p>,
-    next_id: &mut usize,
-) -> Result<RegionSpec<'p>> {
-    let mut stages: Vec<RegionStage> = Vec::new();
-    let mut cur = plan;
-    loop {
-        let node = *next_id;
-        *next_id += 1;
-        match &cur.op {
-            PhysOp::Filter { input, predicate } => {
-                stages.push(RegionStage {
-                    kind: StageKind::Filter(vexpr::compile(predicate, &input.schema)?),
-                    node,
-                });
-                cur = input;
-            }
-            PhysOp::Project { input, exprs } => {
-                let compiled = exprs
-                    .iter()
-                    .map(|e| vexpr::compile(e, &input.schema))
-                    .collect::<Result<Vec<_>>>()?;
-                stages.push(RegionStage {
-                    kind: StageKind::Project(compiled),
-                    node,
-                });
-                cur = input;
-            }
-            PhysOp::SeqScan { table, filter, .. } => {
-                let t = ctx.catalog.table(table)?;
-                let scan_filter = filter
-                    .as_ref()
-                    .map(|f| vexpr::compile(f, &cur.schema))
-                    .transpose()?;
-                // collected top-down; workers apply them scan-upwards
-                stages.reverse();
-                return Ok(RegionSpec {
-                    source: t.heap.morsel_source(),
-                    vis: t.visibility(ctx.snapshot())?,
-                    scan_schema: &cur.schema,
-                    scan_filter,
-                    scan_node: node,
-                    stages,
-                });
-            }
-            _ => {
-                return Err(AimError::Execution(
-                    "Exchange region contains a non-parallelizable operator".into(),
-                ))
-            }
-        }
-    }
+    /// Preorder id of the region's root node.
+    root_node: usize,
+    /// The exchange node's id when an aggregate is fused into the workers.
+    exchange_node: Option<usize>,
+    source: MorselSource,
+    vis: RowVis,
+    dispenser: MorselDispenser,
+    bs: usize,
+    workers: usize,
 }
 
-/// Aggregate fused into an exchange's workers: each morsel folds into
-/// its own state set; the main thread merges states in morsel order.
-struct PartialAggSpec<'p> {
-    group: Vec<VExpr>,
-    args: Vec<Option<VExpr>>,
-    aggs: &'p [AggExpr],
-    agg_node: usize,
-    exchange_node: usize,
+/// One worker's view of its region: the scan claims morsels through it
+/// and records which one it is on, so the worker can tag what it pulls.
+struct MorselFeed<'r> {
+    region: &'r Region<'r>,
+    morsel: Cell<usize>,
+}
+
+/// The table an exchange region scans: its plan is filters and
+/// projections over one `SeqScan`.
+fn region_table(plan: &PhysicalPlan) -> Result<&str> {
+    match &plan.op {
+        PhysOp::SeqScan { table, .. } => Ok(table),
+        PhysOp::Filter { input, .. } | PhysOp::Project { input, .. } => region_table(input),
+        _ => Err(AimError::Execution(
+            "Exchange region contains a non-parallelizable operator".into(),
+        )),
+    }
 }
 
 /// Is partial aggregation *exact* for these aggregates over this region?
@@ -1197,51 +1171,6 @@ fn traces_to_int_column(region: &PhysicalPlan, expr: &Expr) -> bool {
     }
 }
 
-/// What one morsel produced: region output batches, or partial
-/// aggregate states when the aggregate is fused into the workers.
-enum MorselOut {
-    Batches(Vec<Batch>),
-    Global(Vec<AggState>),
-    Grouped(Vec<(Vec<Value>, Vec<AggState>)>),
-}
-
-/// Per-worker counters accumulated off-thread (the context's cells are
-/// not `Sync`) and merged into the context after the pool joins.
-#[derive(Default)]
-struct WorkerAcc {
-    stats: BTreeMap<(&'static str, usize), OpStats>,
-    cost: f64,
-}
-
-impl WorkerAcc {
-    /// Record a non-empty output batch for one region node.
-    fn bump(&mut self, name: &'static str, node: usize, rows: u64) {
-        let e = self.stats.entry((name, node)).or_default();
-        e.rows += rows;
-        e.batches += 1;
-    }
-
-    /// Charge cost units to one region node (and the region total).
-    fn charge(&mut self, name: &'static str, node: usize, units: f64) {
-        self.cost += units;
-        self.stats.entry((name, node)).or_default().cost_units += units;
-    }
-
-    fn add_ns(&mut self, name: &'static str, node: usize, ns: u64) {
-        self.stats.entry((name, node)).or_default().ns += ns;
-    }
-}
-
-struct WorkerOut {
-    pieces: Vec<(usize, MorselOut)>,
-    stats: BTreeMap<(&'static str, usize), OpStats>,
-    cost: f64,
-    span: WorkerSpan,
-    /// Waits incurred on the worker thread (already in the global
-    /// totals; adopted into the coordinating thread's statement set).
-    waits: aimdb_common::WaitSet,
-}
-
 /// Pages per morsel: aim for ~8 morsels per worker so the dispenser can
 /// load-balance, clamped to [1, 16]. Purely a scheduling choice —
 /// results are merged in morsel order, so any size yields identical
@@ -1250,387 +1179,150 @@ fn morsel_pages_for(page_count: usize, workers: usize) -> usize {
     (page_count / (workers * 8).max(1)).clamp(1, 16)
 }
 
-fn region_now(clock: Option<&dyn Clock>) -> u64 {
-    match clock {
-        Some(c) => (c.now_secs() * 1e9) as u64,
-        None => 0,
-    }
+/// What one worker hands back to the main thread.
+struct WorkerOut<'p, T> {
+    /// (morsel index, accumulator) in the order the worker pulled them.
+    pieces: Vec<(usize, T)>,
+    ctx: ExecContext<'p>,
+    span: WorkerSpan,
+    /// Waits incurred on the worker thread (already in the global
+    /// totals; adopted into the coordinating thread's statement set).
+    waits: WaitSet,
 }
 
-/// Run an exchange region on a scoped morsel worker pool and return the
-/// per-morsel outputs sorted by morsel index — i.e. in the exact row
-/// order the serial scan would produce. Worker counters, cost and spans
-/// are folded into the context here, on the main thread, in worker
-/// order, so the merge itself is deterministic too.
-fn run_region<'p>(
-    region: &RegionSpec<'p>,
-    spec: Option<&PartialAggSpec<'p>>,
+/// Run an exchange region on a scoped pool of morsel workers. Each
+/// worker builds the region's operator tree once and pulls it dry,
+/// folding what it pulls into one `T` per morsel with `add`. Returns the
+/// accumulators in morsel order — the serial scan's row order. Worker
+/// contexts, spans and waits are merged into `ctx` here, on the main
+/// thread, in worker order, so the merge itself is deterministic too.
+fn run_region<'p, T: Send>(
+    region: &Region<'p>,
     ctx: &ExecContext<'p>,
-    bs: usize,
-    workers: usize,
-) -> Result<Vec<MorselOut>> {
-    let dispenser = region
-        .source
-        .dispenser(morsel_pages_for(region.source.page_count(), workers));
-    let fns = ctx.fns;
-    let clock = ctx.clock();
-    let outs: Vec<Result<WorkerOut>> = crossbeam::scope(|s| {
-        let handles: Vec<_> = (1..=workers)
-            .map(|w| {
-                let dispenser = &dispenser;
-                s.spawn(move |_| run_worker(region, dispenser, spec, fns, clock, bs, w))
+    new: impl Fn() -> T + Sync,
+    add: impl Fn(&mut T, Batch, &ExecContext<'_>) -> Result<()> + Sync,
+) -> Result<Vec<T>> {
+    let outs: Vec<Result<WorkerOut<'p, T>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..=region.workers)
+            .map(|worker| {
+                let wctx = ctx.fork();
+                let (new, add) = (&new, &add);
+                s.spawn(move || run_worker(region, wctx, worker, new, add))
             })
             .collect();
+        // join every handle, so a worker panic is an error, not a panic
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(AimError::Execution("morsel worker panicked".into())),
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err(AimError::Execution("morsel worker panicked".into())))
             })
             .collect()
-    })
-    .map_err(|_| AimError::Execution("parallel exchange region panicked".into()))?;
+    });
     let mut pieces = Vec::new();
     for out in outs {
         let out = out?;
-        for ((name, node), st) in out.stats {
-            ctx.record_op_stats((name, node, out.span.worker), st);
-        }
-        ctx.charge(out.cost);
+        ctx.absorb(out.ctx, out.span.worker);
         ctx.note_worker_span(out.span);
         wait::adopt(&out.waits);
         pieces.extend(out.pieces);
     }
-    pieces.sort_by_key(|&(idx, _)| idx);
-    Ok(pieces.into_iter().map(|(_, p)| p).collect())
+    // a morsel belongs to one worker, which pulls its batches in order
+    pieces.sort_by_key(|&(m, _)| m);
+    Ok(pieces.into_iter().map(|(_, t)| t).collect())
 }
 
-/// One morsel worker: claim morsels until the dispenser runs dry,
-/// running the region pipeline (and any fused partial aggregate) on
-/// each.
-fn run_worker<'p>(
-    region: &RegionSpec<'p>,
-    dispenser: &MorselDispenser,
-    spec: Option<&PartialAggSpec<'p>>,
-    fns: &dyn ScalarFns,
-    clock: Option<&dyn Clock>,
-    bs: usize,
+/// One morsel worker: build the region's subtree on a context of its
+/// own, then pull it until the dispenser runs dry.
+fn run_worker<'p, T>(
+    region: &Region<'p>,
+    ctx: ExecContext<'p>,
     worker: usize,
-) -> Result<WorkerOut> {
-    let start_ns = region_now(clock);
+    new: &impl Fn() -> T,
+    add: &impl Fn(&mut T, Batch, &ExecContext<'_>) -> Result<()>,
+) -> Result<WorkerOut<'p, T>> {
+    let start_ns = ctx.clock_ns();
     let mut busy_ns = 0u64;
-    let mut acc = WorkerAcc::default();
-    let mut pieces = Vec::new();
-    while let Some(m) = dispenser.claim() {
-        let t0 = region_now(clock);
-        let out = process_morsel(region, m, spec, fns, bs, &mut acc)?;
-        let dt = region_now(clock).saturating_sub(t0);
-        busy_ns += dt;
-        // approximate the serial executor's inclusive-time semantics:
-        // every region node's subtree covers the whole morsel pipeline
-        acc.add_ns("seq_scan", region.scan_node, dt);
-        for st in &region.stages {
-            acc.add_ns(st.name(), st.node, dt);
+    let mut pieces: Vec<(usize, T)> = Vec::new();
+    {
+        let feed = MorselFeed {
+            region,
+            morsel: Cell::new(0),
+        };
+        let mut root = Builder {
+            ctx: &ctx,
+            bs: region.bs,
+            workers: 1,
+            feed: Some(&feed),
+            next_id: region.root_node,
         }
-        if let Some(sp) = spec {
-            acc.add_ns("exchange", sp.exchange_node, dt);
+        .build(region.plan)?;
+        if let Some(node) = region.exchange_node {
+            root = Box::new(Instrumented {
+                name: "exchange",
+                node,
+                ctx: &ctx,
+                inner: root,
+            });
         }
-        pieces.push((m.index, out));
+        loop {
+            let t0 = ctx.clock_ns();
+            let Some(batch) = root.next()? else {
+                busy_ns += ctx.clock_ns().saturating_sub(t0);
+                break;
+            };
+            // a filter may pull past morsels that filter to empty, so
+            // the batch is the morsel's the scan is on *after* the pull
+            let m = feed.morsel.get();
+            match pieces.last_mut() {
+                Some((last, acc)) if *last == m => add(acc, batch, &ctx)?,
+                _ => {
+                    let mut acc = new();
+                    add(&mut acc, batch, &ctx)?;
+                    pieces.push((m, acc));
+                }
+            }
+            busy_ns += ctx.clock_ns().saturating_sub(t0);
+        }
     }
-    let end_ns = region_now(clock);
-    // attribute this worker's blocked time (buffer misses, contended
-    // locks) to the scan node it pulled through, and hand the set back
-    // for statement-level adoption — the worker thread dies here, so
-    // its thread-local accumulator must be drained now
-    let waits = wait::take_thread();
-    if !waits.is_zero() {
-        acc.stats
-            .entry(("seq_scan", region.scan_node))
-            .or_default()
-            .wait
-            .merge(&waits);
-    }
+    let end_ns = ctx.clock_ns();
     Ok(WorkerOut {
         pieces,
-        stats: acc.stats,
-        cost: acc.cost,
+        ctx,
         span: WorkerSpan {
             worker,
             start_ns,
             end_ns,
             busy_ns,
         },
-        waits,
+        // the worker thread dies here, so its thread-local wait
+        // accumulator must be drained now
+        waits: wait::take_thread(),
     })
 }
 
-/// Run the region pipeline over one morsel's page range. Output rows are
-/// either collected as batches, or folded into fresh per-morsel partial
-/// aggregate states (`spec` present).
-fn process_morsel<'p>(
-    region: &RegionSpec<'p>,
-    m: Morsel,
-    spec: Option<&PartialAggSpec<'p>>,
-    fns: &dyn ScalarFns,
-    bs: usize,
-    acc: &mut WorkerAcc,
-) -> Result<MorselOut> {
-    let mut out = match spec {
-        None => MorselOut::Batches(Vec::new()),
-        Some(sp) if sp.group.is_empty() => {
-            MorselOut::Global(sp.aggs.iter().map(|a| AggState::new(a.func)).collect())
-        }
-        Some(_) => MorselOut::Grouped(Vec::new()),
-    };
-    let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut cursor = region.source.cursor(m.start, m.end);
-    loop {
-        let mut cols: Vec<ColVec> = region
-            .scan_schema
-            .columns()
-            .iter()
-            .map(|c| ColVec::with_capacity(c.data_type, bs))
-            .collect();
-        let vis = &region.vis;
-        let (n, more) = cursor.fill_batch_vis(bs, &mut cols, Some(&|rid| vis.allows(rid)))?;
-        if n > 0 {
-            let nf = n as f64;
-            acc.charge("seq_scan", region.scan_node, nf * 0.01 + (nf / 64.0).ceil());
-            let mut batch = Batch::from_cols(cols, n);
-            if let Some(f) = &region.scan_filter {
-                let sel = vexpr::eval_filter(f, &batch, fns)?;
-                if sel.len() != batch.len() {
-                    batch = batch.gather(&sel);
-                }
-            }
-            if !batch.is_empty() {
-                acc.bump("seq_scan", region.scan_node, batch.len() as u64);
-                if let Some(b) = run_stages(region, batch, fns, acc)? {
-                    fold_or_collect(&mut out, &mut group_index, spec, b, fns, acc)?;
-                }
-            }
-        }
-        if !more {
-            break;
-        }
-    }
-    Ok(out)
-}
-
-/// Apply the region's filter/project stages to one batch; `None` once
-/// the batch filters down to empty.
-fn run_stages(
-    region: &RegionSpec<'_>,
-    mut batch: Batch,
-    fns: &dyn ScalarFns,
-    acc: &mut WorkerAcc,
-) -> Result<Option<Batch>> {
-    for stage in &region.stages {
-        match &stage.kind {
-            StageKind::Filter(pred) => {
-                acc.charge("filter", stage.node, batch.len() as f64 * 0.005);
-                let sel = vexpr::eval_filter(pred, &batch, fns)?;
-                if sel.is_empty() {
-                    return Ok(None);
-                }
-                if sel.len() != batch.len() {
-                    batch = batch.gather(&sel);
-                }
-            }
-            StageKind::Project(exprs) => {
-                acc.charge(
-                    "project",
-                    stage.node,
-                    batch.len() as f64 * 0.005 * exprs.len().max(1) as f64,
-                );
-                let cols = exprs
-                    .iter()
-                    .map(|e| vexpr::eval(e, &batch, fns))
-                    .collect::<Result<Vec<_>>>()?;
-                batch = Batch::from_cols(cols, batch.len());
-            }
-        }
-        acc.bump(stage.name(), stage.node, batch.len() as u64);
-    }
-    Ok(Some(batch))
-}
-
-/// Collect one post-stage batch into the morsel's output — or fold it
-/// into the fused partial aggregate states.
-fn fold_or_collect<'p>(
-    out: &mut MorselOut,
-    group_index: &mut HashMap<Vec<Value>, usize>,
-    spec: Option<&PartialAggSpec<'p>>,
-    batch: Batch,
-    fns: &dyn ScalarFns,
-    acc: &mut WorkerAcc,
-) -> Result<()> {
-    match (out, spec) {
-        (MorselOut::Batches(v), _) => v.push(batch),
-        (MorselOut::Global(states), Some(sp)) => {
-            acc.bump("exchange", sp.exchange_node, batch.len() as u64);
-            acc.charge("aggregate", sp.agg_node, batch.len() as f64 * 0.02);
-            let arg_cols = eval_agg_args(&sp.args, &batch, fns)?;
-            for (st, col) in states.iter_mut().zip(&arg_cols) {
-                update_state_col(st, col.as_ref(), batch.len())?;
-            }
-        }
-        (MorselOut::Grouped(groups), Some(sp)) => {
-            acc.bump("exchange", sp.exchange_node, batch.len() as u64);
-            acc.charge("aggregate", sp.agg_node, batch.len() as f64 * 0.02);
-            let key_cols = sp
-                .group
-                .iter()
-                .map(|g| vexpr::eval(g, &batch, fns))
-                .collect::<Result<Vec<_>>>()?;
-            let arg_cols = eval_agg_args(&sp.args, &batch, fns)?;
-            for i in 0..batch.len() {
-                let key: Vec<Value> = key_cols.iter().map(|c| c.value(i)).collect();
-                let gi = match group_index.get(&key) {
-                    Some(&gi) => gi,
-                    None => {
-                        group_index.insert(key.clone(), groups.len());
-                        groups.push((key, sp.aggs.iter().map(|a| AggState::new(a.func)).collect()));
-                        groups.len() - 1
-                    }
-                };
-                for (st, col) in groups[gi].1.iter_mut().zip(&arg_cols) {
-                    update_state_lane(st, col.as_ref(), i)?;
-                }
-            }
-        }
-        _ => {
-            return Err(AimError::Execution(
-                "fused partial aggregate lost its spec".into(),
-            ))
-        }
-    }
-    Ok(())
-}
-
-fn eval_agg_args(
-    args: &[Option<VExpr>],
-    b: &Batch,
-    fns: &dyn ScalarFns,
-) -> Result<Vec<Option<ColVec>>> {
-    args.iter()
-        .map(|a| a.as_ref().map(|e| vexpr::eval(e, b, fns)).transpose())
-        .collect()
-}
-
-/// The parallelism boundary: runs its compiled region on the morsel
-/// worker pool and streams the merged (morsel-ordered) batches out.
+/// The parallelism boundary: runs its region on the morsel worker pool
+/// and streams the merged (morsel-ordered) batches out.
 struct ExchangeOp<'p> {
-    region: RegionSpec<'p>,
+    region: Option<Region<'p>>,
     ctx: &'p ExecContext<'p>,
-    bs: usize,
-    workers: usize,
-    /// Region output, reversed so `pop()` yields morsel order.
-    out: Vec<Batch>,
-    opened: bool,
+    out: std::vec::IntoIter<Batch>,
 }
 
 impl BatchOp for ExchangeOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
-        if !self.opened {
-            self.opened = true;
-            let pieces = run_region(&self.region, None, self.ctx, self.bs, self.workers)?;
-            for piece in pieces {
-                if let MorselOut::Batches(bats) = piece {
-                    self.out.extend(bats);
-                }
-            }
-            self.out.reverse();
+        if let Some(region) = self.region.take() {
+            let add = |out: &mut Vec<Batch>, b: Batch, _: &ExecContext<'_>| {
+                out.push(b);
+                Ok(())
+            };
+            let morsels = run_region(&region, self.ctx, Vec::new, add)?;
+            self.out = morsels
+                .into_iter()
+                .flatten()
+                .collect::<Vec<_>>()
+                .into_iter();
         }
-        Ok(self.out.pop())
-    }
-}
-
-/// Aggregate fused into an exchange: runs the worker pool, then merges
-/// the per-morsel partial states in morsel order — group order is the
-/// serial first-seen order, and every state merge is exact (enforced by
-/// [`mergeable`] at build time).
-struct ParallelAggOp<'p> {
-    region: RegionSpec<'p>,
-    spec: PartialAggSpec<'p>,
-    out_schema: &'p Schema,
-    ctx: &'p ExecContext<'p>,
-    bs: usize,
-    workers: usize,
-    out: Vec<Row>,
-    pos: usize,
-    opened: bool,
-}
-
-impl ParallelAggOp<'_> {
-    fn open(&mut self) -> Result<()> {
-        if self.opened {
-            return Ok(());
-        }
-        self.opened = true;
-        let pieces = run_region(
-            &self.region,
-            Some(&self.spec),
-            self.ctx,
-            self.bs,
-            self.workers,
-        )?;
-        if self.spec.group.is_empty() {
-            let mut total: Vec<AggState> = self
-                .spec
-                .aggs
-                .iter()
-                .map(|a| AggState::new(a.func))
-                .collect();
-            for piece in pieces {
-                let MorselOut::Global(states) = piece else {
-                    return Err(AimError::Execution(
-                        "mixed morsel outputs in fused aggregate".into(),
-                    ));
-                };
-                for (t, s) in total.iter_mut().zip(states) {
-                    t.merge(s)?;
-                }
-            }
-            // a global aggregate yields exactly one row, even over zero
-            self.out
-                .push(Row::new(total.into_iter().map(AggState::finish).collect()));
-        } else {
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-            for piece in pieces {
-                let MorselOut::Grouped(gs) = piece else {
-                    return Err(AimError::Execution(
-                        "mixed morsel outputs in fused aggregate".into(),
-                    ));
-                };
-                for (key, states) in gs {
-                    match index.get(&key) {
-                        Some(&gi) => {
-                            for (t, s) in groups[gi].1.iter_mut().zip(states) {
-                                t.merge(s)?;
-                            }
-                        }
-                        None => {
-                            index.insert(key.clone(), groups.len());
-                            groups.push((key, states));
-                        }
-                    }
-                }
-            }
-            for (key, states) in groups {
-                let mut vals = key;
-                vals.extend(states.into_iter().map(AggState::finish));
-                self.out.push(Row::new(vals));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl BatchOp for ParallelAggOp<'_> {
-    fn next(&mut self) -> Result<Option<Batch>> {
-        self.open()?;
-        emit_chunk(&mut self.pos, &self.out, self.out_schema, self.bs)
+        Ok(self.out.next())
     }
 }

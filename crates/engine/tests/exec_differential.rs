@@ -23,11 +23,12 @@ use std::sync::Arc;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-use aimdb_common::{Result, Row};
+use aimdb_common::{Result, Row, Value};
 use aimdb_engine::exec::{execute, ExecContext};
 use aimdb_engine::exec_batch::{execute_batched, execute_batched_parallel};
+use aimdb_engine::plan::{PhysOp, PhysicalPlan};
 use aimdb_engine::Database;
-use aimdb_sql::expr::BuiltinFns;
+use aimdb_sql::expr::{BuiltinFns, ScalarFns};
 use aimdb_sql::{parse, Statement};
 
 use common::{ByName, StubModels};
@@ -684,5 +685,126 @@ fn predict_corpus_matches_row_reference() {
     if parking_lot::witness::enabled() {
         let v = parking_lot::witness::take_violations();
         assert!(v.is_empty(), "lock-order violations: {v:?}");
+    }
+}
+
+/// Move a scan's pushed-down predicate into a `Filter` node right above
+/// it, so the operator that pulls past empty morsels is a `FilterOp`.
+fn lift_scan_filter(plan: &mut PhysicalPlan) {
+    match &mut plan.op {
+        PhysOp::SeqScan { filter, .. } => {
+            if let Some(predicate) = filter.take() {
+                let scan = plan.clone();
+                plan.op = PhysOp::Filter {
+                    input: Box::new(scan),
+                    predicate,
+                };
+            }
+        }
+        PhysOp::Filter { input, .. }
+        | PhysOp::Project { input, .. }
+        | PhysOp::Exchange { input }
+        | PhysOp::Aggregate { input, .. } => lift_scan_filter(input),
+        _ => {}
+    }
+}
+
+/// Morsel boundaries. `band % 3 = 1` rejects two 600-row bands in three: each rejected
+/// stretch covers more than two of the largest (16-page) morsels, so at
+/// every worker count whole morsels filter to empty and the operator
+/// above the scan pulls past them inside one call. Each query runs as
+/// planned (predicate in the scan) and with the predicate lifted into a
+/// `Filter` node; workers {2, 4, 8} × batch sizes {1, 7, 1024} must match
+/// the serial run position by position. The corpus holds a fused grouped
+/// aggregate and a float `SUM`, which stays on the serial fold.
+/// `runs`: 9000 rows over well over 100 heap pages, `band` = `id / 600`.
+fn runs_table() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE runs (id INT, band INT, g INT, x FLOAT, pad TEXT)")
+        .expect("create");
+    for chunk in (0..9000i64).collect::<Vec<_>>().chunks(500) {
+        let rows: Vec<String> = chunk
+            .iter()
+            .map(|&i| {
+                format!(
+                    "({i}, {}, {}, {}.25, 'row{i:0>40}')",
+                    i / 600,
+                    i % 7,
+                    i % 13
+                )
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO runs VALUES {}", rows.join(",")))
+            .expect("insert");
+    }
+    db.execute("ANALYZE").expect("analyze");
+    db
+}
+
+#[test]
+fn empty_morsels_keep_serial_order() {
+    let db = runs_table();
+    let queries = [
+        "SELECT id, x FROM runs WHERE band % 3 = 1",
+        "SELECT id * 2, g FROM runs WHERE band % 3 = 1 AND g < 5",
+        // fused into the workers: COUNT/MIN/MAX and SUM over an Int column
+        "SELECT g, COUNT(*), MIN(id), MAX(x), SUM(band) FROM runs WHERE band % 3 = 1 GROUP BY g",
+        // a float SUM: morsel-ordered batches feed the serial fold
+        "SELECT SUM(x), COUNT(*) FROM runs WHERE band % 3 = 1",
+        // every morsel is empty
+        "SELECT g, COUNT(*) FROM runs WHERE band < 0 GROUP BY g",
+    ];
+    let fns = BuiltinFns;
+    for sql in queries {
+        let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
+            panic!("not a SELECT: {sql}");
+        };
+        let planned = db.plan(&sel).expect("plan");
+        let mut lifted = planned.clone();
+        lift_scan_filter(&mut lifted);
+        let want = execute(&planned, &ExecContext::new(&db.catalog, &fns)).expect("row run");
+        for plan in [&planned, &lifted] {
+            let serial = execute_batched(plan, &ExecContext::new(&db.catalog, &fns), 1024)
+                .expect("serial run");
+            assert_eq!(canon(serial.clone()), canon(want.clone()), "serial: {sql}");
+            for workers in [2usize, 4, 8] {
+                for bs in [1usize, 7, 1024] {
+                    let ctx = ExecContext::new(&db.catalog, &fns);
+                    let got =
+                        execute_batched_parallel(plan, &ctx, bs, workers).expect("parallel run");
+                    assert_eq!(got, serial, "workers={workers} bs={bs}: {sql}\n{plan:?}");
+                }
+            }
+        }
+    }
+}
+
+/// A function registry that panics on `ABS`.
+struct PanicOnAbs;
+
+impl ScalarFns for PanicOnAbs {
+    fn call(&self, name: &str, args: &[Value]) -> Result<Value> {
+        assert!(!name.eq_ignore_ascii_case("ABS"), "ABS called");
+        BuiltinFns.call(name, args)
+    }
+}
+
+/// A panic on a morsel worker surfaces as an execution error of the
+/// statement, not as a panic of the caller.
+#[test]
+fn worker_panic_is_an_execution_error() {
+    let db = runs_table();
+    let Some(Statement::Select(sel)) = parse("SELECT ABS(id) FROM runs WHERE g = 3")
+        .expect("parse")
+        .into_iter()
+        .next()
+    else {
+        panic!("not a SELECT");
+    };
+    let plan = db.plan(&sel).expect("plan");
+    let ctx = ExecContext::new(&db.catalog, &PanicOnAbs);
+    match execute_batched_parallel(&plan, &ctx, 1024, 2) {
+        Err(e) => assert_eq!(e.category(), "execution", "{e}"),
+        Ok(rows) => panic!("ran to completion with {} rows", rows.len()),
     }
 }

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use aimdb_common::{wait, AimError, LockRank, Result, Value, WaitSet, WallClock};
+use aimdb_common::{AimError, LockRank, Result, Value, WallClock};
 use aimdb_engine::{Database, QueryResult};
 use parking_lot::Mutex;
 
@@ -87,19 +87,10 @@ struct Shared {
     gate: AdmissionGate,
     shutdown: AtomicBool,
     next_session: AtomicU64,
-    /// Handler join handles plus the wait-profile aggregate of finished
-    /// connections, under one rank-1 mutex (acquired after the gate's
-    /// rank-0 mutex is *released* — neither is ever held across the
-    /// other, but the ranks document the accept-path order).
-    registry: Mutex<Registry>,
-}
-
-#[derive(Default)]
-struct Registry {
-    handles: Vec<JoinHandle<()>>,
-    /// Wait events attributed to wire statements, merged per connection
-    /// as handlers finish.
-    wire_waits: WaitSet,
+    /// Handler join handles, under one rank-1 mutex (acquired after the
+    /// gate's rank-0 mutex is *released* — neither is ever held across
+    /// the other, but the ranks document the accept-path order).
+    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running server. Dropping it performs a graceful shutdown.
@@ -128,7 +119,7 @@ impl Server {
             gate: AdmissionGate::new(limits, Arc::new(WallClock::new())),
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(0),
-            registry: Mutex::with_rank(Registry::default(), LockRank::ServerSessions),
+            handles: Mutex::with_rank(Vec::new(), LockRank::ServerSessions),
         });
 
         let accept = {
@@ -176,12 +167,6 @@ impl Server {
         TunerStats::default()
     }
 
-    /// Wait profile attributed to wire statements of connections that
-    /// have finished.
-    pub fn wire_waits(&self) -> WaitSet {
-        self.shared.registry.lock().wire_waits.clone()
-    }
-
     /// Graceful shutdown: stop accepting, let every in-flight statement
     /// finish and its result ship, send `Bye`s, join all threads.
     pub fn shutdown(mut self) -> Result<()> {
@@ -202,10 +187,7 @@ impl Server {
         }
         // handlers observe the latch at their next frame poll; drain them
         loop {
-            let drained = {
-                let mut reg = self.shared.registry.lock();
-                std::mem::take(&mut reg.handles)
-            };
+            let drained = std::mem::take(&mut *self.shared.handles.lock());
             if drained.is_empty() {
                 break;
             }
@@ -270,7 +252,7 @@ fn spawn_handler(shared: &Arc<Shared>, stream: TcpStream) {
             shared2.gate.release_session();
         });
     match spawned {
-        Ok(handle) => shared.registry.lock().handles.push(handle),
+        Ok(handle) => shared.handles.lock().push(handle),
         Err(_) => {
             // could not spawn: give the slot back; the client sees EOF
             shared.gate.release_session();
@@ -395,9 +377,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     };
 
     let mut session = Session::new(sid);
-    let mut conn_waits = WaitSet::default();
-    // discard waits this thread accumulated before the session started
-    let _ = wait::take_thread();
 
     loop {
         let frame = match poll_frame(&mut stream, shared) {
@@ -415,7 +394,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             FrameKind::Query => match std::str::from_utf8(&frame.payload) {
                 Ok(sql) => {
                     let sql = sql.to_string();
-                    run_statement(shared, &mut stream, &mut session, &mut conn_waits, &sql)
+                    run_statement(shared, &mut stream, &mut session, &sql)
                 }
                 Err(_) => send_error(
                     &mut stream,
@@ -440,14 +419,9 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 Err(e) => send_error(&mut stream, &e).is_ok(),
             },
             FrameKind::Execute => match protocol::decode_execute(&frame.payload) {
-                Ok((name, params)) => run_prepared(
-                    shared,
-                    &mut stream,
-                    &mut session,
-                    &mut conn_waits,
-                    &name,
-                    &params,
-                ),
+                Ok((name, params)) => {
+                    run_prepared(shared, &mut stream, &mut session, &name, &params)
+                }
                 Err(e) => send_error(&mut stream, &e).is_ok(),
             },
             FrameKind::Close => {
@@ -485,8 +459,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
     // an abandoned BEGIN must not pin the vacuum horizon
     let _ = session.close(&shared.db);
-    conn_waits.merge(&wait::take_thread());
-    shared.registry.lock().wire_waits.merge(&conn_waits);
 }
 
 /// Gate + execute + respond for a simple query. Returns whether the
@@ -495,7 +467,6 @@ fn run_statement(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
     session: &mut Session,
-    conn_waits: &mut WaitSet,
     sql: &str,
 ) -> bool {
     let Some(_permit) = shared.gate.admit_statement() else {
@@ -506,16 +477,13 @@ fn run_statement(
         )
         .is_ok();
     };
-    let outcome = session.dispatch(&shared.db, sql);
-    conn_waits.merge(&wait::take_thread());
-    respond(stream, outcome)
+    respond(stream, session.dispatch(&shared.db, sql))
 }
 
 fn run_prepared(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
     session: &mut Session,
-    conn_waits: &mut WaitSet,
     name: &str,
     params: &[Value],
 ) -> bool {
@@ -527,9 +495,7 @@ fn run_prepared(
         )
         .is_ok();
     };
-    let outcome = session.execute_prepared(&shared.db, name, params);
-    conn_waits.merge(&wait::take_thread());
-    respond(stream, outcome)
+    respond(stream, session.execute_prepared(&shared.db, name, params))
 }
 
 fn respond(stream: &mut TcpStream, outcome: Result<QueryResult>) -> bool {
