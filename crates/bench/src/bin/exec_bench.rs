@@ -1,7 +1,8 @@
 //! Executor micro-benchmark.
 //!
 //! The default mode is the A5 reporter: it seeds a scan-heavy `events`
-//! table, plans a small aggregate workload once, then times each
+//! table and a 100-row `groups` dimension, plans a small aggregate
+//! workload (one query hash-joins `events` to `groups`) once, then times each
 //! physical plan through the engine's batch executor and through the
 //! reference row interpreter (`exec::execute`, which only tests and
 //! harnesses reach) on a single core. It prints per-query and overall
@@ -63,18 +64,32 @@ fn setup(db: &Database, n_rows: usize, rng: &mut StdRng) -> Result<()> {
             .collect();
         db.execute(&format!("INSERT INTO events VALUES {}", rows.join(",")))?;
     }
+    db.execute("CREATE TABLE groups (grp INT, label TEXT, weight FLOAT)")?;
+    let rows: Vec<String> = (0..100)
+        .map(|g| {
+            format!(
+                "({g}, '{}', {:.2})",
+                cats[g % cats.len()],
+                rng.gen_range(0.5..2.0)
+            )
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO groups VALUES {}", rows.join(",")))?;
     db.execute("ANALYZE")?;
     Ok(())
 }
 
 /// The scan-heavy aggregate workload: every query reads the whole table
-/// (or most of it) and funnels it through expression + aggregate kernels.
-const WORKLOAD: [&str; 5] = [
+/// (or most of it) and funnels it through expression + aggregate kernels;
+/// the last one through a hash join with the `groups` dimension first.
+const WORKLOAD: [&str; 6] = [
     "SELECT COUNT(*) FROM events",
     "SELECT grp, COUNT(*), SUM(amt), AVG(qty) FROM events GROUP BY grp",
     "SELECT COUNT(*), AVG(amt) FROM events WHERE qty > 2 AND amt < 400.0",
     "SELECT cat, MIN(amt), MAX(amt) FROM events WHERE grp < 40 GROUP BY cat",
     "SELECT id, amt * 2 + qty FROM events WHERE amt > 250.0 AND cat LIKE '%a%'",
+    "SELECT groups.label, COUNT(*), SUM(events.amt * groups.weight) FROM events \
+     JOIN groups ON events.grp = groups.grp WHERE events.qty > 2 GROUP BY groups.label",
 ];
 
 fn plan_query(db: &Database, sql: &str) -> PhysicalPlan {

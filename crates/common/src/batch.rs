@@ -374,6 +374,40 @@ impl ColVec {
         }
     }
 
+    /// Append `other`'s rows after this column's. Same-variant columns
+    /// extend their lanes; a variant mismatch demotes to `Mixed`. An
+    /// empty column takes `other`'s variant.
+    pub fn append(&mut self, other: ColVec) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        match (self, other) {
+            (ColVec::Int { vals, nulls }, ColVec::Int { vals: v, nulls: n }) => {
+                vals.extend(v);
+                nulls.extend(n);
+            }
+            (ColVec::Float { vals, nulls }, ColVec::Float { vals: v, nulls: n }) => {
+                vals.extend(v);
+                nulls.extend(n);
+            }
+            (ColVec::Bool { vals, nulls }, ColVec::Bool { vals: v, nulls: n }) => {
+                vals.extend(v);
+                nulls.extend(n);
+            }
+            (ColVec::Text { vals, nulls }, ColVec::Text { vals: v, nulls: n }) => {
+                vals.extend(v);
+                nulls.extend(n);
+            }
+            (_, other) if other.is_empty() => {}
+            (this, ColVec::Mixed(v)) => this.demote().extend(v),
+            (this, other) => {
+                let vals = this.demote();
+                vals.extend((0..other.len()).map(|i| other.value(i)));
+            }
+        }
+    }
+
     /// Copy out the rows named by a selection vector, in order.
     pub fn gather(&self, sel: &[u32]) -> ColVec {
         match self {
@@ -478,6 +512,20 @@ impl Batch {
             len: sel.len(),
         }
     }
+
+    /// Append `other`'s rows after this batch's, column by column (see
+    /// [`ColVec::append`]). An empty batch takes `other`'s columns.
+    pub fn append(&mut self, other: Batch) {
+        if self.len == 0 {
+            *self = other;
+            return;
+        }
+        debug_assert_eq!(self.cols.len(), other.cols.len());
+        for (c, o) in self.cols.iter_mut().zip(other.cols) {
+            c.append(o);
+        }
+        self.len += other.len;
+    }
 }
 
 #[cfg(test)]
@@ -580,6 +628,90 @@ mod tests {
         b.push_text("z".into());
         let via_push = Batch::from_cols(vec![a, b], 3);
         assert_eq!(via_push, via_rows);
+    }
+
+    #[test]
+    fn append_extends_typed_lanes() {
+        let mut a = ColVec::from_values(vec![Value::Int(1), Value::Null]);
+        a.append(ColVec::from_values(vec![Value::Int(3)]));
+        assert!(matches!(a, ColVec::Int { .. }));
+        assert_eq!(a.len(), 3);
+        assert!(a.is_null(1));
+        assert_eq!(a.value(2), Value::Int(3));
+        let mut t = ColVec::from_values(vec![Value::Text("x".into())]);
+        t.append(ColVec::from_values(vec![
+            Value::Null,
+            Value::Text("y".into()),
+        ]));
+        assert!(matches!(t, ColVec::Text { .. }));
+        assert_eq!(t.value(2), Value::Text("y".into()));
+    }
+
+    #[test]
+    fn append_mismatch_demotes_to_mixed() {
+        // Int + Mixed, and Mixed + Int
+        let mut a = ColVec::from_values(vec![Value::Int(1), Value::Null]);
+        a.append(ColVec::Mixed(vec![
+            Value::Float(2.5),
+            Value::Text("x".into()),
+        ]));
+        assert!(matches!(a, ColVec::Mixed(_)));
+        let want = [
+            Value::Int(1),
+            Value::Null,
+            Value::Float(2.5),
+            Value::Text("x".into()),
+        ];
+        assert_eq!((0..a.len()).map(|i| a.value(i)).collect::<Vec<_>>(), want);
+        let mut m = ColVec::Mixed(vec![Value::Float(2.5)]);
+        m.append(ColVec::from_values(vec![Value::Int(7), Value::Null]));
+        assert!(matches!(m, ColVec::Mixed(_)));
+        assert_eq!(m.value(1), Value::Int(7));
+        assert!(m.is_null(2));
+        // two typed variants meet in Mixed
+        let mut f = ColVec::from_values(vec![Value::Float(0.5)]);
+        f.append(ColVec::from_values(vec![Value::Int(2)]));
+        assert!(matches!(f, ColVec::Mixed(_)));
+        assert_eq!(f.value(1), Value::Int(2));
+    }
+
+    #[test]
+    fn append_to_and_from_empty() {
+        // an empty Mixed column (what `Batch::empty` holds) takes the
+        // appended column's type
+        let mut e = ColVec::Mixed(Vec::new());
+        e.append(ColVec::from_values(vec![Value::Int(4)]));
+        assert!(matches!(e, ColVec::Int { .. }));
+        assert_eq!(e.value(0), Value::Int(4));
+        // appending an empty column of another variant changes nothing
+        e.append(ColVec::Mixed(Vec::new()));
+        e.append(ColVec::with_capacity(DataType::Text, 8));
+        assert!(matches!(e, ColVec::Int { .. }));
+        assert_eq!(e.len(), 1);
+    }
+
+    #[test]
+    fn batch_append_concatenates_rows() {
+        let parts = [
+            vec![
+                Row::new(vec![Value::Int(1), Value::Text("x".into())]),
+                Row::new(vec![Value::Null, Value::Text("y".into())]),
+            ],
+            vec![],
+            vec![Row::new(vec![Value::Int(3), Value::Null])],
+        ];
+        let mut all = Batch::empty(2);
+        for p in &parts {
+            all.append(Batch::from_rows(&schema(), p));
+        }
+        // a Mixed part demotes its columns, rows unchanged
+        let mixed = vec![Row::new(vec![Value::Float(2.5), Value::Text("z".into())])];
+        all.append(Batch::from_rows(&schema(), &mixed));
+        let want: Vec<Row> = parts.iter().flatten().chain(&mixed).cloned().collect();
+        assert_eq!(all.len(), want.len());
+        assert!(matches!(all.col(0), ColVec::Mixed(_)));
+        assert!(matches!(all.col(1), ColVec::Text { .. }));
+        assert_eq!(all.to_rows(), want);
     }
 
     #[test]

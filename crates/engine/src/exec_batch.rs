@@ -22,6 +22,25 @@
 //! - aggregation emits first-seen group order,
 //! - sort is stable over the same precomputed keys.
 //!
+//! # Joins
+//!
+//! Both joins stay columnar from drain to output. The hash join drains
+//! each input as `(batch, key column)` pairs and builds on the smaller
+//! side, its batches appended into one [`Batch`] (`Batch::append`). The
+//! build keys go into one chained table for every key type: `first`
+//! holds a bucket's head row, `next` links each build row to the
+//! following one, rows are inserted in reverse so a chain walks in
+//! insertion order, and NULL keys are never inserted or probed. Keys
+//! hash the way `Value` does (an Int as its `f64` bits, so `Int(2)`
+//! meets `Float(2.0)`), mixed before the bucket mask; two Int lanes
+//! compare as `i64`, any other pair as `Value`s. Each probe batch turns
+//! into `(probe_idx, build_idx)` pairs, whole chains at a time up to
+//! the batch size, and the output is two `gather`s, columns left then
+//! right whichever side built. The nested-loop join appends both
+//! inputs the same way and emits its left-major `(li, ri)` pairs
+//! through the same gathers. A residual or `ON` predicate is a
+//! selection over the gathered batch.
+//!
 //! # Morsel-driven parallelism
 //!
 //! [`PhysOp::Exchange`] nodes (inserted by the optimizer over maximal
@@ -204,11 +223,10 @@ impl<'p> Builder<'p> {
                     on: compile_opt(on, &plan.schema)?,
                     left: Some(self.build(left)?),
                     right: Some(self.build(right)?),
-                    out_schema: &plan.schema,
                     ctx,
                     bs,
-                    lrows: Vec::new(),
-                    rrows: Vec::new(),
+                    lrows: Batch::empty(0),
+                    rrows: Batch::empty(0),
                     li: 0,
                     ri: 0,
                 }),
@@ -227,14 +245,14 @@ impl<'p> Builder<'p> {
                     residual: compile_opt(residual, &plan.schema)?,
                     left: Some(self.build(left)?),
                     right: Some(self.build(right)?),
-                    out_schema: &plan.schema,
                     ctx,
                     bs,
-                    build_rows: Vec::new(),
-                    table: HashMap::new(),
-                    probe_rows: Vec::new(),
-                    probe_keys: Vec::new(),
+                    build: Batch::empty(0),
+                    build_key: ColVec::Mixed(Vec::new()),
+                    table: JoinTable::default(),
                     build_is_left: true,
+                    probe: Vec::new().into_iter(),
+                    cur: None,
                     probe_pos: 0,
                 }),
             ),
@@ -547,45 +565,45 @@ struct NestedLoopJoinOp<'p> {
     left: Option<Box<dyn BatchOp + 'p>>,
     right: Option<Box<dyn BatchOp + 'p>>,
     on: Option<VExpr>,
-    out_schema: &'p Schema,
     ctx: &'p ExecContext<'p>,
     bs: usize,
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-    li: usize,
-    ri: usize,
+    lrows: Batch,
+    rrows: Batch,
+    li: u32,
+    ri: u32,
 }
 
 impl BatchOp for NestedLoopJoinOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
         if let (Some(mut l), Some(mut r)) = (self.left.take(), self.right.take()) {
-            self.lrows = drain(&mut l)?;
-            self.rrows = drain(&mut r)?;
+            self.lrows = drain_concat(&mut l)?;
+            self.rrows = drain_concat(&mut r)?;
             self.ctx
                 .charge(self.lrows.len() as f64 * self.rrows.len() as f64 * 0.01);
         }
-        loop {
-            let mut pending = Vec::with_capacity(self.bs);
-            while pending.len() < self.bs && self.li < self.lrows.len() {
-                if self.rrows.is_empty() {
-                    break;
-                }
-                pending.push(self.lrows[self.li].join(&self.rrows[self.ri]));
+        let (nl, nr) = (self.lrows.len() as u32, self.rrows.len() as u32);
+        let mut lidx = Vec::with_capacity(self.bs);
+        let mut ridx = Vec::with_capacity(self.bs);
+        while nr > 0 && self.li < nl {
+            // left-major (li, ri) pairs, one chunk at a time
+            lidx.clear();
+            ridx.clear();
+            while lidx.len() < self.bs && self.li < nl {
+                lidx.push(self.li);
+                ridx.push(self.ri);
                 self.ri += 1;
-                if self.ri == self.rrows.len() {
+                if self.ri == nr {
                     self.ri = 0;
                     self.li += 1;
                 }
             }
-            if pending.is_empty() {
-                return Ok(None);
-            }
-            let batch = Batch::from_rows(self.out_schema, &pending);
+            let batch = join_gather(&self.lrows, &lidx, &self.rrows, &ridx);
             let batch = select(batch, self.on.as_ref(), self.ctx.fns)?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
         }
+        Ok(None)
     }
 }
 
@@ -595,15 +613,18 @@ struct HashJoinOp<'p> {
     lkey: VExpr,
     rkey: VExpr,
     residual: Option<VExpr>,
-    out_schema: &'p Schema,
     ctx: &'p ExecContext<'p>,
     bs: usize,
-    build_rows: Vec<Row>,
-    /// key → build-row indices in insertion order
-    table: HashMap<Value, Vec<usize>>,
-    probe_rows: Vec<Row>,
-    probe_keys: Vec<Value>,
+    /// The smaller input, its batches appended into one, and its keys.
+    build: Batch,
+    build_key: ColVec,
+    table: JoinTable,
     build_is_left: bool,
+    /// Probe batches with their keys, in input order.
+    probe: std::vec::IntoIter<(Batch, ColVec)>,
+    /// The probe batch being joined, its keys and key hashes, and the
+    /// next row to probe.
+    cur: Option<(Batch, ColVec, Vec<Option<u64>>)>,
     probe_pos: usize,
 }
 
@@ -614,27 +635,37 @@ impl HashJoinOp<'_> {
         };
         // drain both inputs batch-wise, computing join keys with the
         // vectorized kernels as batches arrive
-        let (lrows, lkeys) = drain_keyed(&mut l, &self.lkey, self.ctx)?;
-        let (rrows, rkeys) = drain_keyed(&mut r, &self.rkey, self.ctx)?;
-        self.ctx.charge((lrows.len() + rrows.len()) as f64 * 0.015);
+        let drain_input = |op: &mut Box<dyn BatchOp + '_>, key: &VExpr| -> Result<_> {
+            let mut parts = Vec::new();
+            let mut n = 0;
+            while let Some(b) = op.next()? {
+                let k = vexpr::eval(key, &b, self.ctx.fns)?;
+                n += b.len();
+                parts.push((b, k));
+            }
+            Ok((parts, n))
+        };
+        let (lparts, ln) = drain_input(&mut l, &self.lkey)?;
+        let (rparts, rn) = drain_input(&mut r, &self.rkey)?;
+        self.ctx.charge((ln + rn) as f64 * 0.015);
         // build on the smaller side, like the row executor, so output
         // order (probe order × build-insertion order) matches exactly
-        let (build_rows, build_keys, probe_rows, probe_keys, build_is_left) =
-            if lrows.len() <= rrows.len() {
-                (lrows, lkeys, rrows, rkeys, true)
-            } else {
-                (rrows, rkeys, lrows, lkeys, false)
-            };
-        for (i, k) in build_keys.into_iter().enumerate() {
-            if k.is_null() {
-                continue; // NULL never joins
-            }
-            self.table.entry(k).or_default().push(i);
+        let (build_parts, probe_parts, build_is_left) = if ln <= rn {
+            (lparts, rparts, true)
+        } else {
+            (rparts, lparts, false)
+        };
+        let mut build = Batch::empty(0);
+        let mut build_key = ColVec::Mixed(Vec::new());
+        for (b, k) in build_parts {
+            build.append(b);
+            build_key.append(k);
         }
-        self.build_rows = build_rows;
-        self.probe_rows = probe_rows;
-        self.probe_keys = probe_keys;
+        self.table = JoinTable::build(&key_hashes(&build_key))?;
+        self.build = build;
+        self.build_key = build_key;
         self.build_is_left = build_is_left;
+        self.probe = probe_parts.into_iter();
         Ok(())
     }
 }
@@ -642,29 +673,48 @@ impl HashJoinOp<'_> {
 impl BatchOp for HashJoinOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
         self.open()?;
+        let mut pidx = Vec::with_capacity(self.bs);
+        let mut bidx = Vec::with_capacity(self.bs);
         loop {
-            let mut pending: Vec<Row> = Vec::with_capacity(self.bs);
-            while pending.len() < self.bs && self.probe_pos < self.probe_rows.len() {
-                let k = &self.probe_keys[self.probe_pos];
-                let p = &self.probe_rows[self.probe_pos];
-                if !k.is_null() {
-                    if let Some(matches) = self.table.get(k) {
-                        for &bi in matches {
-                            let b = &self.build_rows[bi];
-                            pending.push(if self.build_is_left {
-                                b.join(p)
-                            } else {
-                                p.join(b)
-                            });
-                        }
+            if self
+                .cur
+                .as_ref()
+                .is_none_or(|(b, ..)| self.probe_pos >= b.len())
+            {
+                let Some((b, k)) = self.probe.next() else {
+                    return Ok(None);
+                };
+                let h = key_hashes(&k);
+                self.cur = Some((b, k, h));
+                self.probe_pos = 0;
+            }
+            let Some((probe, pkey, hashes)) = &self.cur else {
+                return Ok(None);
+            };
+            // whole chains per probe row until the chunk holds `bs` pairs
+            pidx.clear();
+            bidx.clear();
+            while pidx.len() < self.bs && self.probe_pos < probe.len() {
+                let p = self.probe_pos;
+                self.probe_pos += 1;
+                let Some(h) = hashes[p] else {
+                    continue; // NULL never joins
+                };
+                for bi in self.table.chain(h) {
+                    if keys_eq(&self.build_key, bi as usize, pkey, p) {
+                        pidx.push(p as u32);
+                        bidx.push(bi);
                     }
                 }
-                self.probe_pos += 1;
             }
-            if pending.is_empty() {
-                return Ok(None);
+            if pidx.is_empty() {
+                continue;
             }
-            let batch = Batch::from_rows(self.out_schema, &pending);
+            let batch = if self.build_is_left {
+                join_gather(&self.build, &bidx, probe, &pidx)
+            } else {
+                join_gather(probe, &pidx, &self.build, &bidx)
+            };
             let batch = select(batch, self.residual.as_ref(), self.ctx.fns)?;
             if !batch.is_empty() {
                 self.ctx.charge(batch.len() as f64 * 0.01);
@@ -672,6 +722,122 @@ impl BatchOp for HashJoinOp<'_> {
             }
         }
     }
+}
+
+/// The hash join's build-side table: `first[bucket]` heads a chain of
+/// build-row indices linked through `next` (one slot per build row),
+/// [`CHAIN_END`]-terminated. NULL keys are never inserted.
+#[derive(Default)]
+struct JoinTable {
+    first: Vec<u32>,
+    next: Vec<u32>,
+    mask: u64,
+}
+
+const CHAIN_END: u32 = u32::MAX;
+
+impl JoinTable {
+    fn build(hashes: &[Option<u64>]) -> Result<JoinTable> {
+        let n = u32::try_from(hashes.len())
+            .ok()
+            .filter(|&n| n < CHAIN_END)
+            .ok_or_else(|| AimError::Execution("hash join build side too large".into()))?;
+        let buckets = (2 * n as usize).next_power_of_two();
+        let mut t = JoinTable {
+            first: vec![CHAIN_END; buckets],
+            next: vec![CHAIN_END; n as usize],
+            mask: buckets as u64 - 1,
+        };
+        // insert in reverse so each chain walks in build-insertion order
+        for (i, h) in hashes.iter().enumerate().rev() {
+            if let Some(h) = h {
+                let head = &mut t.first[(h & t.mask) as usize];
+                t.next[i] = *head;
+                *head = i as u32;
+            }
+        }
+        Ok(t)
+    }
+
+    /// Build rows in `h`'s bucket, in insertion order; callers compare
+    /// keys, since a bucket holds every hash that lands in it.
+    fn chain(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
+        let head = self.first.get((h & self.mask) as usize).copied();
+        std::iter::successors(head.filter(|&i| i != CHAIN_END), |&i| {
+            Some(self.next[i as usize]).filter(|&j| j != CHAIN_END)
+        })
+    }
+}
+
+/// Every row's join-key hash (`None` for NULL), consistent with
+/// `Value`'s `Eq`: an Int hashes as its `f64` bits, like `Value::hash`,
+/// so `Int(2)` meets `Float(2.0)`. The bits are mixed before a table
+/// masks them: the low bits of a small integer's `f64` pattern are all
+/// zero.
+fn key_hashes(col: &ColVec) -> Vec<Option<u64>> {
+    fn lanes<T>(vals: &[T], nulls: &[bool], h: impl Fn(&T) -> u64) -> Vec<Option<u64>> {
+        vals.iter()
+            .zip(nulls)
+            .map(|(v, &null)| (!null).then(|| h(v)))
+            .collect()
+    }
+    match col {
+        ColVec::Int { vals, nulls } => lanes(vals, nulls, |&v| mix((v as f64).to_bits())),
+        ColVec::Float { vals, nulls } => lanes(vals, nulls, |v| mix(v.to_bits())),
+        ColVec::Bool { vals, nulls } => lanes(vals, nulls, |&b| mix(u64::from(b))),
+        ColVec::Text { vals, nulls } => lanes(vals, nulls, |s| hash_text(s)),
+        ColVec::Mixed(vals) => vals
+            .iter()
+            .map(|v| match v {
+                Value::Null => None,
+                Value::Int(x) => Some(mix((*x as f64).to_bits())),
+                Value::Float(x) => Some(mix(x.to_bits())),
+                Value::Bool(b) => Some(mix(u64::from(*b))),
+                Value::Text(s) => Some(hash_text(s)),
+            })
+            .collect(),
+    }
+}
+
+/// FNV-1a over the bytes, then mixed.
+fn hash_text(s: &str) -> u64 {
+    let h = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    mix(h)
+}
+
+/// MurmurHash3's 64-bit finalizer: every input bit reaches every
+/// output bit.
+fn mix(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+/// Do two non-NULL join keys match under `Value`'s `Eq`? Two Int lanes
+/// compare exactly as `i64` (2^53 and 2^53 + 1 share a hash, not a
+/// value); text compares in place; any other pair as `Value`s.
+fn keys_eq(a: &ColVec, i: usize, b: &ColVec, j: usize) -> bool {
+    match (a, b) {
+        (ColVec::Int { vals: x, .. }, ColVec::Int { vals: y, .. }) => x[i] == y[j],
+        (ColVec::Text { vals: x, .. }, ColVec::Text { vals: y, .. }) => x[i] == y[j],
+        _ => a.value(i) == b.value(j),
+    }
+}
+
+/// The joined rows `(left[li[k]], right[ri[k]])`: two gathers, columns
+/// left then right.
+fn join_gather(left: &Batch, li: &[u32], right: &Batch, ri: &[u32]) -> Batch {
+    let cols = left
+        .cols()
+        .iter()
+        .map(|c| c.gather(li))
+        .chain(right.cols().iter().map(|c| c.gather(ri)))
+        .collect();
+    Batch::from_cols(cols, li.len())
 }
 
 /// Compiled GROUP BY keys and aggregate arguments.
@@ -1057,32 +1223,13 @@ fn emit_chunk(pos: &mut usize, rows: &[Row], schema: &Schema, bs: usize) -> Resu
     Ok(Some(b))
 }
 
-/// Drain an operator into a materialized row vector.
-fn drain(op: &mut Box<dyn BatchOp + '_>) -> Result<Vec<Row>> {
-    let mut rows = Vec::new();
+/// Drain an operator into one batch, its batches appended in order.
+fn drain_concat(op: &mut Box<dyn BatchOp + '_>) -> Result<Batch> {
+    let mut all = Batch::empty(0);
     while let Some(b) = op.next()? {
-        rows.extend(b.to_rows());
+        all.append(b);
     }
-    Ok(rows)
-}
-
-/// Drain an operator, evaluating a compiled key expression over each
-/// batch; returns rows and their keys, positionally aligned.
-fn drain_keyed(
-    op: &mut Box<dyn BatchOp + '_>,
-    key: &VExpr,
-    ctx: &ExecContext<'_>,
-) -> Result<(Vec<Row>, Vec<Value>)> {
-    let mut rows = Vec::new();
-    let mut keys = Vec::new();
-    while let Some(b) = op.next()? {
-        let kc = vexpr::eval(key, &b, ctx.fns)?;
-        for i in 0..b.len() {
-            keys.push(kc.value(i));
-            rows.push(b.row(i));
-        }
-    }
-    Ok((rows, keys))
+    Ok(all)
 }
 
 // ---------------------------------------------------------------------------

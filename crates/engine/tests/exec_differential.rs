@@ -779,6 +779,102 @@ fn empty_morsels_keep_serial_order() {
     }
 }
 
+/// `jl` (21 rows) and `jr` (61 rows): join inputs whose keys cover the
+/// hash join's key semantics — duplicates on both sides (N:M), NULLs on
+/// both sides, an Int key against a Float column of integral values,
+/// text keys, and 2^53 against 2^53 + 1 (one `f64`, two `i64`s).
+/// `jnone` is empty.
+fn join_keys_tables() -> Database {
+    let db = Database::new();
+    for ddl in [
+        "CREATE TABLE jl (id INT, k INT, s TEXT)",
+        "CREATE TABLE jr (id INT, k INT, f FLOAT, s TEXT)",
+        "CREATE TABLE jnone (k INT, s TEXT)",
+    ] {
+        db.execute(ddl).expect("create");
+    }
+    let or_null = |null: bool, v: String| if null { "NULL".to_string() } else { v };
+    let mut jl: Vec<String> = (0..20i64)
+        .map(|i| {
+            let k = or_null(i % 5 == 4, (i % 7).to_string());
+            let s = or_null(i % 6 == 5, format!("'w{}'", i % 4));
+            format!("({i}, {k}, {s})")
+        })
+        .collect();
+    jl.push("(20, 9007199254740992, 'big')".into());
+    let mut jr: Vec<String> = (0..60i64)
+        .map(|i| {
+            let k = or_null(i % 9 == 8, (i % 11).to_string());
+            let f = or_null(i % 10 == 9, format!("{}.0", i % 8));
+            let s = or_null(i % 7 == 6, format!("'w{}'", i % 5));
+            format!("({i}, {k}, {f}, {s})")
+        })
+        .collect();
+    jr.push("(60, 9007199254740993, 1.5, 'big')".into());
+    db.execute(&format!("INSERT INTO jl VALUES {}", jl.join(",")))
+        .expect("insert jl");
+    db.execute(&format!("INSERT INTO jr VALUES {}", jr.join(",")))
+        .expect("insert jr");
+    db.execute("ANALYZE").expect("analyze");
+    db
+}
+
+/// Join-key semantics, position by position against the row oracle:
+/// join output order (probe order × build-insertion order, columns left
+/// then right) is part of the executor's contract, so no `canon`. The
+/// build side is the smaller input, so `jl ⋈ jr` builds on the left and
+/// `jr ⋈ jl` on the right.
+#[test]
+fn join_key_semantics_match_row_oracle_in_order() {
+    let db = join_keys_tables();
+    let queries = [
+        // N:M duplicates and NULLs on both sides; build left, then right
+        "SELECT jl.id, jr.id, jl.s FROM jl JOIN jr ON jl.k = jr.k",
+        "SELECT jr.id, jl.id, jr.f FROM jr JOIN jl ON jr.k = jl.k",
+        // Int key against integral floats, both ways round
+        "SELECT jl.id, jr.id, jr.f FROM jl JOIN jr ON jl.k = jr.f",
+        "SELECT jr.id, jl.id FROM jr JOIN jl ON jr.f = jl.k",
+        // text keys
+        "SELECT jl.id, jr.id, jr.s FROM jl JOIN jr ON jl.s = jr.s",
+        // an equality plus a residual
+        "SELECT jl.id, jr.id FROM jl JOIN jr ON jl.k = jr.k AND jr.id > jl.id + 20",
+        // an empty build side, on either side
+        "SELECT jnone.k, jr.id FROM jnone JOIN jr ON jnone.k = jr.k",
+        "SELECT jr.id, jnone.s FROM jr JOIN jnone ON jr.s = jnone.s",
+    ];
+    const WORKERS: [usize; 4] = [1, 2, 4, 8];
+    for sql in queries {
+        let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
+            panic!("not a SELECT: {sql}");
+        };
+        let plan = db.plan(&sel).expect("plan");
+        assert!(
+            plan.explain().contains("HashJoin"),
+            "{sql}\n{}",
+            plan.explain()
+        );
+        for bs in [1usize, 7, 1024] {
+            let (rr, prs) = run_matrix(&db, sql, bs, &WORKERS);
+            let rr = rr.unwrap_or_else(|e| panic!("row executor failed ({e}): {sql}"));
+            for (w, pr) in WORKERS.iter().zip(prs) {
+                let pr = pr.unwrap_or_else(|e| panic!("batch executor failed ({e}): {sql}"));
+                assert_eq!(pr, rr, "workers={w} bs={bs}: {sql}");
+            }
+        }
+    }
+    // 2^53 and 2^53 + 1 share a hash but are different keys
+    let (rr, prs) = run_matrix(
+        &db,
+        "SELECT jl.id, jr.id FROM jl JOIN jr ON jl.k = jr.k WHERE jl.id = 20",
+        1024,
+        &[1],
+    );
+    assert_eq!(rr.expect("row run"), Vec::<Row>::new());
+    for pr in prs {
+        assert_eq!(pr.expect("batch run"), Vec::<Row>::new());
+    }
+}
+
 /// A function registry that panics on `ABS`.
 struct PanicOnAbs;
 
