@@ -2,10 +2,11 @@
 //!
 //! The default mode is the A5 reporter: it seeds a scan-heavy `events`
 //! table and a 100-row `groups` dimension, plans a small aggregate
-//! workload (one query hash-joins `events` to `groups`) once, then times each
-//! physical plan through the engine's batch executor and through the
-//! reference row interpreter (`exec::execute`, which only tests and
-//! harnesses reach) on a single core. It prints per-query and overall
+//! workload (one query groups by two columns, one hash-joins `events`
+//! to `groups`) once, then times each physical plan through the
+//! engine's batch executor and through the reference row interpreter
+//! (`exec::execute`, which only tests and harnesses reach) on a single
+//! core. It prints per-query and overall
 //! ratios and exits nonzero only if the two disagree on rows; whether
 //! they agree in depth is `exec_differential`'s job, and how fast the
 //! batch executor is, `engine.exec.ns_per_row` in `BENCH_wire.json`.
@@ -82,9 +83,10 @@ fn setup(db: &Database, n_rows: usize, rng: &mut StdRng) -> Result<()> {
 /// The scan-heavy aggregate workload: every query reads the whole table
 /// (or most of it) and funnels it through expression + aggregate kernels;
 /// the last one through a hash join with the `groups` dimension first.
-const WORKLOAD: [&str; 6] = [
+const WORKLOAD: [&str; 7] = [
     "SELECT COUNT(*) FROM events",
     "SELECT grp, COUNT(*), SUM(amt), AVG(qty) FROM events GROUP BY grp",
+    "SELECT grp, cat, COUNT(*), SUM(qty) FROM events GROUP BY grp, cat",
     "SELECT COUNT(*), AVG(amt) FROM events WHERE qty > 2 AND amt < 400.0",
     "SELECT cat, MIN(amt), MAX(amt) FROM events WHERE grp < 40 GROUP BY cat",
     "SELECT id, amt * 2 + qty FROM events WHERE amt > 250.0 AND cat LIKE '%a%'",

@@ -412,9 +412,12 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
 #[derive(Debug, Clone)]
 pub(crate) enum AggState {
     Count(u64),
-    Sum(f64),
-    /// (sum, count) for AVG
-    Avg(f64, u64),
+    /// Int addends in an exact `i128` total, every other addend in an
+    /// `f64` total; `finish` adds the two once. Partial sums of Int
+    /// arguments therefore merge exactly at any size.
+    Sum(i128, f64),
+    /// (Int total, other total, count) for AVG
+    Avg(i128, f64, u64),
     Min(Option<Value>),
     Max(Option<Value>),
 }
@@ -423,8 +426,8 @@ impl AggState {
     pub(crate) fn new(f: AggFunc) -> AggState {
         match f {
             AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum(0.0),
-            AggFunc::Avg => AggState::Avg(0.0, 0),
+            AggFunc::Sum => AggState::Sum(0, 0.0),
+            AggFunc::Avg => AggState::Avg(0, 0.0, 0),
             AggFunc::Min => AggState::Min(None),
             AggFunc::Max => AggState::Max(None),
         }
@@ -439,21 +442,21 @@ impl AggState {
                     _ => *n += 1,
                 }
             }
-            AggState::Sum(s) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *s += val.as_f64()?;
+            AggState::Sum(i, f) => match v {
+                None | Some(Value::Null) => {}
+                Some(Value::Int(x)) => *i += i128::from(*x),
+                Some(val) => *f += val.as_f64()?,
+            },
+            AggState::Avg(i, f, n) => match v {
+                None | Some(Value::Null) => {}
+                Some(val) => {
+                    match val {
+                        Value::Int(x) => *i += i128::from(*x),
+                        val => *f += val.as_f64()?,
                     }
+                    *n += 1;
                 }
-            }
-            AggState::Avg(s, n) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *s += val.as_f64()?;
-                        *n += 1;
-                    }
-                }
-            }
+            },
             AggState::Min(m) => {
                 if let Some(val) = v {
                     if !val.is_null() && m.as_ref().is_none_or(|cur| val < cur) {
@@ -474,16 +477,20 @@ impl AggState {
 
     /// Fold a partial state — computed over a *later* contiguous run of
     /// rows — into `self`. Exact for COUNT / MIN / MAX (order-free) and
-    /// for SUM / AVG whose partial sums are exactly representable (Int
-    /// arguments below 2^53); the parallel executor only partial-
-    /// aggregates in those cases, feeding everything else through the
-    /// serial fold so float results stay bit-identical.
+    /// for SUM / AVG over Int arguments (their `i128` totals); the
+    /// parallel executor only partial-aggregates in those cases, feeding
+    /// everything else through the serial fold so float results stay
+    /// bit-identical.
     pub(crate) fn merge(&mut self, other: AggState) -> Result<()> {
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Sum(a), AggState::Sum(b)) => *a += b,
-            (AggState::Avg(s, n), AggState::Avg(s2, n2)) => {
-                *s += s2;
+            (AggState::Sum(i, f), AggState::Sum(i2, f2)) => {
+                *i += i2;
+                *f += f2;
+            }
+            (AggState::Avg(i, f, n), AggState::Avg(i2, f2, n2)) => {
+                *i += i2;
+                *f += f2;
                 *n += n2;
             }
             (AggState::Min(m), AggState::Min(o)) => {
@@ -514,12 +521,12 @@ impl AggState {
     pub(crate) fn finish(self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(n as i64),
-            AggState::Sum(s) => Value::Float(s),
-            AggState::Avg(s, n) => {
+            AggState::Sum(i, f) => Value::Float(i as f64 + f),
+            AggState::Avg(i, f, n) => {
                 if n == 0 {
                     Value::Null
                 } else {
-                    Value::Float(s / n as f64)
+                    Value::Float((i as f64 + f) / n as f64)
                 }
             }
             AggState::Min(m) => m.unwrap_or(Value::Null),

@@ -27,10 +27,10 @@
 //! Both joins stay columnar from drain to output. The hash join drains
 //! each input as `(batch, key column)` pairs and builds on the smaller
 //! side, its batches appended into one [`Batch`] (`Batch::append`). The
-//! build keys go into one chained table for every key type: `first`
-//! holds a bucket's head row, `next` links each build row to the
-//! following one, rows are inserted in reverse so a chain walks in
-//! insertion order, and NULL keys are never inserted or probed. Keys
+//! build keys go into one chained table (`KeyTable`) for every key
+//! type: `first` holds a bucket's head row, `next` links each build row
+//! to the following one, rows are inserted in reverse so a chain walks
+//! in insertion order, and NULL keys are never inserted or probed. Keys
 //! hash the way `Value` does (an Int as its `f64` bits, so `Int(2)`
 //! meets `Float(2.0)`), mixed before the bucket mask; two Int lanes
 //! compare as `i64`, any other pair as `Value`s. Each probe batch turns
@@ -40,6 +40,23 @@
 //! inputs the same way and emits its left-major `(li, ri)` pairs
 //! through the same gathers. A residual or `ON` predicate is a
 //! selection over the gathered batch.
+//!
+//! # Aggregation
+//!
+//! The aggregate hashes and compares keys through the join's table and
+//! functions. Its group keys are one column per GROUP BY expression,
+//! one lane per group in first-seen order, and each group is a row of a
+//! `KeyTable`. A batch becomes one group id per row: a row's hash
+//! combines its key columns' hashes (a NULL lane adds a fixed
+//! constant), and a key matches a group when the null bitmaps agree and
+//! the non-NULL lanes are equal, so NULL keys group together, as under
+//! `Value`'s `Eq`, and apart from 0. A new key appends a lane and links
+//! the group; a full table is rebuilt at twice the size from the
+//! groups' stored hashes. With no GROUP BY there are zero key columns
+//! and every row maps to group 0, present from the start. States are
+//! laid out `states[agg][group]`, and each argument column folds in
+//! with one update that matches the column type once per batch and
+//! adds lanes in row order.
 //!
 //! # Morsel-driven parallelism
 //!
@@ -61,13 +78,12 @@
 //! An aggregate directly above an exchange is fused into the workers
 //! (partial aggregation: one `AggFold` per morsel, merged in morsel
 //! order) only when merging partial states is exact: COUNT/MIN/MAX
-//! always, SUM/AVG only over base-table Int columns (exact in f64);
-//! float sums stay on the serial fold, whose element-wise row order does
-//! not depend on batch or morsel boundaries.
+//! always, SUM/AVG only over base-table Int columns (summed in an exact
+//! `i128`); float sums stay on the serial fold, whose element-wise row
+//! order does not depend on batch or morsel boundaries.
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use aimdb_common::{wait, AimError, Batch, ColVec, DataType, Result, Row, Schema, Value, WaitSet};
@@ -249,7 +265,7 @@ impl<'p> Builder<'p> {
                     bs,
                     build: Batch::empty(0),
                     build_key: ColVec::Mixed(Vec::new()),
-                    table: JoinTable::default(),
+                    table: KeyTable::default(),
                     build_is_left: true,
                     probe: Vec::new().into_iter(),
                     cur: None,
@@ -618,7 +634,7 @@ struct HashJoinOp<'p> {
     /// The smaller input, its batches appended into one, and its keys.
     build: Batch,
     build_key: ColVec,
-    table: JoinTable,
+    table: KeyTable,
     build_is_left: bool,
     /// Probe batches with their keys, in input order.
     probe: std::vec::IntoIter<(Batch, ColVec)>,
@@ -661,7 +677,7 @@ impl HashJoinOp<'_> {
             build.append(b);
             build_key.append(k);
         }
-        self.table = JoinTable::build(&key_hashes(&build_key))?;
+        self.table = KeyTable::build(&key_hashes(&build_key))?;
         self.build = build;
         self.build_key = build_key;
         self.build_is_left = build_is_left;
@@ -724,11 +740,11 @@ impl BatchOp for HashJoinOp<'_> {
     }
 }
 
-/// The hash join's build-side table: `first[bucket]` heads a chain of
-/// build-row indices linked through `next` (one slot per build row),
-/// [`CHAIN_END`]-terminated. NULL keys are never inserted.
+/// The chained key table behind the hash join and the aggregate:
+/// `first[bucket]` heads a chain of row indices (build rows, or groups)
+/// linked through `next` (one slot per row), [`CHAIN_END`]-terminated.
 #[derive(Default)]
-struct JoinTable {
+struct KeyTable {
     first: Vec<u32>,
     next: Vec<u32>,
     mask: u64,
@@ -736,31 +752,42 @@ struct JoinTable {
 
 const CHAIN_END: u32 = u32::MAX;
 
-impl JoinTable {
-    fn build(hashes: &[Option<u64>]) -> Result<JoinTable> {
-        let n = u32::try_from(hashes.len())
+impl KeyTable {
+    /// An empty table with room for `n` rows.
+    fn with_rows(n: usize) -> Result<KeyTable> {
+        let n = u32::try_from(n)
             .ok()
             .filter(|&n| n < CHAIN_END)
-            .ok_or_else(|| AimError::Execution("hash join build side too large".into()))?;
+            .ok_or_else(|| AimError::Execution("hash table too large".into()))?;
         let buckets = (2 * n as usize).next_power_of_two();
-        let mut t = JoinTable {
+        Ok(KeyTable {
             first: vec![CHAIN_END; buckets],
             next: vec![CHAIN_END; n as usize],
             mask: buckets as u64 - 1,
-        };
-        // insert in reverse so each chain walks in build-insertion order
+        })
+    }
+
+    /// The join's build table; NULL keys are never inserted. Rows go in
+    /// in reverse, so each chain walks in build-insertion order.
+    fn build(hashes: &[Option<u64>]) -> Result<KeyTable> {
+        let mut t = KeyTable::with_rows(hashes.len())?;
         for (i, h) in hashes.iter().enumerate().rev() {
-            if let Some(h) = h {
-                let head = &mut t.first[(h & t.mask) as usize];
-                t.next[i] = *head;
-                *head = i as u32;
+            if let Some(h) = *h {
+                t.link(i, h);
             }
         }
         Ok(t)
     }
 
-    /// Build rows in `h`'s bucket, in insertion order; callers compare
-    /// keys, since a bucket holds every hash that lands in it.
+    /// Put row `i` at the head of hash `h`'s chain.
+    fn link(&mut self, i: usize, h: u64) {
+        let head = &mut self.first[(h & self.mask) as usize];
+        self.next[i] = *head;
+        *head = i as u32;
+    }
+
+    /// Rows in `h`'s bucket, in chain order; callers compare keys, since
+    /// a bucket holds every hash that lands in it.
     fn chain(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
         let head = self.first.get((h & self.mask) as usize).copied();
         std::iter::successors(head.filter(|&i| i != CHAIN_END), |&i| {
@@ -847,64 +874,75 @@ struct AggSpec<'p> {
     aggs: &'p [AggExpr],
 }
 
-impl AggSpec<'_> {
-    fn fresh(&self) -> Vec<AggState> {
-        self.aggs.iter().map(|a| AggState::new(a.func)).collect()
-    }
-}
-
 /// Aggregate states per group, in first-seen group order: the one fold
 /// behind the serial aggregate, the per-morsel partial states of a fused
-/// one, and their morsel-order merge. Without GROUP BY it is the single
-/// empty-key group, present from the start — a global aggregate yields
-/// exactly one row, even over zero rows.
+/// one, and their morsel-order merge. Groups are rows of a [`KeyTable`]:
+/// `keys` holds one column per GROUP BY expression, one lane per group.
+/// Without GROUP BY every row maps to group 0, present from the start —
+/// a global aggregate yields exactly one row, even over zero rows.
 struct AggFold {
-    groups: Vec<(Vec<Value>, Vec<AggState>)>,
-    /// single-column keys probe on a bare `Value` (no per-row Vec)
-    index1: HashMap<Value, usize>,
-    indexn: HashMap<Vec<Value>, usize>,
+    keys: Vec<ColVec>,
+    /// Each group's key hash, kept to rebuild the table when it fills.
+    hashes: Vec<u64>,
+    table: KeyTable,
+    /// `states[agg][group]`.
+    states: Vec<Vec<AggState>>,
 }
 
 impl AggFold {
-    fn new(spec: &AggSpec<'_>) -> Self {
-        let groups = if spec.group.is_empty() {
-            vec![(Vec::new(), spec.fresh())]
-        } else {
-            Vec::new()
+    fn new(spec: &AggSpec<'_>) -> Result<Self> {
+        let mut fold = AggFold {
+            keys: vec![ColVec::Mixed(Vec::new()); spec.group.len()],
+            hashes: Vec::new(),
+            table: KeyTable::default(),
+            states: vec![Vec::new(); spec.aggs.len()],
         };
-        AggFold {
-            groups,
-            index1: HashMap::new(),
-            indexn: HashMap::new(),
+        if spec.group.is_empty() {
+            fold.group_ids(spec, &[], 1)?;
         }
+        Ok(fold)
     }
 
-    fn find(&self, key: &[Value]) -> Option<usize> {
-        match key {
-            [] => Some(0),
-            [k] => self.index1.get(k).copied(),
-            _ => self.indexn.get(key).copied(),
+    /// Each of `n` rows' group id under the key columns `cols`, adding
+    /// a group (with fresh states) for every key not seen before.
+    fn group_ids(&mut self, spec: &AggSpec<'_>, cols: &[ColVec], n: usize) -> Result<Vec<u32>> {
+        let mut ids = Vec::with_capacity(n);
+        for (r, h) in group_hashes(cols, n).into_iter().enumerate() {
+            let hit = self.table.chain(h).find(|&g| {
+                self.hashes[g as usize] == h && group_eq(&self.keys, g as usize, cols, r)
+            });
+            let g = match hit {
+                Some(g) => g,
+                None => self.push_group(h, cols, r)?,
+            };
+            ids.push(g);
         }
+        for (st, a) in self.states.iter_mut().zip(spec.aggs) {
+            st.resize_with(self.hashes.len(), || AggState::new(a.func));
+        }
+        Ok(ids)
     }
 
-    fn insert(&mut self, key: Vec<Value>, states: Vec<AggState>) -> usize {
-        let gi = self.groups.len();
-        match key.as_slice() {
-            [] => {}
-            [k] => {
-                self.index1.insert(k.clone(), gi);
+    /// Append lane `r` of `cols` as a new group; a full table is rebuilt
+    /// at twice the size from the stored hashes.
+    fn push_group(&mut self, h: u64, cols: &[ColVec], r: usize) -> Result<u32> {
+        let g = self.hashes.len();
+        if g == self.table.next.len() {
+            self.table = KeyTable::with_rows((2 * g).max(16))?;
+            for (i, &h) in self.hashes.iter().enumerate() {
+                self.table.link(i, h);
             }
-            _ => {
-                self.indexn.insert(key.clone(), gi);
-            }
         }
-        self.groups.push((key, states));
-        gi
+        self.table.link(g, h);
+        self.hashes.push(h);
+        for (k, c) in self.keys.iter_mut().zip(cols) {
+            k.append(c.gather(&[r as u32]));
+        }
+        Ok(g as u32)
     }
 
-    /// Fold one input batch. A global aggregate updates its states a
-    /// column at a time — no per-row hash probe, no per-row `Value` for
-    /// typed lanes.
+    /// Fold one input batch: one group id per row, then one state
+    /// update per argument column.
     fn add(&mut self, spec: &AggSpec<'_>, b: &Batch, ctx: &ExecContext<'_>) -> Result<()> {
         ctx.charge(b.len() as f64 * 0.02);
         let key_cols = spec
@@ -912,68 +950,93 @@ impl AggFold {
             .iter()
             .map(|g| vexpr::eval(g, b, ctx.fns))
             .collect::<Result<Vec<_>>>()?;
-        let arg_cols = spec
-            .args
-            .iter()
-            .map(|a| a.as_ref().map(|e| vexpr::eval(e, b, ctx.fns)).transpose())
-            .collect::<Result<Vec<_>>>()?;
-        if key_cols.is_empty() {
-            for (st, col) in self.groups[0].1.iter_mut().zip(&arg_cols) {
-                update_state_col(st, col.as_ref(), b.len())?;
-            }
-            return Ok(());
-        }
-        for i in 0..b.len() {
-            let gi = match key_cols.as_slice() {
-                [c] => {
-                    let k = c.value(i);
-                    match self.index1.get(&k) {
-                        Some(&gi) => gi,
-                        None => self.insert(vec![k], spec.fresh()),
-                    }
-                }
-                cols => {
-                    let key: Vec<Value> = cols.iter().map(|c| c.value(i)).collect();
-                    match self.indexn.get(&key) {
-                        Some(&gi) => gi,
-                        None => self.insert(key, spec.fresh()),
-                    }
-                }
-            };
-            for (st, col) in self.groups[gi].1.iter_mut().zip(&arg_cols) {
-                update_state_lane(st, col.as_ref(), i)?;
-            }
+        let ids = self.group_ids(spec, &key_cols, b.len())?;
+        for (states, arg) in self.states.iter_mut().zip(&spec.args) {
+            let col = arg
+                .as_ref()
+                .map(|e| vexpr::eval(e, b, ctx.fns))
+                .transpose()?;
+            update_states(states, &ids, col.as_ref())?;
         }
         Ok(())
     }
 
-    /// Merge a fold over a *later* run of rows into this one: existing
-    /// groups merge their states, new ones append, so group order stays
-    /// first-seen order.
-    fn merge(&mut self, later: AggFold) -> Result<()> {
-        for (key, states) in later.groups {
-            match self.find(&key) {
-                Some(gi) => {
-                    for (st, s) in self.groups[gi].1.iter_mut().zip(states) {
-                        st.merge(s)?;
-                    }
-                }
-                None => {
-                    self.insert(key, states);
-                }
+    /// Merge a fold over a *later* run of rows into this one: its keys
+    /// go through the same find-or-insert as `add`, so new groups append
+    /// and group order stays first-seen order.
+    fn merge(&mut self, spec: &AggSpec<'_>, later: AggFold) -> Result<()> {
+        let ids = self.group_ids(spec, &later.keys, later.hashes.len())?;
+        for (states, partial) in self.states.iter_mut().zip(later.states) {
+            for (&g, s) in ids.iter().zip(partial) {
+                states[g as usize].merge(s)?;
             }
         }
         Ok(())
     }
 
     fn finish(self) -> Vec<Row> {
-        self.groups
-            .into_iter()
-            .map(|(mut vals, states)| {
-                vals.extend(states.into_iter().map(AggState::finish));
+        let mut states: Vec<_> = self.states.into_iter().map(Vec::into_iter).collect();
+        (0..self.hashes.len())
+            .map(|g| {
+                let mut vals: Vec<Value> = self.keys.iter().map(|k| k.value(g)).collect();
+                vals.extend(
+                    states
+                        .iter_mut()
+                        .filter_map(Iterator::next)
+                        .map(AggState::finish),
+                );
                 Row::new(vals)
             })
             .collect()
+    }
+}
+
+/// A NULL key column's contribution to a group hash.
+const NULL_HASH: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Each of `n` rows' group hash: the columns' [`key_hashes`] combined
+/// in order, [`NULL_HASH`] for a NULL lane. Zero columns hash to 0.
+fn group_hashes(cols: &[ColVec], n: usize) -> Vec<u64> {
+    let mut hs = vec![0u64; n];
+    for c in cols {
+        for (h, k) in hs.iter_mut().zip(key_hashes(c)) {
+            *h = h.wrapping_mul(0x0100_0000_01b3) ^ k.unwrap_or(NULL_HASH);
+        }
+    }
+    hs
+}
+
+/// Do group `g` of `keys` and row `r` of `cols` have the same key? NULL
+/// equals NULL here, as under `Value`'s `Eq`; the null bitmaps are
+/// checked before [`keys_eq`], which reads lanes without them (a NULL
+/// Int lane holds 0).
+fn group_eq(keys: &[ColVec], g: usize, cols: &[ColVec], r: usize) -> bool {
+    keys.iter()
+        .zip(cols)
+        .all(|(k, c)| match (k.is_null(g), c.is_null(r)) {
+            (false, false) => keys_eq(k, g, c, r),
+            (kn, cn) => kn == cn,
+        })
+}
+
+/// Fold argument column `col` (`None` for `COUNT(*)`) into `states`,
+/// lane `i` into group `ids[i]`'s state. The column type is matched once
+/// per batch; every lane goes through [`AggState::update`], so NULL and
+/// type-error behavior is the row executor's, and typed Int/Float lanes
+/// reach it as a `Value` that owns nothing. Lanes fold in order, so each
+/// group's float sum adds in row order, bit-identical to the row
+/// executor.
+fn update_states(states: &mut [AggState], ids: &[u32], col: Option<&ColVec>) -> Result<()> {
+    let mut lanes = ids.iter().map(|&g| g as usize).enumerate();
+    match col {
+        None => lanes.try_for_each(|(_, g)| states[g].update(None)),
+        Some(ColVec::Int { vals, nulls }) => lanes
+            .filter(|&(i, _)| !nulls[i])
+            .try_for_each(|(i, g)| states[g].update(Some(&Value::Int(vals[i])))),
+        Some(ColVec::Float { vals, nulls }) => lanes
+            .filter(|&(i, _)| !nulls[i])
+            .try_for_each(|(i, g)| states[g].update(Some(&Value::Float(vals[i])))),
+        Some(c) => lanes.try_for_each(|(i, g)| states[g].update(Some(&c.value(i)))),
     }
 }
 
@@ -1001,7 +1064,7 @@ impl BatchOp for AggregateOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
         let spec = &self.spec;
         if let Some(input) = self.input.take() {
-            let mut fold = AggFold::new(spec);
+            let mut fold = AggFold::new(spec)?;
             match input {
                 AggInput::Pipeline(mut input) => {
                     while let Some(b) = input.next()? {
@@ -1013,118 +1076,13 @@ impl BatchOp for AggregateOp<'_> {
                     let add =
                         |f: &mut AggFold, b: Batch, ctx: &ExecContext<'_>| f.add(spec, &b, ctx);
                     for part in run_region(&region, self.ctx, new, add)? {
-                        fold.merge(part)?;
+                        fold.merge(spec, part)?;
                     }
                 }
             }
             self.out = fold.finish();
         }
         emit_chunk(&mut self.pos, &self.out, self.out_schema, self.bs)
-    }
-}
-
-/// Update one aggregate state from lane `i` of an argument column.
-/// Typed Int/Float lanes feed SUM/AVG without materializing a `Value`;
-/// everything else defers to [`AggState::update`] so NULL handling and
-/// type-error behavior stay identical to the row executor.
-fn update_state_lane(st: &mut AggState, col: Option<&ColVec>, i: usize) -> Result<()> {
-    match (st, col) {
-        (st, None) => st.update(None),
-        (AggState::Sum(s), Some(ColVec::Float { vals, nulls })) => {
-            if !nulls[i] {
-                *s += vals[i];
-            }
-            Ok(())
-        }
-        (AggState::Sum(s), Some(ColVec::Int { vals, nulls })) => {
-            if !nulls[i] {
-                *s += vals[i] as f64;
-            }
-            Ok(())
-        }
-        (AggState::Avg(s, n), Some(ColVec::Float { vals, nulls })) => {
-            if !nulls[i] {
-                *s += vals[i];
-                *n += 1;
-            }
-            Ok(())
-        }
-        (AggState::Avg(s, n), Some(ColVec::Int { vals, nulls })) => {
-            if !nulls[i] {
-                *s += vals[i] as f64;
-                *n += 1;
-            }
-            Ok(())
-        }
-        (AggState::Count(n), Some(c)) => {
-            if !c.is_null(i) {
-                *n += 1;
-            }
-            Ok(())
-        }
-        (st, Some(c)) => st.update(Some(&c.value(i))),
-    }
-}
-
-/// Update one aggregate state from a whole argument column (the global,
-/// no-GROUP-BY path). Addition order is lane order — the same row order
-/// the scalar executor folds in — so float results are bit-identical.
-fn update_state_col(st: &mut AggState, col: Option<&ColVec>, n: usize) -> Result<()> {
-    match (st, col) {
-        // COUNT(*) counts rows outright
-        (AggState::Count(c), None) => {
-            *c += n as u64;
-            Ok(())
-        }
-        (AggState::Sum(s), Some(ColVec::Float { vals, nulls })) => {
-            for i in 0..n {
-                if !nulls[i] {
-                    *s += vals[i];
-                }
-            }
-            Ok(())
-        }
-        (AggState::Sum(s), Some(ColVec::Int { vals, nulls })) => {
-            for i in 0..n {
-                if !nulls[i] {
-                    *s += vals[i] as f64;
-                }
-            }
-            Ok(())
-        }
-        (AggState::Avg(s, cnt), Some(ColVec::Float { vals, nulls })) => {
-            for i in 0..n {
-                if !nulls[i] {
-                    *s += vals[i];
-                    *cnt += 1;
-                }
-            }
-            Ok(())
-        }
-        (AggState::Avg(s, cnt), Some(ColVec::Int { vals, nulls })) => {
-            for i in 0..n {
-                if !nulls[i] {
-                    *s += vals[i] as f64;
-                    *cnt += 1;
-                }
-            }
-            Ok(())
-        }
-        (AggState::Count(c), Some(col)) => {
-            for i in 0..n {
-                if !col.is_null(i) {
-                    *c += 1;
-                }
-            }
-            Ok(())
-        }
-        (st, col) => {
-            for i in 0..n {
-                let v = col.map(|c| c.value(i));
-                st.update(v.as_ref())?;
-            }
-            Ok(())
-        }
     }
 }
 
@@ -1273,10 +1231,11 @@ fn region_table(plan: &PhysicalPlan) -> Result<&str> {
 }
 
 /// Is partial aggregation *exact* for these aggregates over this region?
-/// COUNT/MIN/MAX states merge exactly for any input. SUM/AVG fold in
-/// f64, where addition only reassociates losslessly when every addend is
-/// an integer (exact below 2^53) — so the argument must be a bare
-/// base-table Int column, traced through the region's projections.
+/// COUNT/MIN/MAX states merge exactly for any input. SUM/AVG keep Int
+/// addends in an exact `i128` total but others in an `f64` one, where
+/// addition does not reassociate losslessly — so the argument must be
+/// a bare base-table Int column, traced through the region's
+/// projections.
 fn mergeable(aggs: &[AggExpr], region: &PhysicalPlan) -> bool {
     aggs.iter().all(|a| match a.func {
         AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
@@ -1346,7 +1305,7 @@ struct WorkerOut<'p, T> {
 fn run_region<'p, T: Send>(
     region: &Region<'p>,
     ctx: &ExecContext<'p>,
-    new: impl Fn() -> T + Sync,
+    new: impl Fn() -> Result<T> + Sync,
     add: impl Fn(&mut T, Batch, &ExecContext<'_>) -> Result<()> + Sync,
 ) -> Result<Vec<T>> {
     let outs: Vec<Result<WorkerOut<'p, T>>> = std::thread::scope(|s| {
@@ -1385,7 +1344,7 @@ fn run_worker<'p, T>(
     region: &Region<'p>,
     ctx: ExecContext<'p>,
     worker: usize,
-    new: &impl Fn() -> T,
+    new: &impl Fn() -> Result<T>,
     add: &impl Fn(&mut T, Batch, &ExecContext<'_>) -> Result<()>,
 ) -> Result<WorkerOut<'p, T>> {
     let start_ns = ctx.clock_ns();
@@ -1424,7 +1383,7 @@ fn run_worker<'p, T>(
             match pieces.last_mut() {
                 Some((last, acc)) if *last == m => add(acc, batch, &ctx)?,
                 _ => {
-                    let mut acc = new();
+                    let mut acc = new()?;
                     add(&mut acc, batch, &ctx)?;
                     pieces.push((m, acc));
                 }
@@ -1463,7 +1422,7 @@ impl BatchOp for ExchangeOp<'_> {
                 out.push(b);
                 Ok(())
             };
-            let morsels = run_region(&region, self.ctx, Vec::new, add)?;
+            let morsels = run_region(&region, self.ctx, || Ok(Vec::new()), add)?;
             self.out = morsels
                 .into_iter()
                 .flatten()
@@ -1471,5 +1430,23 @@ impl BatchOp for ExchangeOp<'_> {
                 .into_iter();
         }
         Ok(self.out.next())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A NULL Int lane holds 0, so only the null bitmaps tell it from 0.
+    #[test]
+    fn null_int_group_key_is_not_zero() {
+        let col = |null| ColVec::Int {
+            vals: vec![0],
+            nulls: vec![null],
+        };
+        assert!(!group_eq(&[col(true)], 0, &[col(false)], 0));
+        assert!(!group_eq(&[col(false)], 0, &[col(true)], 0));
+        assert!(group_eq(&[col(true)], 0, &[col(true)], 0));
+        assert!(group_eq(&[col(false)], 0, &[col(false)], 0));
     }
 }

@@ -819,6 +819,23 @@ fn join_keys_tables() -> Database {
     db
 }
 
+/// Run `sql` through the row oracle and the batch executor at workers
+/// {1, 2, 4, 8} × batch sizes {1, 7, 1024}; every run must equal the
+/// oracle position by position. Returns the oracle's rows.
+fn assert_matrix_matches_in_order(db: &Database, sql: &str) -> Vec<Row> {
+    const WORKERS: [usize; 4] = [1, 2, 4, 8];
+    let mut want = Vec::new();
+    for bs in [1usize, 7, 1024] {
+        let (rr, prs) = run_matrix(db, sql, bs, &WORKERS);
+        want = rr.unwrap_or_else(|e| panic!("row executor failed ({e}): {sql}"));
+        for (w, pr) in WORKERS.iter().zip(prs) {
+            let pr = pr.unwrap_or_else(|e| panic!("batch executor failed ({e}): {sql}"));
+            assert_eq!(pr, want, "workers={w} bs={bs}: {sql}");
+        }
+    }
+    want
+}
+
 /// Join-key semantics, position by position against the row oracle:
 /// join output order (probe order × build-insertion order, columns left
 /// then right) is part of the executor's contract, so no `canon`. The
@@ -842,7 +859,6 @@ fn join_key_semantics_match_row_oracle_in_order() {
         "SELECT jnone.k, jr.id FROM jnone JOIN jr ON jnone.k = jr.k",
         "SELECT jr.id, jnone.s FROM jr JOIN jnone ON jr.s = jnone.s",
     ];
-    const WORKERS: [usize; 4] = [1, 2, 4, 8];
     for sql in queries {
         let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
             panic!("not a SELECT: {sql}");
@@ -853,14 +869,7 @@ fn join_key_semantics_match_row_oracle_in_order() {
             "{sql}\n{}",
             plan.explain()
         );
-        for bs in [1usize, 7, 1024] {
-            let (rr, prs) = run_matrix(&db, sql, bs, &WORKERS);
-            let rr = rr.unwrap_or_else(|e| panic!("row executor failed ({e}): {sql}"));
-            for (w, pr) in WORKERS.iter().zip(prs) {
-                let pr = pr.unwrap_or_else(|e| panic!("batch executor failed ({e}): {sql}"));
-                assert_eq!(pr, rr, "workers={w} bs={bs}: {sql}");
-            }
-        }
+        assert_matrix_matches_in_order(&db, sql);
     }
     // 2^53 and 2^53 + 1 share a hash but are different keys
     let (rr, prs) = run_matrix(
@@ -873,6 +882,102 @@ fn join_key_semantics_match_row_oracle_in_order() {
     for pr in prs {
         assert_eq!(pr.expect("batch run"), Vec::<Row>::new());
     }
+}
+
+/// `SUM`/`AVG` over an Int column fold into an exact integer total, so
+/// a fused partial sum past 2^53 does not depend on where the morsels
+/// split: `bigs` holds 2^53 in its first row and 1 in the other 8999.
+#[test]
+fn int_sum_past_2_53_is_exact_at_every_worker_count() {
+    let db = Database::new();
+    db.execute("CREATE TABLE bigs (id INT, k INT)")
+        .expect("create");
+    for chunk in (0..9000i64).collect::<Vec<_>>().chunks(500) {
+        let rows: Vec<String> = chunk
+            .iter()
+            .map(|&i| format!("({i}, {})", if i == 0 { 1i64 << 53 } else { 1 }))
+            .collect();
+        db.execute(&format!("INSERT INTO bigs VALUES {}", rows.join(",")))
+            .expect("insert");
+    }
+    db.execute("ANALYZE").expect("analyze");
+    let exact = ((1i64 << 53) + 8999) as f64;
+    assert_eq!(
+        assert_matrix_matches_in_order(&db, "SELECT SUM(k), AVG(k) FROM bigs"),
+        vec![Row::new(vec![
+            Value::Float(exact),
+            Value::Float(exact / 9000.0)
+        ])]
+    );
+    let grouped = assert_matrix_matches_in_order(
+        &db,
+        "SELECT id % 2, SUM(k), COUNT(*) FROM bigs GROUP BY id % 2",
+    );
+    assert_eq!(
+        grouped[0].get(1),
+        &Value::Float(((1i64 << 53) + 4499) as f64)
+    );
+}
+
+/// GROUP BY key semantics, position by position against the row oracle:
+/// first-seen group order is part of the executor's contract, so no
+/// `canon`. NULL keys group together and apart from 0, 2^53 and 2^53 + 1
+/// are two groups, and multi-column keys mix NULLs in either column.
+#[test]
+fn group_key_semantics_match_row_oracle_in_order() {
+    let runs = runs_table();
+    let runs_queries = [
+        // 9000 distinct text keys: the key table grows many times
+        "SELECT pad, COUNT(*) FROM runs GROUP BY pad",
+        // two-column key, fused into the workers
+        "SELECT g, band, COUNT(*), SUM(id), MAX(x) FROM runs GROUP BY g, band",
+        // the same key with a float SUM, which stays on the serial fold
+        "SELECT g, band, SUM(x) FROM runs GROUP BY g, band",
+        // an expression key
+        "SELECT id % 2500, COUNT(*), SUM(band) FROM runs GROUP BY id % 2500",
+    ];
+    let got: Vec<_> = runs_queries
+        .iter()
+        .map(|sql| assert_matrix_matches_in_order(&runs, sql))
+        .collect();
+    assert_eq!(got[0].len(), 9000);
+
+    let joins = join_keys_tables();
+    twins_table(&joins);
+    let join_queries = [
+        // two-column keys with NULLs in either column
+        "SELECT k, s, COUNT(*), SUM(id) FROM jr GROUP BY k, s",
+        "SELECT s, k, COUNT(*), MIN(id) FROM jl GROUP BY s, k",
+        // an Int key whose NULL lanes hold 0 next to real 0 keys
+        "SELECT k, COUNT(*) FROM jl GROUP BY k",
+        // a Float key with NULLs
+        "SELECT f, COUNT(*), MAX(s) FROM jr GROUP BY f",
+    ];
+    let got: Vec<_> = join_queries
+        .iter()
+        .map(|sql| assert_matrix_matches_in_order(&joins, sql))
+        .collect();
+    assert!(got[2].iter().any(|r| r.get(0) == &Value::Null));
+    assert!(got[2].iter().any(|r| r.get(0) == &Value::Int(0)));
+    // 2^53 and 2^53 + 1 share a hash but are two groups
+    assert_eq!(
+        assert_matrix_matches_in_order(&joins, "SELECT k, COUNT(*) FROM twins GROUP BY k"),
+        vec![
+            Row::new(vec![Value::Int(1 << 53), Value::Int(2)]),
+            Row::new(vec![Value::Int((1 << 53) + 1), Value::Int(2)]),
+            Row::new(vec![Value::Null, Value::Int(1)]),
+        ]
+    );
+}
+
+/// `twins`: 2^53 and 2^53 + 1, twice each, then a NULL.
+fn twins_table(db: &Database) {
+    db.execute("CREATE TABLE twins (k INT)").expect("create");
+    db.execute(
+        "INSERT INTO twins VALUES (9007199254740992), (9007199254740993), \
+         (9007199254740992), (9007199254740993), (NULL)",
+    )
+    .expect("insert");
 }
 
 /// A function registry that panics on `ABS`.

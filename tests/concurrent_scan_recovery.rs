@@ -89,30 +89,40 @@ fn concurrent_parallel_scans_against_writer() {
     let scans = AtomicU64::new(0);
 
     thread::scope(|s| {
-        for _ in 0..READERS {
-            s.spawn(|| {
-                let mut last = 0i64;
-                while !done.load(Ordering::Relaxed) {
-                    let n = count_rows(&db);
-                    assert!(
-                        n >= last && n <= TOTAL * BATCH,
-                        "count went backwards or overshot: {last} -> {n}"
-                    );
-                    // Statement snapshots make each INSERT atomic to
-                    // readers: a live scan never sees a partial batch.
-                    assert_eq!(n % BATCH, 0, "live scan saw a torn batch: {n} rows");
-                    last = n;
-                    for (b, cnt) in group_counts(&db) {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut last = 0i64;
+                    while !done.load(Ordering::Relaxed) {
+                        let n = count_rows(&db);
                         assert!(
-                            (0..TOTAL).contains(&b) && cnt == BATCH,
-                            "torn or malformed group ({b}, {cnt})"
+                            n >= last && n <= TOTAL * BATCH,
+                            "count went backwards or overshot: {last} -> {n}"
                         );
+                        // Statement snapshots make each INSERT atomic to
+                        // readers: a live scan never sees a partial batch.
+                        assert_eq!(n % BATCH, 0, "live scan saw a torn batch: {n} rows");
+                        last = n;
+                        for (b, cnt) in group_counts(&db) {
+                            assert!(
+                                (0..TOTAL).contains(&b) && cnt == BATCH,
+                                "torn or malformed group ({b}, {cnt})"
+                            );
+                        }
+                        scans.fetch_add(1, Ordering::Relaxed);
                     }
-                    scans.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
+                })
+            })
+            .collect();
         for b in 0..TOTAL {
+            // halfway, wait for a reader to finish a scan (or die trying),
+            // so reads and writes overlap however the threads are scheduled
+            if b == TOTAL / 2 {
+                while scans.load(Ordering::Relaxed) == 0 && !readers.iter().any(|r| r.is_finished())
+                {
+                    thread::yield_now();
+                }
+            }
             assert!(insert_batch(&db, b), "healthy store rejected insert {b}");
         }
         done.store(true, Ordering::Relaxed);
