@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 
 use aimdb_common::{Clock, Result, WallClock};
 use aimdb_engine::exec::{execute, ExecContext};
-use aimdb_engine::exec_batch::{execute_batched, execute_batched_parallel};
+use aimdb_engine::exec_batch::execute_batched_parallel;
 use aimdb_engine::{Database, PhysicalPlan};
 use aimdb_sql::expr::BuiltinFns;
 use aimdb_sql::{parse, Statement};
@@ -284,7 +284,7 @@ fn parallel_scaling(db: &Database, clock: &WallClock, iters: usize) {
 /// Commit-throughput comparison (experiment A8): disjoint-row writer
 /// transactions with group commit off (`group_commit_window = 0`, one
 /// fsync per commit) vs on. Everything measured comes from the engine's
-/// own counters: `wal_flush_count` for fsyncs, the txn KPI for commits,
+/// own counters: `wal.flush_count()` for fsyncs, the txn KPI for commits,
 /// and the `aimdb_group_commit_batch` histogram for the per-flush batch
 /// size. With the window on, the bench fails unless fsyncs < commits and
 /// the median batch exceeds one — i.e. group commit genuinely amortized
@@ -315,7 +315,7 @@ fn txn_throughput(clock: &WallClock, smoke: bool) {
                 std::process::exit(2);
             }
         }
-        let flushes0 = db.wal_flush_count();
+        let flushes0 = db.wal.flush_count();
         let commits0 = db.kpis().txns_committed;
         let t0 = clock.now_secs();
         let dbr = &db;
@@ -340,8 +340,11 @@ fn txn_throughput(clock: &WallClock, smoke: bool) {
         });
         let secs = clock.now_secs() - t0;
         let commits = db.kpis().txns_committed - commits0;
-        let fsyncs = db.wal_flush_count() - flushes0;
-        let p50 = db.metric_quantile(aimdb_engine::metrics::GROUP_COMMIT_BATCH, 0.5);
+        let fsyncs = db.wal.flush_count() - flushes0;
+        let p50 = db
+            .metrics
+            .registry()
+            .quantile(aimdb_engine::metrics::GROUP_COMMIT_BATCH, 0.5);
         println!(
             "  window={window:>3}us: {commits} commits | {fsyncs} fsyncs | batch p50 {p50:.1} | {:8.0} commits/s",
             commits as f64 / secs.max(1e-9)
@@ -410,7 +413,7 @@ fn main() {
         let ctx = ExecContext::new(&db.catalog, &fns);
         let warm_rows = execute(&plan, &ctx).map(|r| r.len());
         let ctx = ExecContext::new(&db.catalog, &fns);
-        let warm_batch = execute_batched(&plan, &ctx, BATCH_SIZE).map(|r| r.len());
+        let warm_batch = execute_batched_parallel(&plan, &ctx, BATCH_SIZE, 1).map(|r| r.len());
         match (warm_rows, warm_batch) {
             (Ok(a), Ok(b)) if a == b => {}
             (Ok(a), Ok(b)) => {
@@ -429,7 +432,7 @@ fn main() {
         });
         let (batch_secs, _) = time_runs(&clock, iters, || {
             let ctx = ExecContext::new(&db.catalog, &fns);
-            execute_batched(&plan, &ctx, BATCH_SIZE).map(|r| r.len())
+            execute_batched_parallel(&plan, &ctx, BATCH_SIZE, 1).map(|r| r.len())
         });
         total_row += row_secs;
         total_batch += batch_secs;

@@ -272,7 +272,7 @@ fn oltp_phase(args: &Args) -> (tpcc::TpccScale, Vec<OltpRun>) {
         }
         let registry = MetricsRegistry::new();
         let waits0 = wait::global_totals();
-        let fsyncs0 = mdb.wal_flush_count();
+        let fsyncs0 = mdb.wal.flush_count();
         let measured_cfg = tpcc::OltpConfig {
             threads: tc,
             txns_per_thread: measured_txns,
@@ -288,7 +288,7 @@ fn oltp_phase(args: &Args) -> (tpcc::TpccScale, Vec<OltpRun>) {
             fail(&format!("{tc} threads: invariants after measured run: {e}"));
         }
         checks += 1;
-        let fsyncs = mdb.wal_flush_count() - fsyncs0;
+        let fsyncs = mdb.wal.flush_count() - fsyncs0;
         let attempts = stats.committed + stats.aborted;
         let waits = wait::global_totals().delta_since(&waits0);
         let wait_profile: Vec<(String, u64, u64)> = waits

@@ -15,8 +15,8 @@ use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 
-/// Default number of rows per batch pulled through the vectorized
-/// pipeline. Tunable per-engine via the `exec_batch_size` knob.
+/// Number of rows per batch pulled through the vectorized pipeline.
+/// `Database` always runs its plans at this size.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// One column of a [`Batch`]: typed values + null bitmap, or a fallback

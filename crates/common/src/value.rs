@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn storage_order_null_first() {
-        let mut vs = vec![Value::Int(3), Value::Null, Value::Text("a".into())];
+        let mut vs = [Value::Int(3), Value::Null, Value::Text("a".into())];
         vs.sort();
         assert_eq!(vs[0], Value::Null);
         assert!(matches!(vs[1], Value::Int(3)));

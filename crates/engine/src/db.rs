@@ -11,6 +11,7 @@ use parking_lot::{Mutex, RwLock};
 
 use aimdb_common::{
     wait, AimError, Clock, Column, LockRank, Result, Row, Schema, Value, WaitSet, WallClock,
+    DEFAULT_BATCH_SIZE,
 };
 use aimdb_sql::ast::{ModelKind, Select, Statement};
 use aimdb_sql::expr::{BoundModel, BuiltinFns, ScalarFns};
@@ -825,13 +826,6 @@ impl Database {
         self.metrics.snapshot(b.hit_rate(), d.reads, d.writes)
     }
 
-    /// Physical WAL fsyncs performed so far. Group commit merges many
-    /// transactions into one flush, so under concurrent commit load this
-    /// stays below `kpis().txns_committed`.
-    pub fn wal_flush_count(&self) -> u64 {
-        self.wal.flush_count()
-    }
-
     /// Concurrent transaction handles currently in flight (sessions
     /// between `begin_txn` and commit/rollback). The server's session
     /// tests use this to prove a dropped connection released its
@@ -847,13 +841,6 @@ impl Database {
     /// dead session's snapshot is truly gone.
     pub fn vacuum_horizon(&self) -> CommitTs {
         self.runtime.vacuum_horizon()
-    }
-
-    /// A quantile from one of the engine's registry histograms, e.g.
-    /// `metric_quantile(metrics::GROUP_COMMIT_BATCH, 0.5)` for the median
-    /// group-commit batch size.
-    pub fn metric_quantile(&self, name: &str, q: f64) -> f64 {
-        self.metrics.registry().quantile(name, q)
     }
 
     /// Execute one SQL statement. With `query_tracing` on (the default)
@@ -1336,10 +1323,9 @@ impl Database {
         let clock = self.clock();
         let eid = tb.as_deref_mut().map(|t| t.open("execute"));
         let pool_before = tb.is_some().then(|| self.pool.stats());
-        let bs = self.knobs.get("exec_batch_size").unwrap_or(1024) as usize;
         let ctx = ExecContext::with_clock(&self.catalog, &BuiltinFns, clock.as_ref());
         ctx.set_snapshot(Some(snap));
-        let rows = execute_batched_parallel(plan, &ctx, bs, self.exec_workers())?;
+        let rows = execute_batched_parallel(plan, &ctx, DEFAULT_BATCH_SIZE, self.exec_workers())?;
         let ops = ctx.take_op_stats();
         self.flush_op_stats(&ops);
         self.note_worker_spans(ctx.take_worker_spans(), tb.as_deref_mut());

@@ -9,8 +9,10 @@
 //! `PREDICT` included — run through the compiled kernels in
 //! `aimdb_sql::vexpr`. Pipeline-breaking operators (hash
 //! join build, aggregate, sort) still drain their inputs — exactly like
-//! the row executor — but consume them batch-wise and stream their
-//! output back out in batches.
+//! the row executor — but consume them batch-wise. Sort and aggregate
+//! build their whole output as one [`Batch`] on the first pull (VALUES
+//! builds its one with the plan) and one operator hands it out in
+//! batch-size slices.
 //!
 //! Result equivalence with [`crate::exec::execute`] is enforced by the
 //! differential oracle (`tests/exec_differential.rs`); output *order*
@@ -20,7 +22,8 @@
 //! - hash join builds on the smaller input and emits probe order ×
 //!   build-insertion order,
 //! - aggregation emits first-seen group order,
-//! - sort is stable over the same precomputed keys.
+//! - sort is stable over the same keys, evaluated once over its drained
+//!   input.
 //!
 //! # Joins
 //!
@@ -98,20 +101,10 @@ use crate::mvcc::RowVis;
 use crate::plan::{PhysOp, PhysicalPlan};
 use aimdb_storage::{HeapScanCursor, MorselDispenser, MorselSource, RowId};
 
-/// Execute a physical plan to completion through the batch pipeline,
-/// pulling `batch_size`-row batches through the operator tree. Serial:
-/// exchange nodes degenerate to pass-throughs.
-pub fn execute_batched(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    batch_size: usize,
-) -> Result<Vec<Row>> {
-    execute_batched_parallel(plan, ctx, batch_size, 1)
-}
-
 /// Execute a physical plan with up to `workers` morsel threads inside
-/// each exchange region. `workers <= 1` is exactly [`execute_batched`];
-/// any worker count produces identical results.
+/// each exchange region, pulling `batch_size`-row batches through the
+/// operator tree. `workers <= 1` is serial: exchange nodes degenerate to
+/// pass-throughs. Any worker count produces identical results.
 pub fn execute_batched_parallel(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
@@ -300,32 +293,20 @@ impl<'p> Builder<'p> {
                 };
                 (
                     "aggregate",
-                    Box::new(AggregateOp {
-                        input: Some(input),
-                        spec,
-                        out_schema: &plan.schema,
-                        ctx,
-                        bs,
-                        out: Vec::new(),
-                        pos: 0,
-                    }),
+                    MaterializedOp::boxed(bs, move || aggregate(input, &spec, ctx)),
                 )
             }
-            PhysOp::Sort { input, keys } => (
-                "sort",
-                Box::new(SortOp {
-                    keys: keys
-                        .iter()
-                        .map(|k| Ok((vexpr::compile(&k.expr, &input.schema)?, k.desc)))
-                        .collect::<Result<_>>()?,
-                    input: Some(self.build(input)?),
-                    out_schema: &plan.schema,
-                    ctx,
-                    bs,
-                    out: Vec::new(),
-                    pos: 0,
-                }),
-            ),
+            PhysOp::Sort { input, keys } => {
+                let keys: Vec<(VExpr, bool)> = keys
+                    .iter()
+                    .map(|k| Ok((vexpr::compile(&k.expr, &input.schema)?, k.desc)))
+                    .collect::<Result<_>>()?;
+                let input = self.build(input)?;
+                (
+                    "sort",
+                    MaterializedOp::boxed(bs, move || sort(input, &keys, ctx)),
+                )
+            }
             PhysOp::Limit { input, n } => (
                 "limit",
                 Box::new(LimitOp {
@@ -333,15 +314,10 @@ impl<'p> Builder<'p> {
                     remaining: *n,
                 }),
             ),
-            PhysOp::Values { rows } => (
-                "values",
-                Box::new(ValuesOp {
-                    rows,
-                    schema: &plan.schema,
-                    pos: 0,
-                    bs,
-                }),
-            ),
+            PhysOp::Values { rows } => {
+                let values = Batch::from_rows(&plan.schema, rows);
+                ("values", MaterializedOp::boxed(bs, move || Ok(values)))
+            }
             PhysOp::Exchange { input } if self.workers > 1 => (
                 "exchange",
                 Box::new(ExchangeOp {
@@ -974,20 +950,17 @@ impl AggFold {
         Ok(())
     }
 
-    fn finish(self) -> Vec<Row> {
-        let mut states: Vec<_> = self.states.into_iter().map(Vec::into_iter).collect();
-        (0..self.hashes.len())
-            .map(|g| {
-                let mut vals: Vec<Value> = self.keys.iter().map(|k| k.value(g)).collect();
-                vals.extend(
-                    states
-                        .iter_mut()
-                        .filter_map(Iterator::next)
-                        .map(AggState::finish),
-                );
-                Row::new(vals)
-            })
-            .collect()
+    /// The groups as one batch: the key columns as they are, then one
+    /// column per aggregate.
+    fn finish(self) -> Batch {
+        let n = self.hashes.len();
+        let mut cols = self.keys;
+        cols.extend(
+            self.states
+                .into_iter()
+                .map(|st| ColVec::from_values(st.into_iter().map(AggState::finish).collect())),
+        );
+        Batch::from_cols(cols, n)
     }
 }
 
@@ -1050,85 +1023,64 @@ enum AggInput<'p> {
     Fused(Region<'p>),
 }
 
-struct AggregateOp<'p> {
-    input: Option<AggInput<'p>>,
-    spec: AggSpec<'p>,
-    out_schema: &'p Schema,
-    ctx: &'p ExecContext<'p>,
-    bs: usize,
-    out: Vec<Row>,
-    pos: usize,
-}
-
-impl BatchOp for AggregateOp<'_> {
-    fn next(&mut self) -> Result<Option<Batch>> {
-        let spec = &self.spec;
-        if let Some(input) = self.input.take() {
-            let mut fold = AggFold::new(spec)?;
-            match input {
-                AggInput::Pipeline(mut input) => {
-                    while let Some(b) = input.next()? {
-                        fold.add(spec, &b, self.ctx)?;
-                    }
-                }
-                AggInput::Fused(region) => {
-                    let new = || AggFold::new(spec);
-                    let add =
-                        |f: &mut AggFold, b: Batch, ctx: &ExecContext<'_>| f.add(spec, &b, ctx);
-                    for part in run_region(&region, self.ctx, new, add)? {
-                        fold.merge(spec, part)?;
-                    }
-                }
-            }
-            self.out = fold.finish();
-        }
-        emit_chunk(&mut self.pos, &self.out, self.out_schema, self.bs)
-    }
-}
-
-struct SortOp<'p> {
-    input: Option<Box<dyn BatchOp + 'p>>,
-    keys: Vec<(VExpr, bool)>,
-    out_schema: &'p Schema,
-    ctx: &'p ExecContext<'p>,
-    bs: usize,
-    out: Vec<Row>,
-    pos: usize,
-}
-
-impl BatchOp for SortOp<'_> {
-    fn next(&mut self) -> Result<Option<Batch>> {
-        if let Some(mut input) = self.input.take() {
-            // drain, computing sort keys vectorized per input batch
-            let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
+/// Fold the whole input into one batch of groups.
+fn aggregate(input: AggInput<'_>, spec: &AggSpec<'_>, ctx: &ExecContext<'_>) -> Result<Batch> {
+    let mut fold = AggFold::new(spec)?;
+    match input {
+        AggInput::Pipeline(mut input) => {
             while let Some(b) = input.next()? {
-                let key_cols = self
-                    .keys
-                    .iter()
-                    .map(|(e, _)| vexpr::eval(e, &b, self.ctx.fns))
-                    .collect::<Result<Vec<_>>>()?;
-                for i in 0..b.len() {
-                    let ks: Vec<Value> = key_cols.iter().map(|c| c.value(i)).collect();
-                    keyed.push((ks, b.row(i)));
-                }
+                fold.add(spec, &b, ctx)?;
             }
-            let n = keyed.len() as f64;
-            self.ctx.charge(n * n.max(2.0).log2() * 0.005);
-            // stable sort with the same comparator as the row executor
-            keyed.sort_by(|(a, _), (b, _)| {
-                for (i, (_, desc)) in self.keys.iter().enumerate() {
-                    let ord = a[i].cmp(&b[i]);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            self.out = keyed.into_iter().map(|(_, r)| r).collect();
         }
-        emit_chunk(&mut self.pos, &self.out, self.out_schema, self.bs)
+        AggInput::Fused(region) => {
+            let new = || AggFold::new(spec);
+            let add = |f: &mut AggFold, b: Batch, ctx: &ExecContext<'_>| f.add(spec, &b, ctx);
+            for part in run_region(&region, ctx, new, add)? {
+                fold.merge(spec, part)?;
+            }
+        }
     }
+    Ok(fold.finish())
+}
+
+/// Drain the input into one batch and reorder it by `keys` (each with
+/// its DESC flag): a stable sort with the row executor's comparator,
+/// evaluated once over the drained batch, then one gather.
+fn sort(
+    mut input: Box<dyn BatchOp + '_>,
+    keys: &[(VExpr, bool)],
+    ctx: &ExecContext<'_>,
+) -> Result<Batch> {
+    let all = drain_concat(&mut input)?;
+    let n = all.len();
+    ctx.charge(n as f64 * (n as f64).max(2.0).log2() * 0.005);
+    // an empty drain has no columns to evaluate the keys on
+    if n == 0 {
+        return Ok(all);
+    }
+    let key_vals = keys
+        .iter()
+        .map(|(e, desc)| {
+            let col = vexpr::eval(e, &all, ctx.fns)?;
+            Ok(((0..n).map(|i| col.value(i)).collect::<Vec<_>>(), *desc))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    perm.sort_by(|&a, &b| {
+        key_vals
+            .iter()
+            .map(|(vals, desc)| {
+                let ord = vals[a as usize].cmp(&vals[b as usize]);
+                if *desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Ok(all.gather(&perm))
 }
 
 struct LimitOp<'p> {
@@ -1157,28 +1109,45 @@ impl BatchOp for LimitOp<'_> {
     }
 }
 
-struct ValuesOp<'p> {
-    rows: &'p [Row],
-    schema: &'p Schema,
+/// A pipeline breaker's output: built whole on the first pull, then
+/// handed out `bs` rows at a time — moved out as it is when it fits in
+/// one batch, gathered slice by slice otherwise.
+struct MaterializedOp<'p> {
+    build: Option<Box<dyn FnOnce() -> Result<Batch> + 'p>>,
+    out: Batch,
     pos: usize,
     bs: usize,
 }
 
-impl BatchOp for ValuesOp<'_> {
-    fn next(&mut self) -> Result<Option<Batch>> {
-        emit_chunk(&mut self.pos, self.rows, self.schema, self.bs)
+impl<'p> MaterializedOp<'p> {
+    fn boxed(bs: usize, build: impl FnOnce() -> Result<Batch> + 'p) -> Box<dyn BatchOp + 'p> {
+        Box::new(MaterializedOp {
+            build: Some(Box::new(build)),
+            out: Batch::empty(0),
+            pos: 0,
+            bs,
+        })
     }
 }
 
-/// Emit the next `bs`-row chunk of a materialized row set as a batch.
-fn emit_chunk(pos: &mut usize, rows: &[Row], schema: &Schema, bs: usize) -> Result<Option<Batch>> {
-    if *pos >= rows.len() {
-        return Ok(None);
+impl BatchOp for MaterializedOp<'_> {
+    fn next(&mut self) -> Result<Option<Batch>> {
+        if let Some(build) = self.build.take() {
+            self.out = build()?;
+        }
+        let n = self.out.len();
+        if self.pos >= n {
+            return Ok(None);
+        }
+        if self.pos == 0 && n <= self.bs {
+            self.pos = n;
+            return Ok(Some(std::mem::replace(&mut self.out, Batch::empty(0))));
+        }
+        let end = (self.pos + self.bs).min(n);
+        let sel: Vec<u32> = (self.pos as u32..end as u32).collect();
+        self.pos = end;
+        Ok(Some(self.out.gather(&sel)))
     }
-    let end = (*pos + bs).min(rows.len());
-    let b = Batch::from_rows(schema, &rows[*pos..end]);
-    *pos = end;
-    Ok(Some(b))
 }
 
 /// Drain an operator into one batch, its batches appended in order.

@@ -75,13 +75,6 @@ pub const KNOB_SPECS: &[KnobSpec] = &[
         description: "WAL records between checkpoints",
     },
     KnobSpec {
-        name: "exec_batch_size",
-        min: 64,
-        max: 65536,
-        default: 1024,
-        description: "rows per column batch in the executor",
-    },
-    KnobSpec {
         name: "exec_parallelism",
         min: 0,
         max: 64,

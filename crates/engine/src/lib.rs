@@ -44,7 +44,7 @@ pub use aimdb_trace as trace;
 pub use analyze::{q_error, AnalyzeReport, NodeActuals};
 pub use catalog::{Catalog, Table};
 pub use db::{Database, ModelHook, QueryResult, RecoveryReport, TxnHandle};
-pub use exec_batch::{execute_batched, execute_batched_parallel};
+pub use exec_batch::execute_batched_parallel;
 pub use fingerprint::{fingerprint, normalize, StatementStat, StatementStore};
 pub use knobs::Knobs;
 pub use metrics::KpiSnapshot;

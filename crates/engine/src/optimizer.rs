@@ -806,9 +806,6 @@ impl<'a> Planner<'a> {
         for (i, s) in scans.into_iter().enumerate() {
             best.insert(1 << i, s);
         }
-        // remember which singletons exist — needed for the diagnostic if
-        // the DP table never reaches the full mask
-        let have_scan: u64 = best.keys().fold(0, |acc, m| acc | m);
         // Pass 1: edge-connected merges only.
         self.dp_pass(&mut best, full, aliases, edges, false)?;
         if !best.contains_key(&full) {
@@ -816,10 +813,8 @@ impl<'a> Planner<'a> {
             // the already-optimal connected components together.
             self.dp_pass(&mut best, full, aliases, edges, true)?;
         }
-        match best.remove(&full) {
-            Some(plan) => Ok(plan),
-            None => Err(Self::dp_disconnected_error(aliases, edges, have_scan)),
-        }
+        best.remove(&full)
+            .ok_or_else(|| AimError::Plan("join DP failed to cover all tables".into()))
     }
 
     /// One DPsize sweep over all subset masks. With `allow_cross` false,
@@ -861,58 +856,6 @@ impl<'a> Planner<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Diagnose a DP failure to cover the full mask: name the aliases in
-    /// each connected component of the join graph and flag any alias with
-    /// no base access path, instead of the old bare "failed to cover all
-    /// tables". Unreachable from `plan_select` under normal operation
-    /// (every alias gets a scan and the cross-join fallback connects any
-    /// pair of covered masks), but kept informative for direct callers
-    /// and future candidate-pruning rules.
-    fn dp_disconnected_error(
-        aliases: &[AliasInfo],
-        edges: &[JoinEdge],
-        have_scan: u64,
-    ) -> AimError {
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        let n = aliases.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        for e in edges {
-            if e.left_alias < n && e.right_alias < n {
-                let (a, b) = (
-                    find(&mut parent, e.left_alias),
-                    find(&mut parent, e.right_alias),
-                );
-                parent[a] = b;
-            }
-        }
-        let mut groups: HashMap<usize, Vec<String>> = HashMap::new();
-        for (i, a) in aliases.iter().enumerate() {
-            let root = find(&mut parent, i);
-            let label = if have_scan & (1 << i) == 0 {
-                format!("{} (no access path)", a.alias)
-            } else {
-                a.alias.clone()
-            };
-            groups.entry(root).or_default().push(label);
-        }
-        let mut parts: Vec<String> = groups
-            .into_values()
-            .map(|g| format!("[{}]", g.join(", ")))
-            .collect();
-        parts.sort();
-        AimError::Plan(format!(
-            "join DP failed to cover all tables: join graph has {} disconnected component(s): {}",
-            parts.len(),
-            parts.join(" ")
-        ))
     }
 
     /// Greedy join ordering for wide queries (> 10 tables).
@@ -1429,49 +1372,9 @@ mod tests {
     }
 
     #[test]
-    fn dp_join_error_names_disconnected_aliases() {
-        let catalog = Catalog::new();
-        let stats = HashMap::new();
-        let planner = Planner::new(&catalog, &stats, &HistogramEstimator);
-        let aliases = vec![alias("a"), alias("b"), alias("c")];
-        // alias `c` has no base access path: full mask can never be covered
-        let scans = vec![scan_of(&aliases[0]), scan_of(&aliases[1])];
-        let err = planner
-            .dp_join(&aliases, scans, &[edge(0, 1)])
-            .expect_err("full mask is uncoverable");
-        let msg = format!("{err}");
-        assert!(msg.contains("disconnected"), "got: {msg}");
-        assert!(msg.contains("[a, b]"), "connected pair named: {msg}");
-        assert!(
-            msg.contains("c (no access path)"),
-            "missing scan flagged: {msg}"
-        );
-    }
-
-    #[test]
-    fn dp_join_error_groups_join_graph_components() {
-        let catalog = Catalog::new();
-        let stats = HashMap::new();
-        let planner = Planner::new(&catalog, &stats, &HistogramEstimator);
-        let aliases = vec![alias("a"), alias("b"), alias("c"), alias("d")];
-        // two 2-alias components, and only component {a,b} has scans
-        let scans = vec![scan_of(&aliases[0]), scan_of(&aliases[1])];
-        let err = planner
-            .dp_join(&aliases, scans, &[edge(0, 1), edge(2, 3)])
-            .expect_err("full mask is uncoverable");
-        let msg = format!("{err}");
-        assert!(msg.contains("2 disconnected component(s)"), "got: {msg}");
-        assert!(
-            msg.contains("[c (no access path), d (no access path)]"),
-            "scanless component named: {msg}"
-        );
-    }
-
-    #[test]
     fn dp_join_covers_disconnected_graph_when_scans_exist() {
         // With every singleton present, the cross-join fallback still
-        // covers a disconnected join graph — the error fires only when a
-        // base access path is missing.
+        // covers a disconnected join graph.
         let catalog = Catalog::new();
         let stats = HashMap::new();
         let planner = Planner::new(&catalog, &stats, &HistogramEstimator);

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 
 use aimdb_common::{Result, Row, Value};
 use aimdb_engine::exec::{execute, ExecContext};
-use aimdb_engine::exec_batch::{execute_batched, execute_batched_parallel};
+use aimdb_engine::exec_batch::execute_batched_parallel;
 use aimdb_engine::plan::{PhysOp, PhysicalPlan};
 use aimdb_engine::Database;
 use aimdb_sql::expr::{BuiltinFns, ScalarFns};
@@ -303,7 +303,7 @@ fn run_both(db: &Database, sql: &str, bs: usize) -> (Result<Vec<Row>>, Result<Ve
     let row_ctx = ExecContext::new(&db.catalog, &fns);
     let row_result = execute(&plan, &row_ctx);
     let batch_ctx = ExecContext::new(&db.catalog, &fns);
-    let batch_result = execute_batched(&plan, &batch_ctx, bs);
+    let batch_result = execute_batched_parallel(&plan, &batch_ctx, bs, 1);
     (row_result, batch_result)
 }
 
@@ -764,8 +764,9 @@ fn empty_morsels_keep_serial_order() {
         lift_scan_filter(&mut lifted);
         let want = execute(&planned, &ExecContext::new(&db.catalog, &fns)).expect("row run");
         for plan in [&planned, &lifted] {
-            let serial = execute_batched(plan, &ExecContext::new(&db.catalog, &fns), 1024)
-                .expect("serial run");
+            let serial =
+                execute_batched_parallel(plan, &ExecContext::new(&db.catalog, &fns), 1024, 1)
+                    .expect("serial run");
             assert_eq!(canon(serial.clone()), canon(want.clone()), "serial: {sql}");
             for workers in [2usize, 4, 8] {
                 for bs in [1usize, 7, 1024] {
@@ -967,6 +968,58 @@ fn group_key_semantics_match_row_oracle_in_order() {
             Row::new(vec![Value::Int((1 << 53) + 1), Value::Int(2)]),
             Row::new(vec![Value::Null, Value::Int(1)]),
         ]
+    );
+}
+
+/// ORDER BY semantics, position by position against the row oracle: the
+/// sort is stable, compares keys as `Value`s (DESC reversed, first
+/// non-equal key wins), and its output is handed out in batch-size
+/// slices, so a result longer than a batch spans many of them.
+#[test]
+fn sort_semantics_match_row_oracle_in_order() {
+    let runs = runs_table();
+    let runs_queries = [
+        // mixed directions over all 9000 rows
+        "SELECT id, g, x FROM runs ORDER BY g DESC, x, id DESC",
+        // 600-row ties, already in key order
+        "SELECT id, band FROM runs ORDER BY band",
+        // ~1300-row ties out of key order: only a stable sort keeps heap
+        // order inside each
+        "SELECT id, g FROM runs ORDER BY g",
+        // a text key
+        "SELECT pad, id FROM runs ORDER BY pad DESC",
+        // a fused aggregate that emits more than one slice, under a sort
+        "SELECT id % 2500, COUNT(*) AS n, MIN(id) AS m FROM runs GROUP BY id % 2500 \
+         ORDER BY n DESC, m",
+        // the filter keeps no rows
+        "SELECT id, pad FROM runs WHERE band < 0 ORDER BY id",
+    ];
+    let got: Vec<_> = runs_queries
+        .iter()
+        .map(|sql| assert_matrix_matches_in_order(&runs, sql))
+        .collect();
+    assert_eq!(got[0].len(), 9000);
+    assert_eq!(got[1][600].get(0), &Value::Int(600));
+    assert_eq!(got[4].len(), 2500);
+    assert!(got[5].is_empty());
+
+    let joins = join_keys_tables();
+    twins_table(&joins);
+    // NULLs in both keys
+    assert_matrix_matches_in_order(&joins, "SELECT id, k, f FROM jr ORDER BY f DESC, k");
+    // 2^53 and 2^53 + 1 compare exactly; NULL sorts first, so last here
+    assert_eq!(
+        assert_matrix_matches_in_order(&joins, "SELECT k FROM twins ORDER BY k DESC"),
+        [(1i64 << 53) + 1, (1 << 53) + 1, 1 << 53, 1 << 53]
+            .into_iter()
+            .map(|k| Row::new(vec![Value::Int(k)]))
+            .chain([Row::new(vec![Value::Null])])
+            .collect::<Vec<_>>()
+    );
+    // a SELECT without FROM: one VALUES row
+    assert_eq!(
+        assert_matrix_matches_in_order(&joins, "SELECT 2 + 3 AS a, 'x' AS b ORDER BY a"),
+        vec![Row::new(vec![Value::Int(5), Value::Text("x".into())])]
     );
 }
 

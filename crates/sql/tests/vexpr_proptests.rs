@@ -65,7 +65,7 @@ fn gen_expr(bytes: &mut std::slice::Iter<'_, u8>, depth: u32) -> Expr {
     let b = nb(bytes, 0);
     if depth == 0 || b % 16 < 4 {
         // leaf: column or literal
-        return if b % 2 == 0 {
+        return if b.is_multiple_of(2) {
             Expr::col(["a", "b", "c", "d", "e"][(b as usize / 2) % 5])
         } else {
             gen_literal(nb(bytes, 1))
@@ -91,7 +91,7 @@ fn gen_expr(bytes: &mut std::slice::Iter<'_, u8>, depth: u32) -> Expr {
             Expr::binary(gen_expr(bytes, depth - 1), op, gen_expr(bytes, depth - 1))
         }
         9 => Expr::Unary {
-            op: if nb(bytes, 3) % 2 == 0 {
+            op: if nb(bytes, 3).is_multiple_of(2) {
                 UnaryOp::Not
             } else {
                 UnaryOp::Neg
@@ -100,7 +100,7 @@ fn gen_expr(bytes: &mut std::slice::Iter<'_, u8>, depth: u32) -> Expr {
         },
         10 => Expr::IsNull {
             expr: Box::new(gen_expr(bytes, depth - 1)),
-            negated: nb(bytes, 4) % 2 == 0,
+            negated: nb(bytes, 4).is_multiple_of(2),
         },
         11 => Expr::Between {
             expr: Box::new(gen_expr(bytes, depth - 1)),
@@ -110,12 +110,12 @@ fn gen_expr(bytes: &mut std::slice::Iter<'_, u8>, depth: u32) -> Expr {
         12 => Expr::InList {
             expr: Box::new(gen_expr(bytes, depth - 1)),
             list: vec![gen_expr(bytes, depth - 1), gen_expr(bytes, depth - 1)],
-            negated: nb(bytes, 5) % 2 == 0,
+            negated: nb(bytes, 5).is_multiple_of(2),
         },
         13 => Expr::Like {
             expr: Box::new(gen_expr(bytes, depth - 1)),
             pattern: ["%a%", "a_c", "", "%"][nb(bytes, 6) as usize % 4].to_string(),
-            negated: nb(bytes, 7) % 2 == 0,
+            negated: nb(bytes, 7).is_multiple_of(2),
         },
         _ => Expr::Function {
             name: ["ABS", "LENGTH", "UPPER", "FLOOR", "SQRT"][nb(bytes, 8) as usize % 5]

@@ -285,19 +285,12 @@ impl HeapScanCursor {
     /// per-row [`Row`] allocation. Appends at least `min_rows` rows to
     /// every column in `cols` (whole pages at a time, so it may
     /// overshoot) and returns `(rows_appended, more)` where `more` is
-    /// `false` once the cursor is exhausted.
-    ///
-    /// [`fill`]: HeapScanCursor::fill
-    pub fn fill_batch(&mut self, min_rows: usize, cols: &mut [ColVec]) -> Result<(usize, bool)> {
-        self.fill_batch_vis(min_rows, cols, None)
-    }
-
-    /// [`fill_batch`] with an optional row-visibility filter: slots whose
-    /// [`RowId`] the filter rejects are skipped without being decoded.
+    /// `false` once the cursor is exhausted. Slots whose [`RowId`] the
+    /// optional `vis` filter rejects are skipped without being decoded:
     /// MVCC snapshot scans pass the snapshot's visibility predicate here;
     /// `None` decodes every live slot (physical scan).
     ///
-    /// [`fill_batch`]: HeapScanCursor::fill_batch
+    /// [`fill`]: HeapScanCursor::fill
     pub fn fill_batch_vis(
         &mut self,
         min_rows: usize,
@@ -424,7 +417,7 @@ mod tests {
         ];
         let mut total = 0;
         loop {
-            let (n, more) = cur.fill_batch(64, &mut cols).unwrap();
+            let (n, more) = cur.fill_batch_vis(64, &mut cols, None).unwrap();
             total += n;
             if !more {
                 break;
@@ -475,7 +468,7 @@ mod tests {
         let h = heap();
         let mut cur = h.scan_cursor();
         let mut cols = vec![ColVec::with_capacity(DataType::Int, 8)];
-        assert_eq!(cur.fill_batch(8, &mut cols).unwrap(), (0, false));
+        assert_eq!(cur.fill_batch_vis(8, &mut cols, None).unwrap(), (0, false));
         assert!(cols[0].is_empty());
     }
 
@@ -589,7 +582,7 @@ mod tests {
             ];
             let mut n = 0;
             loop {
-                let (k, more) = cur.fill_batch(64, &mut cols).unwrap();
+                let (k, more) = cur.fill_batch_vis(64, &mut cols, None).unwrap();
                 n += k;
                 if !more {
                     break;

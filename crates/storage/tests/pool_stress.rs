@@ -56,7 +56,7 @@ fn morsel_pass(heap: &HeapFile) -> usize {
         ];
         let mut n = 0;
         loop {
-            let (k, more) = cur.fill_batch(32, &mut cols).unwrap();
+            let (k, more) = cur.fill_batch_vis(32, &mut cols, None).unwrap();
             n += k;
             if !more {
                 break;

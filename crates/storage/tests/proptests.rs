@@ -159,7 +159,7 @@ proptest! {
         ];
         let mut total = 0;
         loop {
-            let (n, more) = cursor.fill_batch(min_rows, &mut cols).unwrap();
+            let (n, more) = cursor.fill_batch_vis(min_rows, &mut cols, None).unwrap();
             total += n;
             if !more {
                 break;

@@ -41,7 +41,7 @@ fn main() {
     println!("commit at ts {cts} published atomically: OK");
 
     // Group commit under concurrent writers: fewer fsyncs than commits.
-    let flushes0 = db.wal_flush_count();
+    let flushes0 = db.wal.flush_count();
     let commits0 = db.kpis().txns_committed;
     std::thread::scope(|s| {
         for w in 0..4i64 {
@@ -63,7 +63,7 @@ fn main() {
         }
     });
     let commits = db.kpis().txns_committed - commits0;
-    let fsyncs = db.wal_flush_count() - flushes0;
+    let fsyncs = db.wal.flush_count() - flushes0;
     println!("group commit: {commits} commits over {fsyncs} fsyncs");
     assert!(commits > 0 && fsyncs < commits, "no batching observed");
 

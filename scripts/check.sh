@@ -41,7 +41,10 @@ if grep -E '(^|[^[:alnum:]_-])aimdb-(ai4db|ml) v' <<<"$server_tree"; then
     echo "aimdb-server depends on aimdb-ai4db or aimdb-ml" >&2
     exit 1
 fi
-run cargo clippy -p aimdb-storage -p aimdb-engine --all-targets -- -D warnings
+# clippy over the server's whole dependency closure (common, sql, trace,
+# storage, engine, server), test code included
+run cargo clippy -p aimdb-common -p aimdb-sql -p aimdb-trace -p aimdb-storage -p aimdb-engine \
+    -p aimdb-server --all-targets -- -D warnings
 # workspace invariant linter: L001 panic-freedom, L004 lock ranking and
 # L005 atomic-ordering justification (all three ratcheted via
 # lint-baseline.txt — counts may only go down), L002 determinism,

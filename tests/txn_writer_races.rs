@@ -189,7 +189,7 @@ fn writer_races_healthy_store_with_group_commit() {
     let db = Database::new();
     setup(&db);
     db.execute("SET group_commit_window = 200").expect("knob");
-    let flushes_before = db.wal_flush_count();
+    let flushes_before = db.wal.flush_count();
     let commits_before = db.kpis().txns_committed;
 
     const OPS_PER_WRITER: usize = 60;
@@ -261,7 +261,7 @@ fn writer_races_healthy_store_with_group_commit() {
     assert_prefix_consistent(&values, &receipts, "quiesced state");
 
     // Group commit batched: strictly fewer fsyncs than commits.
-    let flushed = db.wal_flush_count() - flushes_before;
+    let flushed = db.wal.flush_count() - flushes_before;
     let committed = db.kpis().txns_committed - commits_before;
     assert!(committed as usize >= receipts.len());
     assert!(
