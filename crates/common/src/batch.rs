@@ -45,6 +45,7 @@ pub enum ColVec {
 
 impl ColVec {
     /// Number of rows in the column.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             ColVec::Int { vals, .. } => vals.len(),
@@ -55,11 +56,13 @@ impl ColVec {
         }
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Is row `i` NULL?
+    #[inline]
     pub fn is_null(&self, i: usize) -> bool {
         match self {
             ColVec::Int { nulls, .. }
@@ -71,6 +74,7 @@ impl ColVec {
     }
 
     /// Materialize row `i` as a [`Value`].
+    #[inline]
     pub fn value(&self, i: usize) -> Value {
         match self {
             ColVec::Int { vals, nulls } => {
@@ -246,6 +250,7 @@ impl ColVec {
     }
 
     /// Append a NULL row.
+    #[inline]
     pub fn push_null(&mut self) {
         match self {
             ColVec::Int { vals, nulls } => {
@@ -270,6 +275,7 @@ impl ColVec {
 
     /// Append an integer; demotes to `Mixed` if the column is a
     /// different machine type.
+    #[inline]
     pub fn push_int(&mut self, x: i64) {
         match self {
             ColVec::Int { vals, nulls } => {
@@ -282,6 +288,7 @@ impl ColVec {
     }
 
     /// Append a float; demotes to `Mixed` on type mismatch.
+    #[inline]
     pub fn push_float(&mut self, x: f64) {
         match self {
             ColVec::Float { vals, nulls } => {
@@ -294,6 +301,7 @@ impl ColVec {
     }
 
     /// Append a bool; demotes to `Mixed` on type mismatch.
+    #[inline]
     pub fn push_bool(&mut self, x: bool) {
         match self {
             ColVec::Bool { vals, nulls } => {
@@ -306,6 +314,7 @@ impl ColVec {
     }
 
     /// Append a text value; demotes to `Mixed` on type mismatch.
+    #[inline]
     pub fn push_text(&mut self, s: String) {
         match self {
             ColVec::Text { vals, nulls } => {
@@ -318,6 +327,7 @@ impl ColVec {
     }
 
     /// Remove all rows, keeping the column's type and capacity.
+    #[inline]
     pub fn clear(&mut self) {
         match self {
             ColVec::Int { vals, nulls } => {
@@ -475,6 +485,7 @@ impl Batch {
         }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -483,14 +494,17 @@ impl Batch {
         self.len == 0
     }
 
+    #[inline]
     pub fn num_cols(&self) -> usize {
         self.cols.len()
     }
 
+    #[inline]
     pub fn col(&self, i: usize) -> &ColVec {
         &self.cols[i]
     }
 
+    #[inline]
     pub fn cols(&self) -> &[ColVec] {
         &self.cols
     }

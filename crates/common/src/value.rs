@@ -168,6 +168,7 @@ impl Eq for Value {}
 /// numerics (cross-type), booleans, text. This is a storage order, distinct
 /// from SQL's three-valued `sql_cmp`.
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -191,6 +192,7 @@ impl Ord for Value {
 }
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }

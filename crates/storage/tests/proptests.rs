@@ -1,14 +1,15 @@
 //! Property-based tests for the storage layer: the B+tree must behave like
-//! `BTreeMap`, row encoding must round-trip arbitrary values, and the
-//! buffer pool must behave like a map of page contents.
+//! `BTreeMap`, row encoding must round-trip arbitrary values, the columnar
+//! decoder must agree with the row decoder, and the buffer pool must
+//! behave like a map of page contents.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use aimdb_common::{Row, Value};
-use aimdb_storage::codec::{decode_row, encode_row};
+use aimdb_common::{ColVec, DataType, Row, Value};
+use aimdb_storage::codec::{decode_row, decode_row_into, encode_row};
 use aimdb_storage::page::Page;
 use aimdb_storage::{BTree, BufferPool, Disk, HeapFile, PageId};
 
@@ -140,7 +141,6 @@ proptest! {
         delete_every in 2usize..7,
         min_rows in 1usize..40,
     ) {
-        use aimdb_common::{ColVec, DataType};
         let pool = Arc::new(BufferPool::new(Arc::new(Disk::new()), 8));
         let heap = HeapFile::new(pool);
         let ids: Vec<_> = rows
@@ -197,6 +197,93 @@ proptest! {
             while cursor.next_chunk(chunk, &mut streamed) > 0 {}
             let expect: Vec<(i64, i64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(streamed, expect);
+        }
+    }
+}
+
+/// The declared types `decode_row_into_agrees_with_decode_row` draws
+/// its columns from.
+const COL_TYPES: [DataType; 4] = [
+    DataType::Int,
+    DataType::Float,
+    DataType::Text,
+    DataType::Bool,
+];
+
+/// A value of type `ty` built from one cell's raw draws (a float takes
+/// `bits` as its bit pattern, so NaNs and infinities occur), or NULL.
+fn typed_value(ty: DataType, null: bool, bits: i64, text: &str) -> Value {
+    match (null, ty) {
+        (true, _) => Value::Null,
+        (false, DataType::Int) => Value::Int(bits),
+        (false, DataType::Float) => Value::Float(f64::from_bits(bits as u64)),
+        (false, DataType::Text) => Value::Text(text.to_string()),
+        (false, DataType::Bool) => Value::Bool(bits & 1 == 1),
+    }
+}
+
+proptest! {
+    // The scan's decoder against the reference one, over rows of every
+    // value type with NULLs: into columns typed by a schema,
+    // `decode_row_into` yields exactly `decode_row`'s values; one value
+    // of another type demotes its column, and only it, to `Mixed` with
+    // every value kept; and every truncation of an encoding is an error
+    // in both decoders.
+    #[test]
+    fn decode_row_into_agrees_with_decode_row(
+        types in prop::collection::vec(0usize..4, 1..8),
+        cells in prop::collection::vec(
+            (0u8..4, any::<i64>(), "[a-zA-Z0-9 ]{0,12}"),
+            8..64,
+        ),
+        intruder in (any::<bool>(), 0usize..1000, 1usize..4),
+    ) {
+        let width = types.len();
+        let mut rows: Vec<Vec<Value>> = cells
+            .chunks_exact(width)
+            .map(|row| {
+                row.iter()
+                    .zip(&types)
+                    .map(|((null, bits, text), &t)| {
+                        typed_value(COL_TYPES[t], *null == 0, *bits, text)
+                    })
+                    .collect()
+            })
+            .collect();
+        let (intrude, at, shift) = intruder;
+        let mixed_col = intrude.then(|| {
+            let (r, c) = (at % rows.len(), at % width);
+            let (_, bits, text) = &cells[r * width + c];
+            rows[r][c] = typed_value(COL_TYPES[(types[c] + shift) % 4], false, *bits, text);
+            c
+        });
+        let fresh_cols = || -> Vec<ColVec> {
+            types.iter().map(|&t| ColVec::with_capacity(COL_TYPES[t], 0)).collect()
+        };
+
+        let mut cols = fresh_cols();
+        let mut want = Vec::with_capacity(rows.len());
+        for row in &rows {
+            let bytes = encode_row(&Row::new(row.clone()));
+            decode_row_into(&bytes, &mut cols).unwrap();
+            want.push(decode_row(&bytes).unwrap());
+            for cut in 0..bytes.len() {
+                prop_assert!(
+                    decode_row(&bytes[..cut]).is_err(),
+                    "decode_row accepted a {cut}-byte prefix"
+                );
+                prop_assert!(
+                    decode_row_into(&bytes[..cut], &mut fresh_cols()).is_err(),
+                    "decode_row_into accepted a {cut}-byte prefix"
+                );
+            }
+        }
+        for (c, col) in cols.iter().enumerate() {
+            prop_assert_eq!(matches!(col, ColVec::Mixed(_)), mixed_col == Some(c));
+            prop_assert_eq!(col.len(), want.len());
+            for (i, row) in want.iter().enumerate() {
+                prop_assert_eq!(&col.value(i), row.get(c));
+            }
         }
     }
 }

@@ -42,9 +42,10 @@ if grep -E '(^|[^[:alnum:]_-])aimdb-(ai4db|ml) v' <<<"$server_tree"; then
     exit 1
 fi
 # clippy over the server's whole dependency closure (common, sql, trace,
-# storage, engine, server), test code included
+# storage, engine, server and the bytes, parking_lot and rand shims: every
+# package `cargo tree -p aimdb-server -e normal` lists), test code included
 run cargo clippy -p aimdb-common -p aimdb-sql -p aimdb-trace -p aimdb-storage -p aimdb-engine \
-    -p aimdb-server --all-targets -- -D warnings
+    -p aimdb-server -p bytes -p parking_lot -p rand --all-targets -- -D warnings
 # workspace invariant linter: L001 panic-freedom, L004 lock ranking and
 # L005 atomic-ordering justification (all three ratcheted via
 # lint-baseline.txt — counts may only go down), L002 determinism,
@@ -93,8 +94,13 @@ run cargo test -q --release -p parking_lot contention_is_counted_per_rank
 # static plan verifier must accept every executable query in a 1k-query
 # random corpus (debug builds also verify every plan inline)
 run cargo run -q --release -p aimdb-bench --bin verify_corpus
+# per-core decode gate: the scan's row decoder (codec::decode_row_into)
+# must cost at most 2x a hand-written loop over the same encoded rows,
+# timed in alternating passes in one process; binds on any core count
+run cargo run -q --release -p aimdb-bench --bin exec_bench -- --smoke
 # tracing overhead: full-lifecycle passes with query_tracing on vs off
-# must stay within 5% (min-of-N interleaved, release build)
+# must stay within 5% (median of per-pair ratios over alternating pairs,
+# release build)
 run cargo run -q --release -p aimdb-bench --bin exec_bench -- --trace --smoke
 # group-commit evidence: fsyncs < commits and median batch > 1 under
 # concurrent disjoint-row writers (fsync-per-txn baseline printed too)
