@@ -7,12 +7,12 @@
 //!
 //! The experiment plants a two-column table whose correlation is
 //! controlled (0 → independent, 0.9 → strongly dependent), issues
-//! conjunctive range queries, and compares:
+//! conjunctive range queries, and compares, on the q-error metric
+//! standard in this literature:
 //! - the engine's histogram estimator (per-column selectivities multiplied
 //!   under independence — exact at corr=0, badly wrong at corr→1), vs.
 //! - an MLP trained on executed queries (features: normalized range
-//!   bounds; target: log cardinality),
-//! on the q-error metric standard in this literature.
+//!   bounds; target: log cardinality).
 //!
 //! [`LearnedEstimator`] additionally implements the engine's
 //! [`CardEstimator`] seam so the learned model can drive the real

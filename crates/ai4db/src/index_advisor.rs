@@ -202,7 +202,7 @@ pub fn advise_greedy(db: &Database, workload: &[WorkloadQuery], budget: usize) -
             trial.insert(c.clone());
             let cost = what_if_cost(db, workload, &trial)?;
             evals += 1;
-            if cost < current && best.as_ref().map_or(true, |(_, b)| cost < *b) {
+            if cost < current && best.as_ref().is_none_or(|(_, b)| cost < *b) {
                 best = Some((c.clone(), cost));
             }
         }
@@ -249,7 +249,6 @@ pub fn advise_rl(
             epsilon: 1.0,
             epsilon_min: 0.02,
             epsilon_decay: 0.97,
-            ..Default::default()
         },
         seed,
     );

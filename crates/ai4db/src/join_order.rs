@@ -159,7 +159,7 @@ pub fn order_dp(g: &JoinGraph) -> OrderResult {
             if let Some((pc, porder)) = best.get(&prev) {
                 let c = pc + g.card(mask);
                 evals += 1;
-                if cand.as_ref().map_or(true, |(bc, _)| c < *bc) {
+                if cand.as_ref().is_none_or(|(bc, _)| c < *bc) {
                     let mut order = porder.clone();
                     order.push(r);
                     cand = Some((c, order));
@@ -201,7 +201,7 @@ pub fn order_greedy(g: &JoinGraph) -> OrderResult {
         for a in g.connected_next(mask) {
             evals += 1;
             let c = g.card(mask | (1 << a));
-            if next.map_or(true, |(_, bc)| c < bc) {
+            if next.is_none_or(|(_, bc)| c < bc) {
                 next = Some((a, c));
             }
         }
@@ -232,7 +232,6 @@ pub fn order_qlearn(g: &JoinGraph, episodes: usize, seed: u64) -> OrderResult {
             epsilon: 1.0,
             epsilon_min: 0.02,
             epsilon_decay: 0.99,
-            ..Default::default()
         },
         seed,
     );
@@ -272,7 +271,7 @@ pub fn order_qlearn(g: &JoinGraph, episodes: usize, seed: u64) -> OrderResult {
             };
             q.update(s, a, r, next_s, &next_legal, terminal);
         }
-        if best.as_ref().map_or(true, |(bc, _)| cost < *bc) {
+        if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
             best = Some((cost, order));
         }
         q.end_episode();

@@ -319,7 +319,7 @@ fn encode(config: &Config) -> usize {
 /// Actions: for each knob, increment or decrement its level.
 fn apply_action(config: &Config, action: usize) -> Config {
     let knob = action / 2;
-    let up = action % 2 == 0;
+    let up = action.is_multiple_of(2);
     let mut c = config.clone();
     if up {
         c[knob] = (c[knob] + 1).min(LEVELS - 1);
@@ -341,7 +341,6 @@ pub fn tune_rl(env: &mut dyn TuningEnv, episodes: usize, steps: usize, seed: u64
             epsilon: 1.0,
             epsilon_min: 0.05,
             epsilon_decay: 0.9,
-            ..Default::default()
         },
         seed,
     );

@@ -226,7 +226,7 @@ pub fn sweep(scan_frac: f64, n_keys: f64, points: usize) -> Result<Vec<SweepRow>
             let mut best: Option<(Design, f64)> = None;
             for (_, start) in fixed_designs() {
                 let (d, c, _) = search_design(&w, start, 200)?;
-                if best.as_ref().map_or(true, |(_, bc)| c < *bc) {
+                if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
                     best = Some((d, c));
                 }
             }

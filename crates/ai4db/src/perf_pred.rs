@@ -128,7 +128,7 @@ pub struct PerfPredictor {
 
 impl PerfPredictor {
     pub fn train(mixes: &[Mix], latencies: &[f64], seed: u64) -> Result<Self> {
-        let x: Vec<Vec<f64>> = mixes.iter().map(|m| graph_features(m)).collect();
+        let x: Vec<Vec<f64>> = mixes.iter().map(graph_features).collect();
         let y: Vec<f64> = latencies.iter().map(|l| l.ln()).collect();
         let ds = Dataset::new(x, y)?;
         let mlp = Mlp::fit(

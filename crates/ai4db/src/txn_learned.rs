@@ -136,7 +136,7 @@ pub fn execute_batches(
     }
     ScheduleReport {
         method: method.into(),
-        throughput: completed as f64 / (batches.max(1) * 1) as f64,
+        throughput: completed as f64 / batches.max(1) as f64,
         aborts,
         batches,
     }

@@ -5,11 +5,11 @@
 //! workload (one query groups by two columns, one hash-joins `events`
 //! to `groups`) once, then times each physical plan through the
 //! engine's batch executor and through the reference row interpreter
-//! (`exec::execute`, which only tests and harnesses reach) on a single
-//! core. It prints per-query and overall
-//! ratios and exits nonzero if the two disagree on rows; whether they
-//! agree in depth is `exec_differential`'s job, and how fast the batch
-//! executor is, `engine.exec.ns_per_row` in `BENCH_wire.json`.
+//! (`aimdb_oracle::execute`, which only tests and harnesses link) on a
+//! single core. It prints per-query and overall ratios and exits
+//! nonzero if the two disagree on rows; whether they agree in depth is
+//! `exec_differential`'s job, and how fast the batch executor is,
+//! `engine.exec.ns_per_row` in `BENCH_wire.json`.
 //!
 //! Before that it runs the per-core decode gate, which binds on any
 //! core count: the same encoded 9-Int rows are decoded by the scan's
@@ -42,9 +42,10 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use aimdb_common::{Clock, ColVec, DataType, Result, Row, Value, WallClock};
-use aimdb_engine::exec::{execute, ExecContext};
+use aimdb_engine::exec::ExecContext;
 use aimdb_engine::exec_batch::execute_batched_parallel;
 use aimdb_engine::{Database, PhysicalPlan};
+use aimdb_oracle::execute;
 use aimdb_sql::expr::BuiltinFns;
 use aimdb_sql::{parse, Statement};
 use aimdb_storage::codec::{decode_row_into, encode_row};

@@ -313,13 +313,17 @@ fn read_pairs(db: &Database) -> Result<Vec<i64>, String> {
     Ok(values)
 }
 
+/// One pair's receipts: the acknowledged (commit ts, value) with the
+/// latest commit ts, and every unknown-fate value.
+type PairReceipts = (Option<(u64, i64)>, Vec<i64>);
+
 /// A recovered state is prefix-consistent when every pair holds its last
 /// acknowledged value, an unknown-fate value durably ahead of it, or the
 /// initial 0 when nothing was acknowledged. Same-pair transactions are
 /// serialized by first-updater-wins, so per pair the commit-ts order and
 /// WAL order agree and "last acknowledged" is well-defined.
 fn check_prefix(values: &[i64], receipts: &[PairReceipt]) -> Result<(), String> {
-    let mut oracle: HashMap<i64, (Option<(u64, i64)>, Vec<i64>)> = HashMap::new();
+    let mut oracle: HashMap<i64, PairReceipts> = HashMap::new();
     for r in receipts {
         let e = oracle.entry(r.pair).or_default();
         match r.cts {

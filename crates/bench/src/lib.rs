@@ -884,9 +884,10 @@ impl aimdb_sql::expr::ScalarFns for PerRowUdf {
 fn try_e16() -> aimdb_common::Result<Report> {
     use aimdb_common::{AimError, Clock, Row, WallClock};
     use aimdb_db4ai::hybrid::*;
-    use aimdb_engine::exec::{execute, ExecContext};
+    use aimdb_engine::exec::ExecContext;
     use aimdb_engine::{Database, PhysicalPlan};
     use aimdb_ml::linear::LinearRegression;
+    use aimdb_oracle::execute;
     let mut r = Report::new("E16", "inference execution + hybrid DB&AI pushdown");
 
     // per-row UDF vs batch kernel over one plan of the same SQL: the

@@ -35,14 +35,6 @@ impl Row {
         self.values.is_empty()
     }
 
-    /// Concatenate two rows (join output).
-    pub fn join(&self, other: &Row) -> Row {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend(self.values.iter().cloned());
-        values.extend(other.values.iter().cloned());
-        Row { values }
-    }
-
     /// Project a subset of values by column index.
     pub fn project(&self, indices: &[usize]) -> Row {
         Row {
@@ -89,11 +81,8 @@ mod tests {
     use crate::value::DataType;
 
     #[test]
-    fn join_and_project() {
-        let a = Row::new(vec![Value::Int(1), Value::Int(2)]);
-        let b = Row::new(vec![Value::Text("x".into())]);
-        let j = a.join(&b);
-        assert_eq!(j.len(), 3);
+    fn project_picks_values_by_index() {
+        let j = Row::new(vec![Value::Int(1), Value::Int(2), Value::Text("x".into())]);
         let p = j.project(&[2, 0]);
         assert_eq!(p.values()[0], Value::Text("x".into()));
         assert_eq!(p.values()[1], Value::Int(1));

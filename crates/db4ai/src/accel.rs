@@ -113,9 +113,11 @@ pub fn parallel_matmul(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix>
             })
             .collect();
         // join every handle, so a worker panic is an error, not a panic
-        handles
-            .into_iter()
-            .fold(true, |ok, h| h.join().is_ok() && ok)
+        let mut ok = true;
+        for h in handles {
+            ok &= h.join().is_ok();
+        }
+        ok
     });
     if !joined {
         return Err(AimError::Execution("matmul worker panicked".into()));

@@ -156,7 +156,7 @@ pub fn forward_select(
             let mut trial = selected.clone();
             trial.push(c);
             let s = score_features(&mut store, &trial, y, seed)?;
-            if best.as_ref().map_or(true, |(_, b)| s > *b) {
+            if best.as_ref().is_none_or(|(_, b)| s > *b) {
                 best = Some((c, s));
             }
         }

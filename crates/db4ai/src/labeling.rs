@@ -155,9 +155,9 @@ mod tests {
         let frontier = cost_accuracy_frontier(&c, &[1, 3, 5, 7, 9], 5).unwrap();
         let (mv_votes, ds_votes) = votes_to_reach(&frontier, 0.92);
         let ds_votes = ds_votes.expect("DS reaches 92%");
-        match mv_votes {
-            Some(mv) => assert!(ds_votes <= mv, "DS {ds_votes} votes vs MV {mv}"),
-            None => {} // MV never reaches the target: DS strictly cheaper
+        // MV may never reach the target: DS is then strictly cheaper
+        if let Some(mv) = mv_votes {
+            assert!(ds_votes <= mv, "DS {ds_votes} votes vs MV {mv}");
         }
     }
 

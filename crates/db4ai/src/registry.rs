@@ -177,7 +177,7 @@ impl ModelRegistry {
             .values()
             .flat_map(|v| v.iter().map(|e| &e.meta))
             .collect();
-        all.sort_by(|a, b| b.created_at.cmp(&a.created_at));
+        all.sort_by_key(|m| std::cmp::Reverse(m.created_at));
         all
     }
 
@@ -191,7 +191,7 @@ impl ModelRegistry {
                 (m.name.to_ascii_lowercase().contains(&q)
                     || m.kind.to_ascii_lowercase().contains(&q)
                     || m.table.to_ascii_lowercase().contains(&q))
-                    && max_metric.map_or(true, |mm| m.train_metric <= mm)
+                    && max_metric.is_none_or(|mm| m.train_metric <= mm)
             })
             .collect()
     }

@@ -175,9 +175,11 @@ pub fn select_parallel_with_clock(
             })
             .collect();
         // join every handle, so a worker panic is an error, not a panic
-        handles
-            .into_iter()
-            .fold(true, |ok, h| h.join().is_ok() && ok)
+        let mut ok = true;
+        for h in handles {
+            ok &= h.join().is_ok();
+        }
+        ok
     });
     if !joined {
         return Err(AimError::Execution("worker thread panicked".into()));

@@ -1,23 +1,23 @@
-//! Streaming vectorized executor.
+//! Streaming vectorized executor: the engine's only plan interpreter.
 //!
-//! The batch pipeline mirrors the row executor operator for operator,
-//! but operators *pull* fixed-size column batches ([`Batch`]) instead of
+//! Operators *pull* fixed-size column batches ([`Batch`]) instead of
 //! materializing whole row sets: scans fill batches straight from the
-//! storage cursors, predicates produce selection vectors (their conjuncts
-//! cascading, each evaluated only on the rows the ones before it kept)
-//! that are applied with `gather`, and expressions — a model-bound
-//! `PREDICT` included — run through the compiled kernels in
-//! `aimdb_sql::vexpr`. Pipeline-breaking operators (hash
-//! join build, aggregate, sort) still drain their inputs — exactly like
-//! the row executor — but consume them batch-wise. Sort and aggregate
+//! storage cursors (the index scan decodes each fetched tuple into the
+//! same typed lanes), predicates produce selection vectors (their
+//! conjuncts cascading, each evaluated only on the rows the ones before
+//! it kept) that are applied with `gather`, and expressions — a
+//! model-bound `PREDICT` included — run through the compiled kernels in
+//! `aimdb_sql::vexpr`. Pipeline-breaking operators (hash join build,
+//! aggregate, sort) drain their inputs batch-wise. Sort and aggregate
 //! build their whole output as one [`Batch`] on the first pull (VALUES
 //! builds its one with the plan) and one operator hands it out in
 //! batch-size slices.
 //!
-//! Result equivalence with [`crate::exec::execute`] is enforced by the
-//! differential oracle (`tests/exec_differential.rs`); output *order*
-//! matches the row executor on every operator so ORDER BY queries can
-//! be compared positionally:
+//! Result equivalence with the reference row interpreter (the dev-only
+//! `aimdb-oracle` crate, which shares none of this machinery) is
+//! enforced by the differential oracle (`tests/exec_differential.rs`);
+//! output *order* is part of the contract, so ORDER BY queries can be
+//! compared positionally:
 //! - scans emit heap page order / index key order,
 //! - hash join builds on the smaller input and emits probe order ×
 //!   build-insertion order,
@@ -96,7 +96,7 @@ use aimdb_sql::logical::AggExpr;
 use aimdb_sql::vexpr::{self, VExpr};
 
 use crate::catalog::Table;
-use crate::exec::{AggState, ExecContext, OpStats, WorkerSpan, MAIN_WORKER};
+use crate::exec::{ExecContext, OpStats, WorkerSpan, MAIN_WORKER};
 use crate::mvcc::RowVis;
 use crate::plan::{PhysOp, PhysicalPlan};
 use aimdb_storage::{HeapScanCursor, MorselDispenser, MorselSource, RowId};
@@ -415,6 +415,16 @@ fn select(batch: Batch, pred: Option<&VExpr>, fns: &dyn ScalarFns) -> Result<Bat
     })
 }
 
+/// One empty typed column builder per column of `schema`, each with
+/// room for `cap` rows.
+fn lanes(schema: &Schema, cap: usize) -> Vec<ColVec> {
+    schema
+        .columns()
+        .iter()
+        .map(|c| ColVec::with_capacity(c.data_type, cap))
+        .collect()
+}
+
 struct SeqScanOp<'p> {
     /// The page range being read: the whole heap on the serial path, the
     /// current morsel inside an exchange region.
@@ -447,12 +457,7 @@ impl BatchOp for SeqScanOp<'_> {
             // decode pages straight into typed column builders — the
             // row-at-a-time decode + columnarize double pass is the
             // single biggest cost the batch pipeline can avoid
-            let mut cols: Vec<ColVec> = self
-                .schema
-                .columns()
-                .iter()
-                .map(|c| ColVec::with_capacity(c.data_type, self.bs))
-                .collect();
+            let mut cols = lanes(self.schema, self.bs);
             let vis = &*self.vis;
             let (n, more) =
                 cursor.fill_batch_vis(self.bs, &mut cols, Some(&|rid| vis.allows(rid)))?;
@@ -490,18 +495,24 @@ impl BatchOp for IndexScanOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
         while self.pos < self.rids.len() {
             let end = (self.pos + self.bs).min(self.rids.len());
-            let mut rows = Vec::with_capacity(end - self.pos);
+            // a point lookup fetches a handful of rids: size the lanes
+            // to the chunk, not to the batch width
+            let mut cols = lanes(self.schema, end - self.pos);
+            let mut n = 0;
             for &rid in &self.rids[self.pos..end] {
-                if let Some(row) = self.table.heap.get(rid)? {
-                    rows.push(row);
+                if self.table.heap.get_into(rid, &mut cols)? {
+                    n += 1;
                 }
             }
             self.pos = end;
-            if rows.is_empty() {
+            if n == 0 {
                 continue;
             }
-            let batch = Batch::from_rows(self.schema, &rows);
-            let batch = select(batch, self.filter.as_ref(), self.ctx.fns)?;
+            let batch = select(
+                Batch::from_cols(cols, n),
+                self.filter.as_ref(),
+                self.ctx.fns,
+            )?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
@@ -640,7 +651,7 @@ impl HashJoinOp<'_> {
         let (lparts, ln) = drain_input(&mut l, &self.lkey)?;
         let (rparts, rn) = drain_input(&mut r, &self.rkey)?;
         self.ctx.charge((ln + rn) as f64 * 0.015);
-        // build on the smaller side, like the row executor, so output
+        // build on the smaller side, like the row oracle, so output
         // order (probe order × build-insertion order) matches exactly
         let (build_parts, probe_parts, build_is_left) = if ln <= rn {
             (lparts, rparts, true)
@@ -843,6 +854,135 @@ fn join_gather(left: &Batch, li: &[u32], right: &Batch, ri: &[u32]) -> Batch {
     Batch::from_cols(cols, li.len())
 }
 
+/// One aggregate's running state. COUNT(*) counts rows and every other
+/// argument skips NULLs; MIN/MAX replace only a strictly smaller or
+/// larger value, so the first value seen wins a tie.
+#[derive(Debug, Clone)]
+enum AggState {
+    Count(u64),
+    /// Int addends in an exact `i128` total, every other addend in an
+    /// `f64` total; `finish` adds the two once. Partial sums of Int
+    /// arguments therefore merge exactly at any size.
+    Sum(i128, f64),
+    /// (Int total, other total, count) for AVG
+    Avg(i128, f64, u64),
+    Min(Option<Value>),
+    Max(Option<Value>),
+}
+
+impl AggState {
+    fn new(f: AggFunc) -> AggState {
+        match f {
+            AggFunc::Count => AggState::Count(0),
+            AggFunc::Sum => AggState::Sum(0, 0.0),
+            AggFunc::Avg => AggState::Avg(0, 0.0, 0),
+            AggFunc::Min => AggState::Min(None),
+            AggFunc::Max => AggState::Max(None),
+        }
+    }
+
+    fn update(&mut self, v: Option<&Value>) -> Result<()> {
+        match self {
+            AggState::Count(n) => {
+                // COUNT(*) counts rows (v=None); COUNT(x) skips NULLs
+                match v {
+                    Some(val) if val.is_null() => {}
+                    _ => *n += 1,
+                }
+            }
+            AggState::Sum(i, f) => match v {
+                None | Some(Value::Null) => {}
+                Some(Value::Int(x)) => *i += i128::from(*x),
+                Some(val) => *f += val.as_f64()?,
+            },
+            AggState::Avg(i, f, n) => match v {
+                None | Some(Value::Null) => {}
+                Some(val) => {
+                    match val {
+                        Value::Int(x) => *i += i128::from(*x),
+                        val => *f += val.as_f64()?,
+                    }
+                    *n += 1;
+                }
+            },
+            AggState::Min(m) => {
+                if let Some(val) = v {
+                    if !val.is_null() && m.as_ref().is_none_or(|cur| val < cur) {
+                        *m = Some(val.clone());
+                    }
+                }
+            }
+            AggState::Max(m) => {
+                if let Some(val) = v {
+                    if !val.is_null() && m.as_ref().is_none_or(|cur| val > cur) {
+                        *m = Some(val.clone());
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold a partial state — computed over a *later* contiguous run of
+    /// rows — into `self`. Exact for COUNT / MIN / MAX (order-free) and
+    /// for SUM / AVG over Int arguments (their `i128` totals); the
+    /// parallel executor only partial-aggregates in those cases, feeding
+    /// everything else through the serial fold so float results stay
+    /// bit-identical.
+    fn merge(&mut self, other: AggState) -> Result<()> {
+        match (self, other) {
+            (AggState::Count(a), AggState::Count(b)) => *a += b,
+            (AggState::Sum(i, f), AggState::Sum(i2, f2)) => {
+                *i += i2;
+                *f += f2;
+            }
+            (AggState::Avg(i, f, n), AggState::Avg(i2, f2, n2)) => {
+                *i += i2;
+                *f += f2;
+                *n += n2;
+            }
+            (AggState::Min(m), AggState::Min(o)) => {
+                // strict `<` keeps the earlier-seen value on ties, like
+                // the serial fold (merges run in morsel order)
+                if let Some(v) = o {
+                    if m.as_ref().is_none_or(|cur| v < *cur) {
+                        *m = Some(v);
+                    }
+                }
+            }
+            (AggState::Max(m), AggState::Max(o)) => {
+                if let Some(v) = o {
+                    if m.as_ref().is_none_or(|cur| v > *cur) {
+                        *m = Some(v);
+                    }
+                }
+            }
+            _ => {
+                return Err(AimError::Execution(
+                    "mismatched aggregate states in partial-aggregate merge".into(),
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Value {
+        match self {
+            AggState::Count(n) => Value::Int(n as i64),
+            AggState::Sum(i, f) => Value::Float(i as f64 + f),
+            AggState::Avg(i, f, n) => {
+                if n == 0 {
+                    Value::Null
+                } else {
+                    Value::Float((i as f64 + f) / n as f64)
+                }
+            }
+            AggState::Min(m) => m.unwrap_or(Value::Null),
+            AggState::Max(m) => m.unwrap_or(Value::Null),
+        }
+    }
+}
+
 /// Compiled GROUP BY keys and aggregate arguments.
 struct AggSpec<'p> {
     group: Vec<VExpr>,
@@ -995,10 +1135,10 @@ fn group_eq(keys: &[ColVec], g: usize, cols: &[ColVec], r: usize) -> bool {
 /// Fold argument column `col` (`None` for `COUNT(*)`) into `states`,
 /// lane `i` into group `ids[i]`'s state. The column type is matched once
 /// per batch; every lane goes through [`AggState::update`], so NULL and
-/// type-error behavior is the row executor's, and typed Int/Float lanes
-/// reach it as a `Value` that owns nothing. Lanes fold in order, so each
-/// group's float sum adds in row order, bit-identical to the row
-/// executor.
+/// type-error behavior is the same for every column type, and typed
+/// Int/Float lanes reach it as a `Value` that owns nothing. Lanes fold
+/// in order, so each group's float sum adds in row order, bit-identical
+/// to a row-at-a-time fold.
 fn update_states(states: &mut [AggState], ids: &[u32], col: Option<&ColVec>) -> Result<()> {
     let mut lanes = ids.iter().map(|&g| g as usize).enumerate();
     match col {
@@ -1044,7 +1184,7 @@ fn aggregate(input: AggInput<'_>, spec: &AggSpec<'_>, ctx: &ExecContext<'_>) -> 
 }
 
 /// Drain the input into one batch and reorder it by `keys` (each with
-/// its DESC flag): a stable sort with the row executor's comparator,
+/// its DESC flag): a stable sort with the row oracle's comparator,
 /// evaluated once over the drained batch, then one gather.
 fn sort(
     mut input: Box<dyn BatchOp + '_>,

@@ -3,9 +3,11 @@
 //! The relational database kernel every AI4DB technique in this workspace
 //! optimizes: a catalog over slotted-page heap files, secondary B+tree
 //! indexes, equi-depth-histogram statistics, a cost-based optimizer with
-//! dynamic-programming join ordering, an operator-at-a-time executor with a
-//! per-operator metrics tap, WAL-backed transactions, and a live-tunable
-//! knob surface.
+//! dynamic-programming join ordering, one executor —
+//! [`execute_batched_parallel`], a vectorized, morsel-parallel batch
+//! pipeline — with a per-operator metrics tap, WAL-backed transactions,
+//! and a live-tunable knob surface. The reference row interpreter that
+//! executor is diffed against lives in the dev-only `aimdb-oracle` crate.
 //!
 //! Design hooks for the learned components:
 //! - [`CardEstimator`](optimizer::CardEstimator) lets a learned

@@ -1,5 +1,6 @@
 //! Differential oracle: the vectorized executor must produce exactly the
-//! same results as the row executor on every query.
+//! same results as the reference row interpreter (`aimdb_oracle`, a
+//! dev-dependency with its own aggregate fold) on every query.
 //!
 //! A seeded generator produces well-formed SELECTs over four tables — two
 //! dense, one NULL-heavy (~40% NULLs in every column, so three-valued
@@ -24,10 +25,11 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use aimdb_common::{Result, Row, Value};
-use aimdb_engine::exec::{execute, ExecContext};
+use aimdb_engine::exec::ExecContext;
 use aimdb_engine::exec_batch::execute_batched_parallel;
 use aimdb_engine::plan::{PhysOp, PhysicalPlan};
-use aimdb_engine::Database;
+use aimdb_engine::{Database, Snapshot};
+use aimdb_oracle::execute;
 use aimdb_sql::expr::{BuiltinFns, ScalarFns};
 use aimdb_sql::{parse, Statement};
 
@@ -308,13 +310,15 @@ fn run_both(db: &Database, sql: &str, bs: usize) -> (Result<Vec<Row>>, Result<Ve
 }
 
 /// Plan once, run the row oracle, then the morsel-parallel batch
-/// executor at each requested worker count.
+/// executor at each requested worker count, every run reading through
+/// `snap` (latest committed without one).
 #[allow(clippy::type_complexity)]
 fn run_matrix(
     db: &Database,
     sql: &str,
     bs: usize,
     worker_counts: &[usize],
+    snap: Option<Snapshot>,
 ) -> (Result<Vec<Row>>, Vec<Result<Vec<Row>>>) {
     let stmts = parse(sql).unwrap_or_else(|e| panic!("unparseable SQL ({e}): {sql}"));
     let Some(Statement::Select(sel)) = stmts.into_iter().next() else {
@@ -325,11 +329,13 @@ fn run_matrix(
         .unwrap_or_else(|e| panic!("planner failed ({e}): {sql}"));
     let fns = BuiltinFns;
     let row_ctx = ExecContext::new(&db.catalog, &fns);
+    row_ctx.set_snapshot(snap);
     let row_result = execute(&plan, &row_ctx);
     let parallel_results = worker_counts
         .iter()
         .map(|&w| {
             let ctx = ExecContext::new(&db.catalog, &fns);
+            ctx.set_snapshot(snap);
             execute_batched_parallel(&plan, &ctx, bs, w)
         })
         .collect();
@@ -444,7 +450,7 @@ fn thread_count_differential_matrix() {
     for qi in 0..N {
         let sql = gen_query(&mut rng);
         let bs = batch_sizes[qi % batch_sizes.len()];
-        let (row_result, parallel_results) = run_matrix(&db, &sql, bs, &WORKERS);
+        let (row_result, parallel_results) = run_matrix(&db, &sql, bs, &WORKERS, None);
         let rr = match row_result {
             Ok(rr) => rr,
             // both sides failing is agreement; verify every worker
@@ -539,6 +545,36 @@ fn exec_parallelism_knob_is_result_invisible() {
             assert_eq!(&got, expect, "workers={w}: {sql}");
         }
     }
+}
+
+/// Aggregates over Text and Bool arguments with NULLs, position by
+/// position against the row oracle. The generated corpus aggregates
+/// numeric columns only, whose NULL lanes the executor drops before its
+/// fold; these reach the fold with NULL values, so a COUNT(x) that
+/// counted NULLs, or a MIN/MAX that let one win, would differ from the
+/// oracle's own fold.
+#[test]
+fn aggregates_over_nullable_text_and_bool_match_row_oracle_in_order() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let db = Database::new();
+    setup(&db, &mut rng).expect("corpus setup");
+    let queries = [
+        "SELECT COUNT(s), MIN(s), MAX(s), COUNT(*) FROM sparse",
+        "SELECT k, COUNT(s), MAX(s) FROM sparse GROUP BY k",
+        "SELECT COUNT(v > 0), MIN(w < 0), MAX(w < 0) FROM sparse",
+        "SELECT s, COUNT(k = 3), COUNT(*) FROM sparse GROUP BY s",
+    ];
+    for sql in queries {
+        let rows = assert_matrix_matches_in_order(&db, sql);
+        assert!(!rows.is_empty(), "{sql}");
+    }
+    // 150 rows, each column NULL with p = 0.4: COUNT(s) must skip some
+    let global = assert_matrix_matches_in_order(&db, queries[0]);
+    let (count_s, count_all) = (global[0].get(0), global[0].get(3));
+    assert!(
+        count_s < count_all,
+        "COUNT(s) {count_s:?} vs COUNT(*) {count_all:?}"
+    );
 }
 
 /// Hand-picked edge queries the random generator could plausibly miss:
@@ -824,10 +860,15 @@ fn join_keys_tables() -> Database {
 /// {1, 2, 4, 8} × batch sizes {1, 7, 1024}; every run must equal the
 /// oracle position by position. Returns the oracle's rows.
 fn assert_matrix_matches_in_order(db: &Database, sql: &str) -> Vec<Row> {
+    assert_matrix_matches_in_order_at(db, sql, None)
+}
+
+/// [`assert_matrix_matches_in_order`], every run reading through `snap`.
+fn assert_matrix_matches_in_order_at(db: &Database, sql: &str, snap: Option<Snapshot>) -> Vec<Row> {
     const WORKERS: [usize; 4] = [1, 2, 4, 8];
     let mut want = Vec::new();
     for bs in [1usize, 7, 1024] {
-        let (rr, prs) = run_matrix(db, sql, bs, &WORKERS);
+        let (rr, prs) = run_matrix(db, sql, bs, &WORKERS, snap);
         want = rr.unwrap_or_else(|e| panic!("row executor failed ({e}): {sql}"));
         for (w, pr) in WORKERS.iter().zip(prs) {
             let pr = pr.unwrap_or_else(|e| panic!("batch executor failed ({e}): {sql}"));
@@ -878,6 +919,7 @@ fn join_key_semantics_match_row_oracle_in_order() {
         "SELECT jl.id, jr.id FROM jl JOIN jr ON jl.k = jr.k WHERE jl.id = 20",
         1024,
         &[1],
+        None,
     );
     assert_eq!(rr.expect("row run"), Vec::<Row>::new());
     for pr in prs {
@@ -1021,6 +1063,124 @@ fn sort_semantics_match_row_oracle_in_order() {
         assert_matrix_matches_in_order(&joins, "SELECT 2 + 3 AS a, 'x' AS b ORDER BY a"),
         vec![Row::new(vec![Value::Int(5), Value::Text("x".into())])]
     );
+}
+
+/// `users` and the NULL-heavy `sparse` with the generated corpus's
+/// columns and indexes (`idx_age`, `idx_k`), but 4000 rows each and
+/// about 10 per key, so the planner probes the index for a key or a
+/// few adjacent keys rather than scanning.
+fn indexed_tables() -> Database {
+    let mut rng = StdRng::seed_from_u64(0x1D5CA);
+    let db = Database::new();
+    for ddl in [
+        "CREATE TABLE users (id INT, age INT, name TEXT, score FLOAT)",
+        "CREATE TABLE sparse (k INT, v INT, w FLOAT, s TEXT)",
+        "CREATE INDEX idx_age ON users (age)",
+        "CREATE INDEX idx_k ON sparse (k)",
+    ] {
+        db.execute(ddl).expect("create");
+    }
+    let names = ["ann", "bob", "cal", "dee", "eli"];
+    let maybe = |rng: &mut StdRng, v: String| if rng.gen_bool(0.4) { "NULL".into() } else { v };
+    for chunk in (0..4000i64).collect::<Vec<_>>().chunks(500) {
+        let users: Vec<String> = chunk
+            .iter()
+            .map(|&i| {
+                let name = names[rng.gen_range(0..names.len())];
+                let (age, score) = (rng.gen_range(0..400), rng.gen_range(0.0..100.0));
+                format!("({i}, {age}, '{name}', {score:.2})")
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO users VALUES {}", users.join(",")))
+            .expect("insert users");
+        let sparse: Vec<String> = chunk
+            .iter()
+            .map(|&i| {
+                let k = maybe(&mut rng, format!("{}", i % 240));
+                let (v, w) = (rng.gen_range(-20..20), rng.gen_range(-5.0..5.0));
+                let v = maybe(&mut rng, format!("{v}"));
+                let w = maybe(&mut rng, format!("{w:.2}"));
+                let s = maybe(&mut rng, format!("'s{}'", i % 6));
+                format!("({k}, {v}, {w}, {s})")
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO sparse VALUES {}", sparse.join(",")))
+            .expect("insert sparse");
+    }
+    db.execute("ANALYZE").expect("analyze");
+    db
+}
+
+/// Plan `sql` and check that it reads its table through an index.
+fn assert_index_scan(db: &Database, sql: &str) {
+    let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
+        panic!("not a SELECT: {sql}");
+    };
+    let explain = db.plan(&sel).expect("plan").explain();
+    assert!(explain.contains("IndexScan"), "{sql}\n{explain}");
+}
+
+/// Index scans decode each fetched tuple straight into the batch's
+/// lanes; position by position against the row oracle, which fetches
+/// `Row`s, on point probes, open and closed ranges, a NULL-heavy key,
+/// Text payloads and a residual that keeps nothing — and through an open
+/// transaction's snapshot after it updated, deleted and inserted rows
+/// the index still points at.
+#[test]
+fn index_scan_fetch_matches_row_oracle_in_order() {
+    let db = indexed_tables();
+    let queries = [
+        // point probe, Text payload
+        "SELECT id, name, age FROM users WHERE age = 30",
+        // open range, above and below
+        "SELECT name, id, score FROM users WHERE age > 396",
+        "SELECT id, age FROM users WHERE age < 3",
+        // closed range
+        "SELECT id, score, name FROM users WHERE age BETWEEN 40 AND 43",
+        // NULL-heavy key and payload columns
+        "SELECT k, v, w, s FROM sparse WHERE k = 7",
+        "SELECT s, k FROM sparse WHERE k BETWEEN 30 AND 33",
+    ];
+    let results: Vec<Vec<Row>> = queries
+        .iter()
+        .map(|sql| {
+            assert_index_scan(&db, sql);
+            let rows = assert_matrix_matches_in_order(&db, sql);
+            assert!(!rows.is_empty(), "the probe should find rows: {sql}");
+            rows
+        })
+        .collect();
+    assert!(results[4].iter().any(|r| r.values().contains(&Value::Null)));
+    // a residual that keeps no rows
+    let none = "SELECT id, name FROM users WHERE age = 30 AND score < 0";
+    assert_index_scan(&db, none);
+    assert!(assert_matrix_matches_in_order(&db, none).is_empty());
+
+    // an open transaction moves rows off, onto and out of the probed
+    // keys; its snapshot sees that, every other reader the old rows
+    let h = db.begin_txn().expect("begin");
+    for sql in [
+        "UPDATE users SET age = 31, name = 'moved' WHERE age = 30",
+        "UPDATE users SET name = 'renamed' WHERE age = 33",
+        "DELETE FROM users WHERE age = 32",
+        "INSERT INTO users VALUES (1000, 30, 'fresh', 1.5)",
+        "UPDATE sparse SET s = 'upd' WHERE k = 7",
+    ] {
+        db.execute_in(&h, sql).expect("txn write");
+    }
+    let snapshot_queries = [
+        "SELECT id, name, age FROM users WHERE age = 30",
+        "SELECT id, name, age FROM users WHERE age = 31",
+        "SELECT id, name FROM users WHERE age BETWEEN 30 AND 33",
+        "SELECT k, s FROM sparse WHERE k = 7",
+    ];
+    for sql in snapshot_queries {
+        assert_index_scan(&db, sql);
+        let mine = assert_matrix_matches_in_order_at(&db, sql, Some(h.snapshot()));
+        let theirs = assert_matrix_matches_in_order(&db, sql);
+        assert_ne!(mine, theirs, "the transaction's writes should show: {sql}");
+    }
+    db.rollback_txn(&h).expect("rollback");
 }
 
 /// `twins`: 2^53 and 2^53 + 1, twice each, then a NULL.

@@ -278,17 +278,13 @@ pub fn scrub(src: &str) -> Scrubbed {
                     j += 1;
                 }
                 // opening quote
-                for _ in i..=j {
-                    code.push(b' ');
-                }
+                code.extend(std::iter::repeat_n(b' ', j + 1 - i));
                 i = j + 1;
                 let mut closer: Vec<u8> = vec![b'"'];
-                closer.extend(std::iter::repeat(b'#').take(hashes));
+                closer.extend(std::iter::repeat_n(b'#', hashes));
                 while i < bytes.len() {
                     if bytes[i..].starts_with(&closer) {
-                        for _ in 0..closer.len() {
-                            code.push(b' ');
-                        }
+                        code.extend(std::iter::repeat_n(b' ', closer.len()));
                         i += closer.len();
                         break;
                     }
@@ -468,8 +464,9 @@ fn mark_test_lines(code: &str) -> Vec<bool> {
         }
         let start_line = line_of(code, attr_start);
         let end_line = line_of(code, end.min(code.len().saturating_sub(1)));
-        for l in start_line..=end_line.min(n_lines) {
-            marked[l] = true;
+        let last = end_line.min(n_lines);
+        for m in marked.iter_mut().take(last + 1).skip(start_line) {
+            *m = true;
         }
         i = end.max(attr_start + 1);
     }
@@ -842,7 +839,7 @@ pub fn lint_source(crate_key: &str, file: &str, src: &str) -> Vec<Finding> {
             .get(&f.rule)
             .is_some_and(|lines| lines.contains(&f.line))
     });
-    raw.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
+    raw.sort_by_key(|a| (a.line, a.col, a.rule));
     raw
 }
 

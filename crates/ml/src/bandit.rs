@@ -159,7 +159,7 @@ fn sample_gamma(shape: f64, rng: &mut StdRng) -> f64 {
             continue;
         }
         let u: f64 = rng.gen::<f64>().max(1e-12);
-        if u.ln() < 0.5 * x * x * -1.0 + d - d * v + d * v.ln() {
+        if u.ln() < -(0.5 * x * x) + d - d * v + d * v.ln() {
             return d * v;
         }
     }

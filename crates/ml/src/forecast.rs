@@ -249,8 +249,9 @@ pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>> {
             if f == 0.0 {
                 continue;
             }
-            for k in col..n {
-                a[row][k] -= f * a[col][k];
+            let (upper, lower) = a.split_at_mut(row);
+            for (x, p) in lower[0][col..n].iter_mut().zip(&upper[col][col..n]) {
+                *x -= f * p;
             }
             b[row] -= f * b[col];
         }

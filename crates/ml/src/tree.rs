@@ -219,7 +219,7 @@ fn build(ds: &Dataset, idx: &[usize], params: &TreeParams, depth: usize, rng: &m
             let n = idx.len() as f64;
             let score = impurity(ds, &l, params.task) * l.len() as f64 / n
                 + impurity(ds, &r, params.task) * r.len() as f64 / n;
-            if best.map_or(true, |(b, _, _)| score < b) {
+            if best.is_none_or(|(b, _, _)| score < b) {
                 best = Some((score, f, thr));
             }
         }

@@ -60,6 +60,17 @@ impl HeapFile {
         }
     }
 
+    /// Decode the row at `id` straight into `cols`, one value per
+    /// column, without building a [`Row`]. Returns `false`, appending
+    /// nothing, if the slot is deleted.
+    pub fn get_into(&self, id: RowId, cols: &mut [ColVec]) -> Result<bool> {
+        let page = self.pool.get(id.page)?;
+        match page.get(id.slot) {
+            Some(bytes) => decode_row_into(bytes, cols).map(|()| true),
+            None => Ok(false),
+        }
+    }
+
     /// Delete a row (tombstone).
     pub fn delete(&self, id: RowId) -> Result<()> {
         self.pool.with_page_mut(id.page, |p| p.delete(id.slot))
@@ -252,8 +263,8 @@ impl MorselDispenser {
 }
 
 /// Streaming heap-scan cursor: decodes whole pages at a time into the
-/// caller's buffer so the vectorized executor can fill column batches
-/// without per-row dispatch.
+/// caller's column builders so the vectorized executor can fill column
+/// batches without per-row dispatch.
 pub struct HeapScanCursor {
     pool: Arc<BufferPool>,
     pages: Vec<PageId>,
@@ -261,36 +272,14 @@ pub struct HeapScanCursor {
 }
 
 impl HeapScanCursor {
-    /// Decode live rows into `out` until at least `min_rows` have been
-    /// appended or the heap is exhausted. Pages are always decoded
-    /// whole, so the call may overshoot `min_rows` by up to one page's
-    /// worth of rows. Returns `false` once the cursor is exhausted.
-    pub fn fill(&mut self, min_rows: usize, out: &mut Vec<(RowId, Row)>) -> Result<bool> {
-        let start = out.len();
-        while self.pos < self.pages.len() {
-            if out.len() - start >= min_rows {
-                return Ok(true);
-            }
-            let pid = self.pages[self.pos];
-            self.pos += 1;
-            let page = self.pool.get(pid)?;
-            for (slot, bytes) in page.iter() {
-                out.push((RowId { page: pid, slot }, decode_row(bytes)?));
-            }
-        }
-        Ok(false)
-    }
-
-    /// Like [`fill`], but decode straight into column builders — no
-    /// per-row [`Row`] allocation. Appends at least `min_rows` rows to
-    /// every column in `cols` (whole pages at a time, so it may
-    /// overshoot) and returns `(rows_appended, more)` where `more` is
-    /// `false` once the cursor is exhausted. Slots whose [`RowId`] the
-    /// optional `vis` filter rejects are skipped without being decoded:
-    /// MVCC snapshot scans pass the snapshot's visibility predicate here;
-    /// `None` decodes every live slot (physical scan).
-    ///
-    /// [`fill`]: HeapScanCursor::fill
+    /// Decode live rows straight into column builders — no per-row
+    /// [`Row`] allocation. Appends at least `min_rows` rows to every
+    /// column in `cols` (whole pages at a time, so it may overshoot) and
+    /// returns `(rows_appended, more)` where `more` is `false` once the
+    /// cursor is exhausted. Slots whose [`RowId`] the optional `vis`
+    /// filter rejects are skipped without being decoded: MVCC snapshot
+    /// scans pass the snapshot's visibility predicate here; `None`
+    /// decodes every live slot (physical scan).
     pub fn fill_batch_vis(
         &mut self,
         min_rows: usize,
@@ -375,6 +364,36 @@ mod tests {
         assert_eq!(h.get(a2).unwrap().unwrap(), row(99));
     }
 
+    /// Stream `cur` to its end through an Int and a Text lane,
+    /// `min_rows` a call, pairing each row with the id the visibility
+    /// hook was asked about.
+    fn stream(mut cur: HeapScanCursor, min_rows: usize) -> Vec<(RowId, Row)> {
+        use aimdb_common::DataType;
+        let ids = std::sync::Mutex::new(Vec::new());
+        let vis = |rid: RowId| {
+            ids.lock().unwrap().push(rid);
+            true
+        };
+        let mut cols = vec![
+            ColVec::with_capacity(DataType::Int, min_rows),
+            ColVec::with_capacity(DataType::Text, min_rows),
+        ];
+        let mut total = 0;
+        loop {
+            let (n, more) = cur.fill_batch_vis(min_rows, &mut cols, Some(&vis)).unwrap();
+            total += n;
+            if !more {
+                break;
+            }
+        }
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), total);
+        ids.into_iter()
+            .enumerate()
+            .map(|(i, id)| (id, Row::new(vec![cols[0].value(i), cols[1].value(i)])))
+            .collect()
+    }
+
     #[test]
     fn scan_cursor_matches_scan() {
         let h = heap();
@@ -387,16 +406,7 @@ mod tests {
         })
         .unwrap();
         let want = h.scan().unwrap();
-        let mut cur = h.scan_cursor();
-        let mut got = Vec::new();
-        loop {
-            let before = got.len();
-            let more = cur.fill(64, &mut got).unwrap();
-            if !more && got.len() == before {
-                break;
-            }
-        }
-        assert_eq!(got, want);
+        assert_eq!(stream(h.scan_cursor(), 64), want);
     }
 
     #[test]
@@ -474,11 +484,36 @@ mod tests {
 
     #[test]
     fn scan_cursor_on_empty_heap() {
+        // pages that hold only deleted slots stream nothing
         let h = heap();
-        let mut cur = h.scan_cursor();
-        let mut got = Vec::new();
-        assert!(!cur.fill(16, &mut got).unwrap());
-        assert!(got.is_empty());
+        let ids: Vec<RowId> = (0..50).map(|i| h.insert(&row(i)).unwrap()).collect();
+        for id in ids {
+            h.delete(id).unwrap();
+        }
+        assert!(h.num_pages() > 0);
+        assert!(stream(h.scan_cursor(), 16).is_empty());
+    }
+
+    #[test]
+    fn get_into_appends_a_live_row_and_nothing_for_a_deleted_one() {
+        use aimdb_common::DataType;
+        let h = heap();
+        let a = h.insert(&row(1)).unwrap();
+        let b = h.insert(&row(2)).unwrap();
+        h.delete(a).unwrap();
+        let mut cols = vec![
+            ColVec::with_capacity(DataType::Int, 2),
+            ColVec::with_capacity(DataType::Text, 2),
+        ];
+        assert!(!h.get_into(a, &mut cols).unwrap());
+        assert!(cols.iter().all(ColVec::is_empty));
+        assert!(h.get_into(b, &mut cols).unwrap());
+        assert!(cols.iter().all(|c| c.len() == 1));
+        assert_eq!(cols[0].value(0), Value::Int(2));
+        assert_eq!(cols[1].value(0), Value::Text("row-2".into()));
+        // a tombstone after a live row still appends nothing
+        assert!(!h.get_into(a, &mut cols).unwrap());
+        assert!(cols.iter().all(|c| c.len() == 1));
     }
 
     #[test]

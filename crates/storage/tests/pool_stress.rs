@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread;
 
 use aimdb_common::{ColVec, DataType, Row, Value};
-use aimdb_storage::{BufferPool, Disk, HeapFile, RowId};
+use aimdb_storage::{BufferPool, Disk, HeapFile, HeapScanCursor, RowId};
 use rand::{Rng, SeedableRng, StdRng};
 
 const ROWS: i64 = 1500;
@@ -34,14 +34,31 @@ fn check_pass(rows: impl IntoIterator<Item = (i64, String)>) -> usize {
     seen.len()
 }
 
+/// Stream `cur` to its end through an Int and a Text lane, 32 rows a
+/// call, and read the lanes back as (id, text) pairs.
+fn drain(mut cur: HeapScanCursor) -> Vec<(i64, String)> {
+    let mut cols = vec![
+        ColVec::with_capacity(DataType::Int, 32),
+        ColVec::with_capacity(DataType::Text, 32),
+    ];
+    let mut n = 0;
+    loop {
+        let (k, more) = cur.fill_batch_vis(32, &mut cols, None).unwrap();
+        n += k;
+        if !more {
+            break;
+        }
+    }
+    (0..n)
+        .map(|i| match (cols[0].value(i), cols[1].value(i)) {
+            (Value::Int(a), Value::Text(b)) => (a, b),
+            other => panic!("unexpected values {other:?}"),
+        })
+        .collect()
+}
+
 fn cursor_pass(heap: &HeapFile) -> usize {
-    let mut cur = heap.scan_cursor();
-    let mut out = Vec::new();
-    while cur.fill(32, &mut out).unwrap() {}
-    check_pass(out.into_iter().map(|(_, r)| match (r.get(0), r.get(1)) {
-        (Value::Int(i), Value::Text(t)) => (*i, t.clone()),
-        other => panic!("unexpected row {other:?}"),
-    }))
+    check_pass(drain(heap.scan_cursor()))
 }
 
 fn morsel_pass(heap: &HeapFile) -> usize {
@@ -49,23 +66,7 @@ fn morsel_pass(heap: &HeapFile) -> usize {
     let d = src.dispenser(2);
     let mut all = Vec::new();
     while let Some(m) = d.claim() {
-        let mut cur = src.cursor(m.start, m.end);
-        let mut cols = vec![
-            ColVec::with_capacity(DataType::Int, 32),
-            ColVec::with_capacity(DataType::Text, 32),
-        ];
-        let mut n = 0;
-        loop {
-            let (k, more) = cur.fill_batch_vis(32, &mut cols, None).unwrap();
-            n += k;
-            if !more {
-                break;
-            }
-        }
-        all.extend((0..n).map(|i| match (cols[0].value(i), cols[1].value(i)) {
-            (Value::Int(a), Value::Text(b)) => (a, b),
-            other => panic!("unexpected values {other:?}"),
-        }));
+        all.extend(drain(src.cursor(m.start, m.end)));
     }
     check_pass(all)
 }

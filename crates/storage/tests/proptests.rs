@@ -111,9 +111,13 @@ proptest! {
         prop_assert_eq!(streamed, tree.range(&lo, &hi));
     }
 
+    // The cursor must stream every live row once, in page order, under
+    // the id `scan` reports for it: the visibility hook is asked about
+    // each live slot exactly once, and untyped lanes take any value.
     #[test]
     fn heap_cursor_streams_like_scan(
-        rows in prop::collection::vec(prop::collection::vec(arb_value(), 1..6), 1..120),
+        rows in prop::collection::vec(prop::collection::vec(arb_value(), 5..6), 1..120),
+        width in 1usize..6,
         delete_every in 2usize..7,
         min_rows in 1usize..40,
     ) {
@@ -121,14 +125,34 @@ proptest! {
         let heap = HeapFile::new(pool);
         let ids: Vec<_> = rows
             .iter()
-            .map(|vals| heap.insert(&Row::new(vals.clone())).unwrap())
+            .map(|vals| heap.insert(&Row::new(vals[..width].to_vec())).unwrap())
             .collect();
         for id in ids.iter().step_by(delete_every) {
             heap.delete(*id).unwrap();
         }
+        let seen = std::sync::Mutex::new(Vec::new());
+        let vis = |rid| {
+            seen.lock().unwrap().push(rid);
+            true
+        };
         let mut cursor = heap.scan_cursor();
-        let mut streamed = Vec::new();
-        while cursor.fill(min_rows, &mut streamed).unwrap() {}
+        let mut cols = vec![ColVec::Mixed(Vec::new()); width];
+        let mut total = 0;
+        loop {
+            let (n, more) = cursor.fill_batch_vis(min_rows, &mut cols, Some(&vis)).unwrap();
+            total += n;
+            if !more {
+                break;
+            }
+        }
+        let streamed: Vec<_> = seen
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(i, id)| (id, Row::new(cols.iter().map(|c| c.value(i)).collect())))
+            .collect();
+        prop_assert_eq!(streamed.len(), total);
         prop_assert_eq!(streamed, heap.scan().unwrap());
     }
 

@@ -20,7 +20,7 @@ fn main() {
     let addr = server.local_addr();
     println!("serving on {addr}");
 
-    let mut c = match Client::connect(&addr.to_string()) {
+    let mut c = match Client::connect(addr.to_string()) {
         Ok(c) => c,
         Err(e) => {
             println!("connect failed: {e}");

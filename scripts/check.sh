@@ -34,18 +34,23 @@ run cargo fmt --all -- --check
 run cargo check --workspace --all-targets
 # the server links the engine stack only: the learned-technique crates
 # (aimdb-ai4db and, through it, aimdb-ml) must not creep back into its
-# dependency closure
-echo "==> cargo tree -p aimdb-server -e normal --offline (no aimdb-ai4db, no aimdb-ml)"
+# dependency closure, and the reference row interpreter (aimdb-oracle,
+# a dev-dependency of the engine) must stay out of the product: out of
+# the server and out of the umbrella crate
+echo "==> cargo tree -e normal --offline (aimdb-server: no aimdb-ai4db, aimdb-ml or aimdb-oracle; aimdb: no aimdb-oracle)"
 server_tree=$(cargo tree -p aimdb-server -e normal --offline)
-if grep -E '(^|[^[:alnum:]_-])aimdb-(ai4db|ml) v' <<<"$server_tree"; then
-    echo "aimdb-server depends on aimdb-ai4db or aimdb-ml" >&2
+if grep -E '(^|[^[:alnum:]_-])aimdb-(ai4db|ml|oracle) v' <<<"$server_tree"; then
+    echo "aimdb-server depends on aimdb-ai4db, aimdb-ml or aimdb-oracle" >&2
     exit 1
 fi
-# clippy over the server's whole dependency closure (common, sql, trace,
-# storage, engine, server and the bytes, parking_lot and rand shims: every
-# package `cargo tree -p aimdb-server -e normal` lists), test code included
-run cargo clippy -p aimdb-common -p aimdb-sql -p aimdb-trace -p aimdb-storage -p aimdb-engine \
-    -p aimdb-server -p bytes -p parking_lot -p rand --all-targets -- -D warnings
+umbrella_tree=$(cargo tree -p aimdb -e normal --offline)
+if grep -E '(^|[^[:alnum:]_-])aimdb-oracle v' <<<"$umbrella_tree"; then
+    echo "aimdb depends on aimdb-oracle" >&2
+    exit 1
+fi
+# clippy over every package of the workspace, test code, benches and
+# examples included
+run cargo clippy --workspace --all-targets -- -D warnings
 # workspace invariant linter: L001 panic-freedom, L004 lock ranking and
 # L005 atomic-ordering justification (all three ratcheted via
 # lint-baseline.txt — counts may only go down), L002 determinism,
@@ -53,8 +58,9 @@ run cargo clippy -p aimdb-common -p aimdb-sql -p aimdb-trace -p aimdb-storage -p
 run cargo run -q -p lint --release
 # every suite runs here, once: unit tests of every crate plus
 # - executor equivalence (engine/tests/exec_differential): 1200 generated
-#   queries through the executor and the reference row interpreter, the
-#   NULL-heavy / empty-table suites, and the same corpus through the
+#   queries through the engine's one executor and the reference row
+#   interpreter of the dev-only aimdb-oracle crate, the NULL-heavy /
+#   empty-table / index-scan suites, and the same corpus through the
 #   morsel-parallel executor at 1/2/4/8 workers, bit-identical required
 # - concurrency stress (tests/concurrent_scan_recovery): parallel scans
 #   against a writer doing inserts + checkpoints, healthy and through

@@ -593,7 +593,9 @@ fn crash_iteration(seed: u64) -> bool {
                 )
                 .map(|_| {
                     let view = pending.as_mut().unwrap_or(&mut committed);
-                    view.tables.get_mut(&table).map(|t| t.extend(vals));
+                    if let Some(t) = view.tables.get_mut(&table) {
+                        t.extend(vals)
+                    }
                 })
             } else if action < 60 {
                 let target = rng.gen_range(0i64..30);

@@ -134,10 +134,14 @@ fn write_pair(db: &Database, pair: i64, value: i64) -> Result<Receipt, bool> {
     }
 }
 
+/// One pair's receipts: the acknowledged (commit ts, value) with the
+/// latest commit ts, and every unknown-fate value.
+type PairReceipts = (Option<(u64, i64)>, Vec<i64>);
+
 /// Per-pair oracle from the receipts: the last acknowledged value (by
 /// commit timestamp) and the set of unknown-fate values.
 fn pair_oracle(receipts: &[Receipt]) -> HashMap<i64, (Option<i64>, Vec<i64>)> {
-    let mut oracle: HashMap<i64, (Option<(u64, i64)>, Vec<i64>)> = HashMap::new();
+    let mut oracle: HashMap<i64, PairReceipts> = HashMap::new();
     for r in receipts {
         let e = oracle.entry(r.pair).or_default();
         match r.cts {
