@@ -11,12 +11,15 @@
 //! `exec_differential`'s job, and how fast the batch executor is,
 //! `engine.exec.ns_per_row` in `BENCH_wire.json`.
 //!
-//! Before that it runs the per-core decode gate, which binds on any
+//! Before that it runs the per-core decode gates, which bind on any
 //! core count: the same encoded 9-Int rows are decoded by the scan's
 //! `codec::decode_row_into` into `ColVec`s and by a hand-written loop
 //! into plain value and null-flag vectors, in alternating passes in one
 //! process, and the run exits nonzero if the codec costs more than 2x
-//! the hand loop.
+//! the hand loop; then the codec decodes 2 of the 9 fields against all
+//! 9 the same way, and the run exits nonzero if reading the two costs
+//! more than 0.85x reading all of them (a scan pays for the columns its
+//! plan reads, not for the table's width).
 //!
 //! ```text
 //! exec_bench            # 60k rows, 10 timed iterations per executor
@@ -59,6 +62,12 @@ const TRACE_OVERHEAD_CEILING: f64 = 1.05;
 const DECODE_RATIO_CEILING: f64 = 2.0;
 /// Int fields per row in the decode gate, as many as SSB's `lineorder`.
 const DECODE_FIELDS: usize = 9;
+/// The fields the projection gate decodes, as SSB's Q1 reads two of
+/// `lineorder`'s columns.
+const PROJECTED_FIELDS: [usize; 2] = [2, 6];
+/// Decoding [`PROJECTED_FIELDS`] may cost at most this fraction of
+/// decoding every field.
+const PROJECTED_RATIO_CEILING: f64 = 0.85;
 /// The codec's tag byte for an Int value.
 const TAG_INT: u8 = 1;
 
@@ -209,12 +218,14 @@ fn hand_decode(row: &[u8], cols: &mut [IntLanes]) -> Option<()> {
     Some(())
 }
 
-/// Per-core decode gate: `n_rows` seeded 9-Int rows are encoded once,
-/// checked to decode to the same values both ways, then decoded
+/// Per-core decode gates: `n_rows` seeded 9-Int rows are encoded once,
+/// checked to decode to the same values every way, then decoded
 /// `BATCH_SIZE` rows at a time into fresh columns of that capacity (as
-/// the sequential scan allocates its builders) by `decode_row_into` and
-/// by [`hand_decode`] in alternating passes. Exits nonzero above
-/// [`DECODE_RATIO_CEILING`].
+/// the sequential scan allocates its builders), in alternating passes:
+/// all fields by `decode_row_into` against [`hand_decode`], exiting
+/// nonzero above [`DECODE_RATIO_CEILING`]; then [`PROJECTED_FIELDS`]
+/// against all fields, both by `decode_row_into`, exiting nonzero above
+/// [`PROJECTED_RATIO_CEILING`].
 fn decode_gate(n_rows: usize, rng: &mut StdRng, clock: &WallClock) {
     const PAIRS: usize = 21;
     let rows: Vec<Vec<u8>> = (0..n_rows)
@@ -223,8 +234,9 @@ fn decode_gate(n_rows: usize, rng: &mut StdRng, clock: &WallClock) {
             encode_row(&Row::new(vals.collect()))
         })
         .collect();
-    let int_cols = |cap| -> Vec<ColVec> {
-        (0..DECODE_FIELDS)
+    let all: Vec<usize> = (0..DECODE_FIELDS).collect();
+    let int_cols = |n, cap| -> Vec<ColVec> {
+        (0..n)
             .map(|_| ColVec::with_capacity(DataType::Int, cap))
             .collect()
     };
@@ -233,13 +245,23 @@ fn decode_gate(n_rows: usize, rng: &mut StdRng, clock: &WallClock) {
             .map(|_| (Vec::with_capacity(cap), Vec::with_capacity(cap)))
             .collect()
     };
-    let codec_pass = |cols: &mut Vec<ColVec>, rows: &[Vec<u8>]| {
+    let codec_pass = |keep: &[usize], cols: &mut Vec<ColVec>, rows: &[Vec<u8>]| {
         for row in rows {
-            if let Err(e) = decode_row_into(row, cols) {
+            if let Err(e) = decode_row_into(row, DECODE_FIELDS, keep, cols) {
                 eprintln!("decode_row_into failed: {e}");
                 std::process::exit(2);
             }
         }
+    };
+    // one timed pass over every row, `BATCH_SIZE` rows into `n` fresh lanes
+    let codec_timed = |keep: &[usize]| {
+        let t0 = clock.now_secs();
+        for chunk in rows.chunks(BATCH_SIZE) {
+            let mut cols = int_cols(keep.len(), BATCH_SIZE);
+            codec_pass(keep, &mut cols, chunk);
+            std::hint::black_box(cols);
+        }
+        clock.now_secs() - t0
     };
     let hand_pass = |cols: &mut Vec<IntLanes>, rows: &[Vec<u8>]| {
         for row in rows {
@@ -250,8 +272,8 @@ fn decode_gate(n_rows: usize, rng: &mut StdRng, clock: &WallClock) {
         }
     };
 
-    let (mut codec, mut hand) = (int_cols(n_rows), lane_cols(n_rows));
-    codec_pass(&mut codec, &rows);
+    let (mut codec, mut hand) = (int_cols(DECODE_FIELDS, n_rows), lane_cols(n_rows));
+    codec_pass(&all, &mut codec, &rows);
     hand_pass(&mut hand, &rows);
     for (c, (hv, hn)) in codec.iter().zip(&hand) {
         if !matches!(c, ColVec::Int { vals, nulls } if vals == hv && nulls == hn) {
@@ -259,18 +281,20 @@ fn decode_gate(n_rows: usize, rng: &mut StdRng, clock: &WallClock) {
             std::process::exit(1);
         }
     }
+    let mut projected = int_cols(PROJECTED_FIELDS.len(), n_rows);
+    codec_pass(&PROJECTED_FIELDS, &mut projected, &rows);
+    if PROJECTED_FIELDS
+        .iter()
+        .zip(&projected)
+        .any(|(&f, c)| *c != codec[f])
+    {
+        eprintln!("FAIL: the projected decode disagrees with the full decode");
+        std::process::exit(1);
+    }
 
     let (codec_secs, hand_secs, ratio) = paired_ratio(
         PAIRS,
-        || {
-            let t0 = clock.now_secs();
-            for chunk in rows.chunks(BATCH_SIZE) {
-                let mut cols = int_cols(BATCH_SIZE);
-                codec_pass(&mut cols, chunk);
-                std::hint::black_box(cols);
-            }
-            clock.now_secs() - t0
-        },
+        || codec_timed(&all),
         || {
             let t0 = clock.now_secs();
             for chunk in rows.chunks(BATCH_SIZE) {
@@ -293,6 +317,28 @@ fn decode_gate(n_rows: usize, rng: &mut StdRng, clock: &WallClock) {
         eprintln!(
             "FAIL: decode_row_into costs {ratio:.2}x the hand loop, above the \
              {DECODE_RATIO_CEILING:.1}x ceiling"
+        );
+        std::process::exit(1);
+    }
+
+    let (proj_secs, full_secs, ratio) = paired_ratio(
+        PAIRS,
+        || codec_timed(&PROJECTED_FIELDS),
+        || codec_timed(&all),
+    );
+    println!(
+        "exec_bench decode projection: {} of {DECODE_FIELDS} Int, {PAIRS} pairs | \
+         projected {:.1} ns/row | full {:.1} ns/row | ratio {ratio:.2}x \
+         (ceiling {PROJECTED_RATIO_CEILING:.2}x)",
+        PROJECTED_FIELDS.len(),
+        ns_per_row(proj_secs),
+        ns_per_row(full_secs),
+    );
+    if ratio > PROJECTED_RATIO_CEILING {
+        eprintln!(
+            "FAIL: decoding {} of {DECODE_FIELDS} fields costs {ratio:.2}x decoding all, \
+             above the {PROJECTED_RATIO_CEILING:.2}x ceiling",
+            PROJECTED_FIELDS.len()
         );
         std::process::exit(1);
     }

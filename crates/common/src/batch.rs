@@ -249,6 +249,15 @@ impl ColVec {
         }
     }
 
+    /// Append `v` to a column whose lanes are not of its type: `Mixed`
+    /// takes it as it is, a typed column demotes first. Out of line, so
+    /// the typed `push_*` stay small enough to inline at every call site.
+    #[cold]
+    #[inline(never)]
+    fn push_mismatched(&mut self, v: Value) {
+        self.demote().push(v);
+    }
+
     /// Append a NULL row.
     #[inline]
     pub fn push_null(&mut self) {
@@ -282,8 +291,7 @@ impl ColVec {
                 vals.push(x);
                 nulls.push(false);
             }
-            ColVec::Mixed(vals) => vals.push(Value::Int(x)),
-            other => other.demote().push(Value::Int(x)),
+            other => other.push_mismatched(Value::Int(x)),
         }
     }
 
@@ -295,8 +303,7 @@ impl ColVec {
                 vals.push(x);
                 nulls.push(false);
             }
-            ColVec::Mixed(vals) => vals.push(Value::Float(x)),
-            other => other.demote().push(Value::Float(x)),
+            other => other.push_mismatched(Value::Float(x)),
         }
     }
 
@@ -308,8 +315,7 @@ impl ColVec {
                 vals.push(x);
                 nulls.push(false);
             }
-            ColVec::Mixed(vals) => vals.push(Value::Bool(x)),
-            other => other.demote().push(Value::Bool(x)),
+            other => other.push_mismatched(Value::Bool(x)),
         }
     }
 
@@ -321,8 +327,7 @@ impl ColVec {
                 vals.push(s);
                 nulls.push(false);
             }
-            ColVec::Mixed(vals) => vals.push(Value::Text(s)),
-            other => other.demote().push(Value::Text(s)),
+            other => other.push_mismatched(Value::Text(s)),
         }
     }
 

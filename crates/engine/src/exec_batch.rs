@@ -98,7 +98,7 @@ use aimdb_sql::vexpr::{self, VExpr};
 use crate::catalog::Table;
 use crate::exec::{ExecContext, OpStats, WorkerSpan, MAIN_WORKER};
 use crate::mvcc::RowVis;
-use crate::plan::{PhysOp, PhysicalPlan};
+use crate::plan::{resolve_col, PhysOp, PhysicalPlan};
 use aimdb_storage::{HeapScanCursor, MorselDispenser, MorselSource, RowId};
 
 /// Execute a physical plan with up to `workers` morsel threads inside
@@ -160,11 +160,16 @@ impl<'p> Builder<'p> {
         self.next_id += 1;
         let (ctx, bs) = (self.ctx, self.bs);
         let (name, op): (&'static str, Box<dyn BatchOp + 'p>) = match &plan.op {
-            PhysOp::SeqScan { table, filter, .. } => {
+            PhysOp::SeqScan {
+                table,
+                cols,
+                filter,
+                ..
+            } => {
+                let t = ctx.catalog.table(table)?;
                 let (cursor, vis) = match self.feed {
                     Some(feed) => (None, Cow::Borrowed(&feed.region.vis)),
                     None => {
-                        let t = ctx.catalog.table(table)?;
                         let cursor = t.heap.scan_cursor();
                         (Some(cursor), Cow::Owned(t.visibility(ctx.snapshot())?))
                     }
@@ -175,6 +180,8 @@ impl<'p> Builder<'p> {
                         cursor,
                         feed: self.feed,
                         vis,
+                        width: t.schema.len(),
+                        cols,
                         schema: &plan.schema,
                         filter: compile_opt(filter, &plan.schema)?,
                         ctx,
@@ -187,6 +194,7 @@ impl<'p> Builder<'p> {
                 column,
                 lo,
                 hi,
+                cols,
                 filter,
                 ..
             } => {
@@ -200,9 +208,11 @@ impl<'p> Builder<'p> {
                 (
                     "index_scan",
                     Box::new(IndexScanOp {
+                        width: t.schema.len(),
                         table: t,
                         rids,
                         pos: 0,
+                        cols,
                         schema: &plan.schema,
                         filter: compile_opt(filter, &plan.schema)?,
                         ctx,
@@ -432,6 +442,10 @@ struct SeqScanOp<'p> {
     /// Inside an exchange region: where the next morsel comes from.
     feed: Option<&'p MorselFeed<'p>>,
     vis: Cow<'p, RowVis>,
+    /// The table's column count, and the columns the plan reads of it.
+    width: usize,
+    cols: &'p [usize],
+    /// `cols`' qualified names and types: the scan's output schema.
     schema: &'p Schema,
     filter: Option<VExpr>,
     ctx: &'p ExecContext<'p>,
@@ -456,11 +470,17 @@ impl BatchOp for SeqScanOp<'_> {
             };
             // decode pages straight into typed column builders — the
             // row-at-a-time decode + columnarize double pass is the
-            // single biggest cost the batch pipeline can avoid
+            // single biggest cost the batch pipeline can avoid — and
+            // only the columns the plan reads
             let mut cols = lanes(self.schema, self.bs);
             let vis = &*self.vis;
-            let (n, more) =
-                cursor.fill_batch_vis(self.bs, &mut cols, Some(&|rid| vis.allows(rid)))?;
+            let (n, more) = cursor.fill_batch_vis(
+                self.bs,
+                self.width,
+                self.cols,
+                &mut cols,
+                Some(&|rid| vis.allows(rid)),
+            )?;
             if !more {
                 self.cursor = None;
             }
@@ -485,6 +505,9 @@ struct IndexScanOp<'p> {
     table: Arc<Table>,
     rids: Vec<RowId>,
     pos: usize,
+    /// As in [`SeqScanOp`].
+    width: usize,
+    cols: &'p [usize],
     schema: &'p Schema,
     filter: Option<VExpr>,
     ctx: &'p ExecContext<'p>,
@@ -500,7 +523,11 @@ impl BatchOp for IndexScanOp<'_> {
             let mut cols = lanes(self.schema, end - self.pos);
             let mut n = 0;
             for &rid in &self.rids[self.pos..end] {
-                if self.table.heap.get_into(rid, &mut cols)? {
+                if self
+                    .table
+                    .heap
+                    .get_into(rid, self.width, self.cols, &mut cols)?
+                {
                     n += 1;
                 }
             }
@@ -1353,19 +1380,6 @@ fn mergeable(aggs: &[AggExpr], region: &PhysicalPlan) -> bool {
             .as_ref()
             .is_some_and(|e| traces_to_int_column(region, e)),
     })
-}
-
-/// Resolve a column the way `vexpr::compile` does: qualified spelling
-/// first, then the bare name.
-fn resolve_col(schema: &Schema, qualifier: &Option<String>, name: &str) -> Option<usize> {
-    let full = match qualifier {
-        Some(q) => format!("{q}.{name}"),
-        None => name.to_string(),
-    };
-    schema
-        .index_of(&full)
-        .or_else(|_| schema.index_of(name))
-        .ok()
 }
 
 /// Does `expr`, evaluated against `region`'s output, reduce to a plain

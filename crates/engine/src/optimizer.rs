@@ -24,7 +24,7 @@ use crate::catalog::Catalog;
 use crate::db::ModelHook;
 use crate::plan::{
     bind_expr, bind_models, call_cost, default_output_name, describe_bounds, qualify_schema,
-    PhysOp, PhysicalPlan,
+    resolve_col, PhysOp, PhysicalPlan,
 };
 use crate::stats::TableStats;
 
@@ -387,7 +387,10 @@ impl<'a> Planner<'a> {
         }
         // 9. mark parallelizable scan regions with Exchange boundaries
         let mut plan = insert_exchanges(plan);
-        // 10. pin the model version each PREDICT runs against. Whether
+        // 10. narrow every scan to the columns the operators above it use
+        let width = plan.schema.len();
+        prune_columns(&mut plan, vec![true; width]);
+        // 11. pin the model version each PREDICT runs against. Whether
         // its arguments are numeric is a question for the verifier's type
         // lattice; ask it now, so that a scan that happens to return no
         // rows cannot hide the answer.
@@ -548,8 +551,10 @@ impl<'a> Planner<'a> {
 
     /// Choose how to reach the rows of `table` that satisfy `conjuncts`
     /// (single-table, unbound, applied in the order given): the most
-    /// selective `=`/range conjunct on an indexed column if probing it is
-    /// estimated cheaper than reading every page, else a sequential scan.
+    /// selective `=` conjunct or range on an indexed column — a column's
+    /// range conjuncts intersected into one range, so `a >= 1 AND a <= 4`
+    /// probes like `a BETWEEN 1 AND 4` — if probing it is estimated
+    /// cheaper than reading every page, else a sequential scan.
     /// This is the only sargability matcher: SELECT's scan nodes and the
     /// row search of UPDATE/DELETE both come from here. The index bounds
     /// are a superset of what the conjunct accepts (ranges are inclusive
@@ -560,9 +565,39 @@ impl<'a> Planner<'a> {
         let sel = self.estimator.scan_selectivity(table, &preds, stats);
         let est_rows = (base_rows * sel).max(0.0);
 
-        // candidate index predicates: Eq first, then the narrowest range
-        let mut best_index: Option<(AccessPath, f64)> = None;
+        // candidate index predicates: every `=`, and per column one range,
+        // the intersection of that column's range conjuncts
+        let mut candidates: Vec<SimplePred> = Vec::new();
         for p in &preds {
+            let SimplePred::Range { column, lo, hi } = p else {
+                candidates.push(p.clone());
+                continue;
+            };
+            let same_column = candidates.iter_mut().find_map(|c| match c {
+                SimplePred::Range {
+                    column: c,
+                    lo: l,
+                    hi: h,
+                } if c.eq_ignore_ascii_case(column) => Some((l, h)),
+                _ => None,
+            });
+            match same_column {
+                Some((l, h)) => {
+                    *l = match (*l, *lo) {
+                        (Some(a), Some(b)) => Some(a.max(b)),
+                        (a, b) => a.or(b),
+                    };
+                    *h = match (*h, *hi) {
+                        (Some(a), Some(b)) => Some(a.min(b)),
+                        (a, b) => a.or(b),
+                    };
+                }
+                None => candidates.push(p.clone()),
+            }
+        }
+        // the most selective candidate on an indexed column
+        let mut best_index: Option<(AccessPath, f64)> = None;
+        for p in &candidates {
             let (column, lo, hi) = match p {
                 SimplePred::Eq { column, value } => {
                     (column, Some(value.clone()), Some(value.clone()))
@@ -624,6 +659,8 @@ impl<'a> Planner<'a> {
         };
         let access = self.access_path(&a.table, a.base_rows, conjuncts);
         let (table, alias) = (a.table.clone(), a.alias.clone());
+        // every column until `prune_columns` knows what the plan reads
+        let cols = (0..a.schema.len()).collect();
         Ok(PhysicalPlan {
             op: match access.path {
                 AccessPath::IndexScan { column, lo, hi } => PhysOp::IndexScan {
@@ -632,11 +669,13 @@ impl<'a> Planner<'a> {
                     column,
                     lo,
                     hi,
+                    cols,
                     filter,
                 },
                 AccessPath::SeqScan => PhysOp::SeqScan {
                     table,
                     alias,
+                    cols,
                     filter,
                 },
             },
@@ -1232,6 +1271,117 @@ fn insert_exchanges(plan: PhysicalPlan) -> PhysicalPlan {
         schema,
         est_rows,
         est_cost,
+    }
+}
+
+/// Narrow every scan in `plan` to the table columns some operator above
+/// it uses, top-down. `needed` flags the columns of `plan.schema` that
+/// `plan`'s parent reads; a node adds the columns its own expressions
+/// read (resolved as `vexpr::compile` resolves them, so no column an
+/// expression compiles to is ever dropped) and hands each child its
+/// share. Scans keep the flagged columns; filters, sorts, limits,
+/// exchanges and joins then take their schemas from their pruned inputs.
+/// Projections and aggregates compute their outputs, so their schemas —
+/// the root's among them — never change. Plan shape and estimates are
+/// untouched.
+fn prune_columns(plan: &mut PhysicalPlan, mut needed: Vec<bool>) {
+    let schema = &mut plan.schema;
+    match &mut plan.op {
+        PhysOp::SeqScan { cols, filter, .. } | PhysOp::IndexScan { cols, filter, .. } => {
+            mark_columns(filter.iter(), schema, &mut needed);
+            if needed.contains(&false) {
+                let keep: Vec<usize> = (0..needed.len()).filter(|&i| needed[i]).collect();
+                *cols = keep.iter().map(|&i| cols[i]).collect();
+                *schema = Schema::new(keep.iter().map(|&i| schema.columns()[i].clone()).collect());
+            }
+        }
+        PhysOp::Filter { input, predicate } => {
+            mark_columns([&*predicate], &input.schema, &mut needed);
+            prune_columns(input, needed);
+            narrow_to(schema, &input.schema);
+        }
+        PhysOp::Sort { input, keys } => {
+            mark_columns(keys.iter().map(|k| &k.expr), &input.schema, &mut needed);
+            prune_columns(input, needed);
+            narrow_to(schema, &input.schema);
+        }
+        PhysOp::Limit { input, .. } | PhysOp::Exchange { input } => {
+            prune_columns(input, needed);
+            narrow_to(schema, &input.schema);
+        }
+        PhysOp::Project { input, exprs } => {
+            let mut reads = vec![false; input.schema.len()];
+            mark_columns(exprs.iter(), &input.schema, &mut reads);
+            prune_columns(input, reads);
+        }
+        PhysOp::Aggregate {
+            input,
+            group_exprs,
+            aggs,
+        } => {
+            let mut reads = vec![false; input.schema.len()];
+            let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+            mark_columns(group_exprs.iter().chain(args), &input.schema, &mut reads);
+            prune_columns(input, reads);
+        }
+        PhysOp::HashJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+            residual,
+        } => {
+            mark_columns(residual.iter(), schema, &mut needed);
+            let mut right_needs = needed.split_off(left.schema.len());
+            mark_columns([&*left_key], &left.schema, &mut needed);
+            mark_columns([&*right_key], &right.schema, &mut right_needs);
+            prune_columns(left, needed);
+            prune_columns(right, right_needs);
+            if schema.len() != left.schema.len() + right.schema.len() {
+                *schema = left.schema.join(&right.schema);
+            }
+        }
+        PhysOp::NestedLoopJoin { left, right, on } => {
+            mark_columns(on.iter(), schema, &mut needed);
+            let right_needs = needed.split_off(left.schema.len());
+            prune_columns(left, needed);
+            prune_columns(right, right_needs);
+            if schema.len() != left.schema.len() + right.schema.len() {
+                *schema = left.schema.join(&right.schema);
+            }
+        }
+        PhysOp::Values { .. } => {}
+    }
+}
+
+/// Take `pruned` as a pass-through node's schema. Pruning only drops
+/// columns, so an unchanged width is an unchanged schema.
+fn narrow_to(schema: &mut Schema, pruned: &Schema) {
+    if schema.len() != pruned.len() {
+        *schema = pruned.clone();
+    }
+}
+
+/// Flag in `needed` every column of `schema` that `exprs` reference. A
+/// reference that does not resolve flags nothing: compiling it fails
+/// with or without the pass.
+fn mark_columns<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    schema: &Schema,
+    needed: &mut [bool],
+) {
+    fn mark(e: &Expr, schema: &Schema, needed: &mut [bool]) {
+        if let Expr::Column { qualifier, name } = e {
+            if let Some(i) = resolve_col(schema, qualifier, name) {
+                needed[i] = true;
+            }
+        }
+        for child in e.children() {
+            mark(child, schema, needed);
+        }
+    }
+    for e in exprs {
+        mark(e, schema, needed);
     }
 }
 

@@ -28,20 +28,24 @@ pub struct PhysicalPlan {
 /// Physical operators.
 #[derive(Debug, Clone)]
 pub enum PhysOp {
-    /// Full-table scan with an optional pushed-down predicate.
+    /// Full-table scan with an optional pushed-down predicate. It reads
+    /// the table columns `cols` (indices, ascending) and nothing else: its
+    /// schema is the qualified table schema projected on them.
     SeqScan {
         table: String,
         alias: String,
+        cols: Vec<usize>,
         filter: Option<Expr>,
     },
     /// B+tree index scan: equality or inclusive range on one column, plus
-    /// an optional residual predicate.
+    /// an optional residual predicate. Reads `cols` as a `SeqScan` does.
     IndexScan {
         table: String,
         alias: String,
         column: String,
         lo: Option<aimdb_common::Value>,
         hi: Option<aimdb_common::Value>,
+        cols: Vec<usize>,
         filter: Option<Expr>,
     },
     Filter {
@@ -146,7 +150,8 @@ impl PhysicalPlan {
     pub fn describe(&self) -> String {
         match &self.op {
             PhysOp::SeqScan { table, filter, .. } => format!(
-                "SeqScan {table}{}",
+                "SeqScan {table}{}{}",
+                self.describe_cols(),
                 filter.as_ref().map_or(String::new(), |f| format!(
                     " filter={}",
                     describe_predicate(f)
@@ -159,7 +164,11 @@ impl PhysicalPlan {
                 hi,
                 ..
             } => {
-                format!("IndexScan {table}.{column} {}", describe_bounds(lo, hi))
+                format!(
+                    "IndexScan {table}.{column} {}{}",
+                    describe_bounds(lo, hi),
+                    self.describe_cols()
+                )
             }
             PhysOp::Filter { predicate, .. } => {
                 format!("Filter {}", describe_predicate(predicate))
@@ -199,6 +208,21 @@ impl PhysicalPlan {
             PhysOp::Values { rows } => format!("Values ({} rows)", rows.len()),
             PhysOp::Exchange { .. } => "Exchange".to_string(),
         }
+    }
+
+    /// ` cols=[a, b]`: the table columns a scan reads, by bare name.
+    fn describe_cols(&self) -> String {
+        let names: Vec<&str> = self
+            .schema
+            .columns()
+            .iter()
+            .map(|c| {
+                c.name
+                    .split_once('.')
+                    .map_or(c.name.as_str(), |(_, bare)| bare)
+            })
+            .collect();
+        format!(" cols=[{}]", names.join(", "))
     }
 
     /// Child plans, left to right.
@@ -509,6 +533,19 @@ pub fn resolve_column(schema: &Schema, qualifier: Option<&str>, name: &str) -> R
             }
         }
     }
+}
+
+/// Resolve a column reference the way `vexpr::compile` does: the
+/// qualified spelling first, then the bare name.
+pub(crate) fn resolve_col(
+    schema: &Schema,
+    qualifier: &Option<String>,
+    name: &str,
+) -> Option<usize> {
+    let qualified = qualifier
+        .as_ref()
+        .and_then(|q| schema.index_of(&format!("{q}.{name}")).ok());
+    qualified.or_else(|| schema.index_of(name).ok())
 }
 
 /// Qualify a table schema with an alias: `col` becomes `alias.col`.

@@ -8,7 +8,9 @@
 //! expression), and aggregate/index arguments must be well-typed. A plan
 //! that passes cannot fail at runtime with a name-resolution or
 //! type-dispatch error — the class of bug a learned planner (or a planner
-//! refactor) is most likely to introduce. A bound `PREDICT` is checked
+//! refactor) is most likely to introduce. A scan may read fewer columns
+//! than its table has; an operator above it that uses a column it
+//! dropped is an unresolved column. A bound `PREDICT` is checked
 //! here too (argument count against the model, no text arguments), and
 //! the planner runs the verifier on every plan that carries one, in every
 //! build: a model error must not wait for the first row.
@@ -56,9 +58,10 @@ fn check_node(plan: &PhysicalPlan, catalog: &Catalog) -> Result<ColTypes> {
         PhysOp::SeqScan {
             table,
             alias,
+            cols,
             filter,
         } => {
-            let types = check_scan_schema("SeqScan", catalog, table, alias, &plan.schema)?;
+            let types = check_scan_schema("SeqScan", catalog, table, alias, cols, &plan.schema)?;
             if let Some(f) = filter {
                 check_predicate("SeqScan filter", f, &plan.schema, &types)?;
             }
@@ -70,9 +73,10 @@ fn check_node(plan: &PhysicalPlan, catalog: &Catalog) -> Result<ColTypes> {
             column,
             lo,
             hi,
+            cols,
             filter,
         } => {
-            let types = check_scan_schema("IndexScan", catalog, table, alias, &plan.schema)?;
+            let types = check_scan_schema("IndexScan", catalog, table, alias, cols, &plan.schema)?;
             let t = catalog.table(table)?;
             let col_idx = t
                 .schema
@@ -302,18 +306,37 @@ fn op_label(op: &PhysOp) -> &'static str {
     crate::analyze::op_name(op)
 }
 
-/// A scan's output schema must be the table schema qualified by the alias.
+/// A scan reads the table columns `cols`, strictly ascending and in
+/// range, and its output schema must be the table schema qualified by the
+/// alias and projected on them.
 fn check_scan_schema(
     op: &str,
     catalog: &Catalog,
     table: &str,
     alias: &str,
+    cols: &[usize],
     schema: &Schema,
 ) -> Result<ColTypes> {
     let t = catalog
         .table(table)
         .map_err(|_| err(op, format!("unknown table {table}")))?;
-    let expected = qualify_schema(&t.schema, alias);
+    if !cols.windows(2).all(|w| w[0] < w[1]) {
+        return Err(err(
+            op,
+            format!("cols {cols:?} of {table} are not strictly ascending"),
+        ));
+    }
+    let expected = qualify_schema(&t.schema, alias)
+        .project(cols)
+        .map_err(|_| {
+            err(
+                op,
+                format!(
+                    "cols {cols:?} out of range for {table}'s {} column(s)",
+                    t.schema.len()
+                ),
+            )
+        })?;
     if *schema != expected {
         return Err(err(
             op,

@@ -1135,8 +1135,9 @@ fn index_scan_fetch_matches_row_oracle_in_order() {
         // open range, above and below
         "SELECT name, id, score FROM users WHERE age > 396",
         "SELECT id, age FROM users WHERE age < 3",
-        // closed range
+        // closed range, as BETWEEN and as two conjuncts
         "SELECT id, score, name FROM users WHERE age BETWEEN 40 AND 43",
+        "SELECT id, score, name FROM users WHERE age >= 40 AND age <= 43",
         // NULL-heavy key and payload columns
         "SELECT k, v, w, s FROM sparse WHERE k = 7",
         "SELECT s, k FROM sparse WHERE k BETWEEN 30 AND 33",
@@ -1150,7 +1151,7 @@ fn index_scan_fetch_matches_row_oracle_in_order() {
             rows
         })
         .collect();
-    assert!(results[4].iter().any(|r| r.values().contains(&Value::Null)));
+    assert!(results[5].iter().any(|r| r.values().contains(&Value::Null)));
     // a residual that keeps no rows
     let none = "SELECT id, name FROM users WHERE age = 30 AND score < 0";
     assert_index_scan(&db, none);
@@ -1220,5 +1221,131 @@ fn worker_panic_is_an_execution_error() {
     match execute_batched_parallel(&plan, &ctx, 1024, 2) {
         Err(e) => assert_eq!(e.category(), "execution", "{e}"),
         Ok(rows) => panic!("ran to completion with {} rows", rows.len()),
+    }
+}
+
+/// The `cols=[…]` list of every scan in `sql`'s plan, in EXPLAIN's line
+/// order.
+fn scan_cols(db: &Database, sql: &str) -> Vec<String> {
+    let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
+        panic!("not a SELECT: {sql}");
+    };
+    let explain = db.plan(&sel).expect("plan").explain();
+    explain
+        .lines()
+        .filter(|l| l.contains("Scan "))
+        .map(|l| {
+            let at = l.find("cols=[").unwrap_or_else(|| panic!("no cols: {l}"));
+            let end = at + l[at..].find(']').expect("closing bracket");
+            l[at + "cols=".len()..=end].to_string()
+        })
+        .collect()
+}
+
+/// Scans decode only the columns some operator above them uses, so
+/// every width above them narrows too: position by position against the
+/// row oracle (which projects whole rows itself) on workers {1, 2, 4, 8}
+/// × batch sizes {1, 7, 1024}, with the columns each scan reads pinned
+/// by EXPLAIN — a zero-width `COUNT(*)` (through morsels, and on both
+/// sides of a cross join), a self-join whose aliases prune differently,
+/// `SELECT *`, a column read only by a join key, a hash-join residual, a
+/// filter above a join or a scan filter, a sort over an aggregate (ORDER
+/// BY names select-list columns only), an unreferenced Text column, and
+/// narrowed index scans, one over a two-conjunct range.
+#[test]
+fn pruned_scans_match_row_oracle_in_order() {
+    let runs = runs_table();
+    let jk = join_keys_tables();
+    let idx = indexed_tables();
+    let cases: [(&Database, &str, &[&str]); 14] = [
+        (&runs, "SELECT COUNT(*) FROM runs", &["[]"]),
+        (
+            &runs,
+            "SELECT COUNT(*), MAX(band) FROM runs WHERE g = 3",
+            &["[band, g]"],
+        ),
+        (&jk, "SELECT COUNT(*) FROM jl, jr", &["[]", "[]"]),
+        // `pad` is Text and never read
+        (
+            &runs,
+            "SELECT id, x FROM runs WHERE band = 2 ORDER BY x DESC, id",
+            &["[id, band, x]"],
+        ),
+        (
+            &jk,
+            "SELECT a.id, b.f FROM jr a JOIN jr b ON a.k = b.id",
+            &["[id, k]", "[id, f]"],
+        ),
+        (
+            &jk,
+            "SELECT * FROM jl JOIN jr ON jl.k = jr.k",
+            &["[id, k, s]", "[id, k, f, s]"],
+        ),
+        (
+            &jk,
+            "SELECT jl.s FROM jl JOIN jr ON jl.k = jr.k",
+            &["[k, s]", "[k]"],
+        ),
+        (
+            &jk,
+            "SELECT jl.s FROM jl JOIN jr ON jl.k = jr.k AND jl.id = jr.id",
+            &["[id, k, s]", "[id, k]"],
+        ),
+        (
+            &jk,
+            "SELECT jl.id FROM jl JOIN jr ON jl.k = jr.k WHERE jr.f > jl.id",
+            &["[id, k]", "[k, f]"],
+        ),
+        // ORDER BY binds to the select list, so it reads through it
+        (
+            &jk,
+            "SELECT k, SUM(f) AS total FROM jr GROUP BY k ORDER BY total DESC, k",
+            &["[k, f]"],
+        ),
+        (&jk, "SELECT id FROM jr WHERE f > 2.0", &["[id, f]"]),
+        (
+            &idx,
+            "SELECT COUNT(*) FROM users WHERE age = 30",
+            &["[age]"],
+        ),
+        (
+            &idx,
+            "SELECT id FROM users WHERE age >= 40 AND age <= 43",
+            &["[id, age]"],
+        ),
+        (&idx, "SELECT s FROM sparse WHERE k = 7", &["[k, s]"]),
+    ];
+    for (db, sql, cols) in cases {
+        let mut got = scan_cols(db, sql);
+        let mut want: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
+        // which side of a join EXPLAIN prints first is the planner's call
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "{sql}");
+        if sql.contains("users") || sql.contains("sparse") {
+            assert_index_scan(db, sql);
+        }
+        let rows = assert_matrix_matches_in_order(db, sql);
+        assert!(!rows.is_empty(), "{sql}");
+    }
+
+    // PREDICT reads its feature columns and nothing else; the row oracle
+    // calls the model by name, the batch executor the bound version
+    idx.set_model_hook(Arc::new(StubModels));
+    let sql = "SELECT PREDICT(lin, age, score) FROM users";
+    assert_eq!(scan_cols(&idx, sql), ["[age, score]"]);
+    let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
+        panic!("not a SELECT: {sql}");
+    };
+    let plan = idx.plan(&sel).expect("plan");
+    let want =
+        execute(&plan, &ExecContext::new(&idx.catalog, &ByName(StubModels))).expect("row run");
+    assert_eq!(want.len(), 4000);
+    for bs in [1usize, 7, 1024] {
+        for workers in [1usize, 2, 4, 8] {
+            let ctx = ExecContext::new(&idx.catalog, &BuiltinFns);
+            let got = execute_batched_parallel(&plan, &ctx, bs, workers).expect("batch run");
+            assert_eq!(got, want, "bs={bs} workers={workers}: {sql}");
+        }
     }
 }

@@ -28,12 +28,22 @@ fn db() -> Database {
 }
 
 fn scan(d: &Database, table: &str) -> PhysicalPlan {
+    let width = d.catalog.table(table).expect("table").schema.len();
+    narrowed(d, table, (0..width).collect())
+}
+
+/// A scan of `table` reading the columns `cols`, its schema the qualified
+/// table schema projected on them.
+fn narrowed(d: &Database, table: &str, cols: Vec<usize>) -> PhysicalPlan {
     let t = d.catalog.table(table).expect("table");
     PhysicalPlan {
-        schema: qualify_schema(&t.schema, table),
+        schema: qualify_schema(&t.schema, table)
+            .project(&cols)
+            .expect("cols in range"),
         op: PhysOp::SeqScan {
             table: table.into(),
             alias: table.into(),
+            cols,
             filter: None,
         },
         est_rows: 1.0,
@@ -76,6 +86,66 @@ fn unresolved_filter_column_is_rejected() {
         est_cost: 1.0,
     };
     rejected(&d, &p, "unresolved column salary");
+}
+
+#[test]
+fn unsorted_scan_cols_are_rejected() {
+    let d = db();
+    let mut p = narrowed(&d, "users", vec![0, 2]);
+    if let PhysOp::SeqScan { cols, .. } = &mut p.op {
+        *cols = vec![2, 0];
+    }
+    let t = d.catalog.table("users").expect("table");
+    p.schema = qualify_schema(&t.schema, "users")
+        .project(&[2, 0])
+        .expect("in range");
+    rejected(&d, &p, "not strictly ascending");
+}
+
+#[test]
+fn out_of_range_scan_col_is_rejected() {
+    let d = db();
+    let mut p = narrowed(&d, "users", vec![0]);
+    if let PhysOp::SeqScan { cols, .. } = &mut p.op {
+        *cols = vec![0, 3]; // users has three columns
+    }
+    rejected(&d, &p, "out of range");
+}
+
+#[test]
+fn scan_schema_disagreeing_with_cols_is_rejected() {
+    let d = db();
+    let mut p = narrowed(&d, "users", vec![0, 2]);
+    if let PhysOp::SeqScan { cols, .. } = &mut p.op {
+        *cols = vec![0, 1]; // the schema still names id and name
+    }
+    rejected(&d, &p, "schema mismatch");
+}
+
+#[test]
+fn parent_reading_a_pruned_column_is_rejected() {
+    let d = db();
+    // the scan reads id and name; the filter above it wants age
+    let base = narrowed(&d, "users", vec![0, 2]);
+    let p = PhysicalPlan {
+        schema: base.schema.clone(),
+        op: PhysOp::Filter {
+            input: Box::new(base),
+            predicate: Expr::binary(Expr::col("users.age"), BinaryOp::Gt, Expr::lit(10i64)),
+        },
+        est_rows: 1.0,
+        est_cost: 1.0,
+    };
+    rejected(&d, &p, "unresolved column users.age");
+}
+
+#[test]
+fn narrowed_scan_plans_pass() {
+    let d = db();
+    for cols in [vec![], vec![1], vec![0, 2], vec![0, 1, 2]] {
+        verify(&narrowed(&d, "users", cols.clone()), &d.catalog)
+            .unwrap_or_else(|e| panic!("cols {cols:?}: {e}"));
+    }
 }
 
 #[test]
@@ -130,6 +200,7 @@ fn index_scan_without_index_is_rejected() {
             column: "name".into(), // no index on name
             lo: Some(Value::Text("a".into())),
             hi: None,
+            cols: vec![0, 1, 2],
             filter: None,
         },
         est_rows: 1.0,
@@ -150,6 +221,7 @@ fn index_bound_type_mismatch_is_rejected() {
             column: "age".into(),
             lo: Some(Value::Text("young".into())), // Text bound on Int column
             hi: None,
+            cols: vec![0, 1, 2],
             filter: None,
         },
         est_rows: 1.0,

@@ -15,7 +15,8 @@
 //! It is independent by construction: it calls only the engine's public
 //! catalog, index, heap and plan API and the context's catalog, function
 //! registry and snapshot, and it folds aggregates with a fold of its
-//! own. The one thing it shares with the batch executor is predicate
+//! own; a scan reads whole rows and projects them on the plan's columns
+//! itself. The one thing it shares with the batch executor is predicate
 //! evaluation: `Expr::eval_predicate` walks a plan's conjuncts in the
 //! planner's order and stops at the first that is not TRUE, the row
 //! form of the batch executor's selection-vector cascade. It charges no
@@ -32,10 +33,16 @@ use aimdb_sql::logical::AggExpr;
 /// Execute a physical plan to completion.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
     match &plan.op {
-        PhysOp::SeqScan { table, filter, .. } => {
+        PhysOp::SeqScan {
+            table,
+            cols,
+            filter,
+            ..
+        } => {
             let t = ctx.catalog.table(table)?;
             let rows = t.scan_visible(ctx.snapshot())?;
-            let rows = rows.into_iter().map(|(_, r)| r);
+            // the scan's schema covers only the columns it reads
+            let rows = rows.into_iter().map(|(_, r)| r.project(cols));
             match filter {
                 Some(f) => keep_where(rows, |r| f.eval_predicate(&plan.schema, r, ctx.fns)),
                 None => Ok(rows.collect()),
@@ -46,6 +53,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
             column,
             lo,
             hi,
+            cols,
             filter,
             ..
         } => {
@@ -65,6 +73,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
             let mut out = Vec::with_capacity(rids.len());
             for rid in rids {
                 if let Some(row) = t.heap.get(rid)? {
+                    let row = row.project(cols);
                     let keep = match filter {
                         Some(f) => f.eval_predicate(&plan.schema, &row, ctx.fns)?,
                         None => true,

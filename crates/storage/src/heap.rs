@@ -60,13 +60,20 @@ impl HeapFile {
         }
     }
 
-    /// Decode the row at `id` straight into `cols`, one value per
-    /// column, without building a [`Row`]. Returns `false`, appending
-    /// nothing, if the slot is deleted.
-    pub fn get_into(&self, id: RowId, cols: &mut [ColVec]) -> Result<bool> {
+    /// Decode the fields `keep` of the `width`-field row at `id` straight
+    /// into `cols`, one lane per kept field (see
+    /// [`decode_row_into`]), without building a [`Row`]. Returns
+    /// `false`, appending nothing, if the slot is deleted.
+    pub fn get_into(
+        &self,
+        id: RowId,
+        width: usize,
+        keep: &[usize],
+        cols: &mut [ColVec],
+    ) -> Result<bool> {
         let page = self.pool.get(id.page)?;
         match page.get(id.slot) {
-            Some(bytes) => decode_row_into(bytes, cols).map(|()| true),
+            Some(bytes) => decode_row_into(bytes, width, keep, cols).map(|()| true),
             None => Ok(false),
         }
     }
@@ -273,7 +280,9 @@ pub struct HeapScanCursor {
 
 impl HeapScanCursor {
     /// Decode live rows straight into column builders — no per-row
-    /// [`Row`] allocation. Appends at least `min_rows` rows to every
+    /// [`Row`] allocation. Each row has `width` fields, of which the ones
+    /// `keep` names go into `cols`, one lane per kept field (see
+    /// [`decode_row_into`]). Appends at least `min_rows` rows to every
     /// column in `cols` (whole pages at a time, so it may overshoot) and
     /// returns `(rows_appended, more)` where `more` is `false` once the
     /// cursor is exhausted. Slots whose [`RowId`] the optional `vis`
@@ -283,6 +292,8 @@ impl HeapScanCursor {
     pub fn fill_batch_vis(
         &mut self,
         min_rows: usize,
+        width: usize,
+        keep: &[usize],
         cols: &mut [ColVec],
         vis: Option<&(dyn Fn(RowId) -> bool + Sync)>,
     ) -> Result<(usize, bool)> {
@@ -300,7 +311,7 @@ impl HeapScanCursor {
                         continue;
                     }
                 }
-                decode_row_into(bytes, cols)?;
+                decode_row_into(bytes, width, keep, cols)?;
                 appended += 1;
             }
         }
@@ -380,7 +391,9 @@ mod tests {
         ];
         let mut total = 0;
         loop {
-            let (n, more) = cur.fill_batch_vis(min_rows, &mut cols, Some(&vis)).unwrap();
+            let (n, more) = cur
+                .fill_batch_vis(min_rows, 2, &[0, 1], &mut cols, Some(&vis))
+                .unwrap();
             total += n;
             if !more {
                 break;
@@ -427,7 +440,7 @@ mod tests {
         ];
         let mut total = 0;
         loop {
-            let (n, more) = cur.fill_batch_vis(64, &mut cols, None).unwrap();
+            let (n, more) = cur.fill_batch_vis(64, 2, &[0, 1], &mut cols, None).unwrap();
             total += n;
             if !more {
                 break;
@@ -457,7 +470,9 @@ mod tests {
         let vis = |rid: RowId| !hidden.contains(&rid);
         let mut total = 0;
         loop {
-            let (n, more) = cur.fill_batch_vis(64, &mut cols, Some(&vis)).unwrap();
+            let (n, more) = cur
+                .fill_batch_vis(64, 2, &[0, 1], &mut cols, Some(&vis))
+                .unwrap();
             total += n;
             if !more {
                 break;
@@ -478,7 +493,10 @@ mod tests {
         let h = heap();
         let mut cur = h.scan_cursor();
         let mut cols = vec![ColVec::with_capacity(DataType::Int, 8)];
-        assert_eq!(cur.fill_batch_vis(8, &mut cols, None).unwrap(), (0, false));
+        assert_eq!(
+            cur.fill_batch_vis(8, 1, &[0], &mut cols, None).unwrap(),
+            (0, false)
+        );
         assert!(cols[0].is_empty());
     }
 
@@ -505,14 +523,14 @@ mod tests {
             ColVec::with_capacity(DataType::Int, 2),
             ColVec::with_capacity(DataType::Text, 2),
         ];
-        assert!(!h.get_into(a, &mut cols).unwrap());
+        assert!(!h.get_into(a, 2, &[0, 1], &mut cols).unwrap());
         assert!(cols.iter().all(ColVec::is_empty));
-        assert!(h.get_into(b, &mut cols).unwrap());
+        assert!(h.get_into(b, 2, &[0, 1], &mut cols).unwrap());
         assert!(cols.iter().all(|c| c.len() == 1));
         assert_eq!(cols[0].value(0), Value::Int(2));
         assert_eq!(cols[1].value(0), Value::Text("row-2".into()));
         // a tombstone after a live row still appends nothing
-        assert!(!h.get_into(a, &mut cols).unwrap());
+        assert!(!h.get_into(a, 2, &[0, 1], &mut cols).unwrap());
         assert!(cols.iter().all(|c| c.len() == 1));
     }
 
@@ -617,7 +635,7 @@ mod tests {
             ];
             let mut n = 0;
             loop {
-                let (k, more) = cur.fill_batch_vis(64, &mut cols, None).unwrap();
+                let (k, more) = cur.fill_batch_vis(64, 2, &[0, 1], &mut cols, None).unwrap();
                 n += k;
                 if !more {
                     break;

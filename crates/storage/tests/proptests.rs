@@ -137,9 +137,10 @@ proptest! {
         };
         let mut cursor = heap.scan_cursor();
         let mut cols = vec![ColVec::Mixed(Vec::new()); width];
+        let keep: Vec<usize> = (0..width).collect();
         let mut total = 0;
         loop {
-            let (n, more) = cursor.fill_batch_vis(min_rows, &mut cols, Some(&vis)).unwrap();
+            let (n, more) = cursor.fill_batch_vis(min_rows, width, &keep, &mut cols, Some(&vis)).unwrap();
             total += n;
             if !more {
                 break;
@@ -183,7 +184,7 @@ proptest! {
         ];
         let mut total = 0;
         loop {
-            let (n, more) = cursor.fill_batch_vis(min_rows, &mut cols, None).unwrap();
+            let (n, more) = cursor.fill_batch_vis(min_rows, 3, &[0, 1, 2], &mut cols, None).unwrap();
             total += n;
             if !more {
                 break;
@@ -225,8 +226,7 @@ proptest! {
     }
 }
 
-/// The declared types `decode_row_into_agrees_with_decode_row` draws
-/// its columns from.
+/// The declared types the decoder properties draw their columns from.
 const COL_TYPES: [DataType; 4] = [
     DataType::Int,
     DataType::Float,
@@ -284,12 +284,14 @@ proptest! {
         let fresh_cols = || -> Vec<ColVec> {
             types.iter().map(|&t| ColVec::with_capacity(COL_TYPES[t], 0)).collect()
         };
+        // the full projection: every field into its own lane
+        let keep: Vec<usize> = (0..width).collect();
 
         let mut cols = fresh_cols();
         let mut want = Vec::with_capacity(rows.len());
         for row in &rows {
             let bytes = encode_row(&Row::new(row.clone()));
-            decode_row_into(&bytes, &mut cols).unwrap();
+            decode_row_into(&bytes, width, &keep, &mut cols).unwrap();
             want.push(decode_row(&bytes).unwrap());
             for cut in 0..bytes.len() {
                 prop_assert!(
@@ -297,13 +299,82 @@ proptest! {
                     "decode_row accepted a {cut}-byte prefix"
                 );
                 prop_assert!(
-                    decode_row_into(&bytes[..cut], &mut fresh_cols()).is_err(),
+                    decode_row_into(&bytes[..cut], width, &keep, &mut fresh_cols()).is_err(),
                     "decode_row_into accepted a {cut}-byte prefix"
                 );
             }
         }
         for (c, col) in cols.iter().enumerate() {
             prop_assert_eq!(matches!(col, ColVec::Mixed(_)), mixed_col == Some(c));
+            prop_assert_eq!(col.len(), want.len());
+            for (i, row) in want.iter().enumerate() {
+                prop_assert_eq!(&col.value(i), row.get(c));
+            }
+        }
+    }
+}
+
+proptest! {
+    // A projected decode is the full decode followed by a projection,
+    // over rows of every value type with NULLs and any subset of their
+    // fields (none and all included): the kept fields land in their lanes
+    // in order, and a row is rejected exactly when `decode_row` rejects
+    // it, with the same error — every truncation, a bad tag on any field,
+    // and invalid UTF-8 in any Text field, kept or skipped. A width that
+    // disagrees with the stored arity is an error whatever is kept.
+    #[test]
+    fn projected_decode_is_decode_then_project(
+        types in prop::collection::vec(0usize..4, 1..10),
+        cells in prop::collection::vec(
+            (0u8..4, any::<i64>(), "[a-zA-Z0-9 ]{1,12}"),
+            10..60,
+        ),
+        mask in prop::collection::vec(any::<bool>(), 10..11),
+        bad_tag in 6u8..255,
+    ) {
+        let width = types.len();
+        let keep: Vec<usize> = (0..width).filter(|&i| mask[i]).collect();
+        let fresh_cols = || -> Vec<ColVec> {
+            keep.iter().map(|&i| ColVec::with_capacity(COL_TYPES[types[i]], 0)).collect()
+        };
+        let same_error = |bytes: &[u8]| -> Result<(), String> {
+            let want = decode_row(bytes).map(|_| ()).map_err(|e| e.to_string());
+            let got = decode_row_into(bytes, width, &keep, &mut fresh_cols())
+                .map_err(|e| e.to_string());
+            prop_assert!(want.is_err(), "decode_row accepted corrupt bytes {bytes:?}");
+            prop_assert_eq!(got, want);
+            Ok(())
+        };
+        let mut cols = fresh_cols();
+        let mut want = Vec::new();
+        for row in cells.chunks_exact(width) {
+            let values: Vec<Value> = row
+                .iter()
+                .zip(&types)
+                .map(|((null, bits, text), &t)| typed_value(COL_TYPES[t], *null == 0, *bits, text))
+                .collect();
+            let bytes = encode_row(&Row::new(values.clone()));
+            decode_row_into(&bytes, width, &keep, &mut cols).unwrap();
+            want.push(decode_row(&bytes).unwrap().project(&keep));
+            for cut in 0..bytes.len() {
+                same_error(&bytes[..cut])?;
+            }
+            for (field, v) in values.iter().enumerate() {
+                // a field's tag follows the arity and the fields before it
+                let at = encode_row(&Row::new(values[..field].to_vec())).len();
+                let mut bad = bytes.clone();
+                bad[at] = bad_tag;
+                same_error(&bad)?;
+                if let Value::Text(_) = v {
+                    // the payload follows the tag and the u32 length
+                    let mut bad = bytes.clone();
+                    bad[at + 5] = 0xff;
+                    same_error(&bad)?;
+                }
+            }
+            prop_assert!(decode_row_into(&bytes, width + 1, &keep, &mut fresh_cols()).is_err());
+        }
+        for (c, col) in cols.iter().enumerate() {
             prop_assert_eq!(col.len(), want.len());
             for (i, row) in want.iter().enumerate() {
                 prop_assert_eq!(&col.value(i), row.get(c));

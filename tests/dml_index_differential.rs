@@ -152,6 +152,19 @@ fn indexed_and_scanned_dml_agree_on_one_statement_stream() {
     let dups = "DELETE FROM t WHERE d = 9";
     assert!(explain(&pair.indexed, dups).contains("IndexScan t.d = 9"));
     pair.same_contents("after the load");
+    // a closed range written as two conjuncts probes one index range (k
+    // is NULL at 107, 157, 207, ...)
+    for (sql, affected) in [
+        ("UPDATE t SET v = v + 1 WHERE k >= 100 AND k <= 110", 10),
+        ("DELETE FROM t WHERE k > 200 AND k < 204", 3),
+        ("UPDATE t SET k = k + 1 WHERE k <= 305 AND k >= 300", 6),
+    ] {
+        let plan = explain(&pair.indexed, sql);
+        assert!(plan.contains("IndexScan t.k ["), "{sql}: {plan}");
+        let n = pair.both(None, sql).unwrap();
+        assert_eq!(n, vec![Row::new(vec![Value::Int(affected)])], "{sql}");
+    }
+    pair.same_contents("after the two-conjunct range writes");
 
     let mut rng = StdRng::seed_from_u64(0x5eed_d1ff);
     for round in 0..400u32 {
