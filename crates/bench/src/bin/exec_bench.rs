@@ -194,7 +194,7 @@ fn paired_ratio(
 }
 
 /// One Int column as the hand loop writes it: the value lane and the
-/// null flags, the two vectors `ColVec::Int` holds.
+/// null flags, the two vectors a `ColVec::Int` lane holds.
 type IntLanes = (Vec<i64>, Vec<bool>);
 
 /// The decode gate's reference: one encoded all-Int row read with slice
@@ -276,7 +276,8 @@ fn decode_gate(n_rows: usize, rng: &mut StdRng, clock: &WallClock) {
     codec_pass(&all, &mut codec, &rows);
     hand_pass(&mut hand, &rows);
     for (c, (hv, hn)) in codec.iter().zip(&hand) {
-        if !matches!(c, ColVec::Int { vals, nulls } if vals == hv && nulls == hn) {
+        let hand_rows = hv.iter().zip(hn).map(|(v, &null)| (!null).then_some(v));
+        if !matches!(c, ColVec::Int(l) if l.iter().eq(hand_rows)) {
             eprintln!("FAIL: decode_row_into and the hand loop decoded different values");
             std::process::exit(1);
         }

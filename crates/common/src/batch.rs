@@ -2,12 +2,16 @@
 //! executor.
 //!
 //! A [`Batch`] is a fixed-capacity slice of rows stored column-wise.
-//! Each column is a [`ColVec`]: a typed vector (`i64`/`f64`/`bool`/
-//! `String`) plus a null bitmap, or a `Mixed` vector of [`Value`]s when
-//! the column's contents don't fit a single machine type. Predicates
-//! produce *selection vectors* (`Vec<u32>` of row indices into the
-//! batch); operators apply them with [`Batch::gather`] so downstream
-//! operators always see dense batches.
+//! Each column is a [`ColVec`]: a typed [`Lane`] of `i64`/`f64`/`bool`/
+//! `String` values, or a `Mixed` vector of [`Value`]s when the column's
+//! contents don't fit a single machine type. A lane holds a value for
+//! every row, a NULL row's being `T::default()`, and marks which rows
+//! are NULL; how it marks them (one `bool` per row) is private to this
+//! module, so kernels elsewhere read lanes only through [`Lane`]'s
+//! methods and a change of null format is a change to this file.
+//! Predicates produce *selection vectors* (`Vec<u32>` of row indices
+//! into the batch); operators apply them with [`Batch::gather`] so
+//! downstream operators always see dense batches.
 
 use std::borrow::Cow;
 
@@ -19,41 +23,186 @@ use crate::value::{DataType, Value};
 /// `Database` always runs its plans at this size.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// One column of a [`Batch`]: typed values + null bitmap, or a fallback
-/// vector of dynamic [`Value`]s.
+/// One typed column: a value per row and which rows are NULL. A NULL
+/// row's value is a placeholder, `T::default()`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lane<T> {
+    vals: Vec<T>,
+    nulls: Vec<bool>,
+}
+
+impl<T> Lane<T> {
+    /// An empty lane with room for `cap` rows.
+    pub fn with_capacity(cap: usize) -> Lane<T> {
+        Lane {
+            vals: Vec::with_capacity(cap),
+            nulls: Vec::with_capacity(cap),
+        }
+    }
+
+    /// A lane of `vals` with no NULL row.
+    pub fn from_vals(vals: Vec<T>) -> Lane<T> {
+        let nulls = vec![false; vals.len()];
+        Lane { vals, nulls }
+    }
+
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.vals.is_empty()
+    }
+
+    #[inline]
+    pub fn is_null(&self, i: usize) -> bool {
+        self.nulls[i]
+    }
+
+    /// Every row's value, a NULL row's placeholder included: for
+    /// kernels that have already checked the row is not NULL.
+    #[inline]
+    pub fn values(&self) -> &[T] {
+        &self.vals
+    }
+
+    /// The rows in order, `None` for NULL.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = Option<&T>> + '_ {
+        self.vals
+            .iter()
+            .zip(&self.nulls)
+            .map(|(v, &null)| (!null).then_some(v))
+    }
+
+    /// Append a non-NULL row.
+    #[inline]
+    pub fn push(&mut self, v: T) {
+        self.vals.push(v);
+        self.nulls.push(false);
+    }
+
+    #[inline]
+    pub fn clear(&mut self) {
+        self.vals.clear();
+        self.nulls.clear();
+    }
+
+    /// Append `other`'s rows after this lane's.
+    pub fn append(&mut self, other: Lane<T>) {
+        self.vals.extend(other.vals);
+        self.nulls.extend(other.nulls);
+    }
+
+    /// `f` of every row's value, placeholders included, with the same
+    /// NULL rows.
+    pub fn map<U>(&self, f: impl FnMut(&T) -> U) -> Lane<U> {
+        Lane {
+            vals: self.vals.iter().map(f).collect(),
+            nulls: self.nulls.clone(),
+        }
+    }
+
+    /// Row by row, NULL if either side is NULL, otherwise `f(a, b)`; the
+    /// first error `f` returns is the result.
+    pub fn zip<U, R: Default>(
+        &self,
+        other: &Lane<U>,
+        mut f: impl FnMut(&T, &U) -> crate::error::Result<R>,
+    ) -> crate::error::Result<Lane<R>> {
+        debug_assert_eq!(self.len(), other.len());
+        let mut out = Lane::with_capacity(self.len());
+        for (a, b) in self.iter().zip(other.iter()) {
+            match (a, b) {
+                (Some(a), Some(b)) => out.push(f(a, b)?),
+                _ => out.push_null(),
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Default> Lane<T> {
+    /// Append a NULL row.
+    #[inline]
+    pub fn push_null(&mut self) {
+        self.vals.push(T::default());
+        self.nulls.push(true);
+    }
+}
+
+impl<T: Clone> Lane<T> {
+    /// Copy out the rows named by a selection vector, in order.
+    pub fn gather(&self, sel: &[u32]) -> Lane<T> {
+        Lane {
+            vals: sel.iter().map(|&i| self.vals[i as usize].clone()).collect(),
+            nulls: sel.iter().map(|&i| self.nulls[i as usize]).collect(),
+        }
+    }
+
+    /// Row `i` as a [`Value`].
+    #[inline]
+    pub fn value(&self, i: usize) -> Value
+    where
+        T: Into<Value>,
+    {
+        if self.nulls[i] {
+            Value::Null
+        } else {
+            self.vals[i].clone().into()
+        }
+    }
+}
+
+/// A lane of the rows in order, `None` for NULL.
+impl<T: Default> FromIterator<Option<T>> for Lane<T> {
+    fn from_iter<I: IntoIterator<Item = Option<T>>>(rows: I) -> Lane<T> {
+        let rows = rows.into_iter();
+        let mut lane = Lane::with_capacity(rows.size_hint().0);
+        for v in rows {
+            match v {
+                Some(v) => lane.push(v),
+                None => lane.push_null(),
+            }
+        }
+        lane
+    }
+}
+
+/// One column of a [`Batch`]: a typed [`Lane`], or a fallback vector of
+/// dynamic [`Value`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColVec {
-    Int {
-        vals: Vec<i64>,
-        nulls: Vec<bool>,
-    },
-    Float {
-        vals: Vec<f64>,
-        nulls: Vec<bool>,
-    },
-    Bool {
-        vals: Vec<bool>,
-        nulls: Vec<bool>,
-    },
-    Text {
-        vals: Vec<String>,
-        nulls: Vec<bool>,
-    },
+    Int(Lane<i64>),
+    Float(Lane<f64>),
+    Bool(Lane<bool>),
+    Text(Lane<String>),
     /// Heterogeneous or untyped column; `Value::Null` marks nulls.
     Mixed(Vec<Value>),
+}
+
+/// `match` a column with one arm for its lane, whichever of the four
+/// typed variants it is (`$lane` binds the `Lane<T>`), and one for a
+/// `Mixed` column (`$vals` binds its values).
+macro_rules! on_lane {
+    ($col:expr, $lane:ident => $typed:expr, $vals:ident => $mixed:expr) => {
+        match $col {
+            ColVec::Int($lane) => $typed,
+            ColVec::Float($lane) => $typed,
+            ColVec::Bool($lane) => $typed,
+            ColVec::Text($lane) => $typed,
+            ColVec::Mixed($vals) => $mixed,
+        }
+    };
 }
 
 impl ColVec {
     /// Number of rows in the column.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            ColVec::Int { vals, .. } => vals.len(),
-            ColVec::Float { vals, .. } => vals.len(),
-            ColVec::Bool { vals, .. } => vals.len(),
-            ColVec::Text { vals, .. } => vals.len(),
-            ColVec::Mixed(vals) => vals.len(),
-        }
+        on_lane!(self, l => l.len(), vals => vals.len())
     }
 
     #[inline]
@@ -64,49 +213,13 @@ impl ColVec {
     /// Is row `i` NULL?
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            ColVec::Int { nulls, .. }
-            | ColVec::Float { nulls, .. }
-            | ColVec::Bool { nulls, .. }
-            | ColVec::Text { nulls, .. } => nulls[i],
-            ColVec::Mixed(vals) => matches!(vals[i], Value::Null),
-        }
+        on_lane!(self, l => l.is_null(i), vals => vals[i].is_null())
     }
 
     /// Materialize row `i` as a [`Value`].
     #[inline]
     pub fn value(&self, i: usize) -> Value {
-        match self {
-            ColVec::Int { vals, nulls } => {
-                if nulls[i] {
-                    Value::Null
-                } else {
-                    Value::Int(vals[i])
-                }
-            }
-            ColVec::Float { vals, nulls } => {
-                if nulls[i] {
-                    Value::Null
-                } else {
-                    Value::Float(vals[i])
-                }
-            }
-            ColVec::Bool { vals, nulls } => {
-                if nulls[i] {
-                    Value::Null
-                } else {
-                    Value::Bool(vals[i])
-                }
-            }
-            ColVec::Text { vals, nulls } => {
-                if nulls[i] {
-                    Value::Null
-                } else {
-                    Value::Text(vals[i].clone())
-                }
-            }
-            ColVec::Mixed(vals) => vals[i].clone(),
-        }
+        on_lane!(self, l => l.value(i), vals => vals[i].clone())
     }
 
     /// Build a column from dynamic values, sniffing a uniform machine
@@ -135,103 +248,54 @@ impl ColVec {
     /// Returns the input back on any mismatch so the caller can fall
     /// back to `Mixed`.
     fn typed_from_values(ty: DataType, values: Vec<Value>) -> Result<ColVec, Vec<Value>> {
-        let n = values.len();
-        match ty {
-            DataType::Int => {
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for v in &values {
-                    match v {
-                        Value::Int(x) => {
-                            vals.push(*x);
-                            nulls.push(false);
-                        }
-                        Value::Null => {
-                            vals.push(0);
-                            nulls.push(true);
-                        }
-                        _ => return Err(values),
-                    }
+        /// The lane of `values` if `get` takes every one that is not NULL.
+        fn lane<T: Default>(
+            values: &[Value],
+            get: impl Fn(&Value) -> Option<T>,
+        ) -> Option<Lane<T>> {
+            let mut lane = Lane::with_capacity(values.len());
+            for v in values {
+                match get(v) {
+                    Some(x) => lane.push(x),
+                    None if v.is_null() => lane.push_null(),
+                    None => return None,
                 }
-                Ok(ColVec::Int { vals, nulls })
             }
-            DataType::Float => {
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for v in &values {
-                    match v {
-                        Value::Float(x) => {
-                            vals.push(*x);
-                            nulls.push(false);
-                        }
-                        Value::Null => {
-                            vals.push(0.0);
-                            nulls.push(true);
-                        }
-                        _ => return Err(values),
-                    }
-                }
-                Ok(ColVec::Float { vals, nulls })
-            }
-            DataType::Bool => {
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for v in &values {
-                    match v {
-                        Value::Bool(x) => {
-                            vals.push(*x);
-                            nulls.push(false);
-                        }
-                        Value::Null => {
-                            vals.push(false);
-                            nulls.push(true);
-                        }
-                        _ => return Err(values),
-                    }
-                }
-                Ok(ColVec::Bool { vals, nulls })
-            }
-            DataType::Text => {
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for v in values.iter() {
-                    match v {
-                        Value::Text(s) => {
-                            vals.push(s.clone());
-                            nulls.push(false);
-                        }
-                        Value::Null => {
-                            vals.push(String::new());
-                            nulls.push(true);
-                        }
-                        _ => return Err(values),
-                    }
-                }
-                Ok(ColVec::Text { vals, nulls })
-            }
+            Some(lane)
         }
+        let col = match ty {
+            DataType::Int => lane(&values, |v| match v {
+                Value::Int(x) => Some(*x),
+                _ => None,
+            })
+            .map(ColVec::Int),
+            DataType::Float => lane(&values, |v| match v {
+                Value::Float(x) => Some(*x),
+                _ => None,
+            })
+            .map(ColVec::Float),
+            DataType::Bool => lane(&values, |v| match v {
+                Value::Bool(x) => Some(*x),
+                _ => None,
+            })
+            .map(ColVec::Bool),
+            DataType::Text => lane(&values, |v| match v {
+                Value::Text(s) => Some(s.clone()),
+                _ => None,
+            })
+            .map(ColVec::Text),
+        };
+        col.ok_or(values)
     }
 
     /// An empty typed column with room for `cap` rows. Used by scan
     /// decoders that append values straight into column storage.
     pub fn with_capacity(ty: DataType, cap: usize) -> ColVec {
         match ty {
-            DataType::Int => ColVec::Int {
-                vals: Vec::with_capacity(cap),
-                nulls: Vec::with_capacity(cap),
-            },
-            DataType::Float => ColVec::Float {
-                vals: Vec::with_capacity(cap),
-                nulls: Vec::with_capacity(cap),
-            },
-            DataType::Bool => ColVec::Bool {
-                vals: Vec::with_capacity(cap),
-                nulls: Vec::with_capacity(cap),
-            },
-            DataType::Text => ColVec::Text {
-                vals: Vec::with_capacity(cap),
-                nulls: Vec::with_capacity(cap),
-            },
+            DataType::Int => ColVec::Int(Lane::with_capacity(cap)),
+            DataType::Float => ColVec::Float(Lane::with_capacity(cap)),
+            DataType::Bool => ColVec::Bool(Lane::with_capacity(cap)),
+            DataType::Text => ColVec::Text(Lane::with_capacity(cap)),
         }
     }
 
@@ -261,25 +325,7 @@ impl ColVec {
     /// Append a NULL row.
     #[inline]
     pub fn push_null(&mut self) {
-        match self {
-            ColVec::Int { vals, nulls } => {
-                vals.push(0);
-                nulls.push(true);
-            }
-            ColVec::Float { vals, nulls } => {
-                vals.push(0.0);
-                nulls.push(true);
-            }
-            ColVec::Bool { vals, nulls } => {
-                vals.push(false);
-                nulls.push(true);
-            }
-            ColVec::Text { vals, nulls } => {
-                vals.push(String::new());
-                nulls.push(true);
-            }
-            ColVec::Mixed(vals) => vals.push(Value::Null),
-        }
+        on_lane!(self, l => l.push_null(), vals => vals.push(Value::Null))
     }
 
     /// Append an integer; demotes to `Mixed` if the column is a
@@ -287,10 +333,7 @@ impl ColVec {
     #[inline]
     pub fn push_int(&mut self, x: i64) {
         match self {
-            ColVec::Int { vals, nulls } => {
-                vals.push(x);
-                nulls.push(false);
-            }
+            ColVec::Int(l) => l.push(x),
             other => other.push_mismatched(Value::Int(x)),
         }
     }
@@ -299,10 +342,7 @@ impl ColVec {
     #[inline]
     pub fn push_float(&mut self, x: f64) {
         match self {
-            ColVec::Float { vals, nulls } => {
-                vals.push(x);
-                nulls.push(false);
-            }
+            ColVec::Float(l) => l.push(x),
             other => other.push_mismatched(Value::Float(x)),
         }
     }
@@ -311,10 +351,7 @@ impl ColVec {
     #[inline]
     pub fn push_bool(&mut self, x: bool) {
         match self {
-            ColVec::Bool { vals, nulls } => {
-                vals.push(x);
-                nulls.push(false);
-            }
+            ColVec::Bool(l) => l.push(x),
             other => other.push_mismatched(Value::Bool(x)),
         }
     }
@@ -323,10 +360,7 @@ impl ColVec {
     #[inline]
     pub fn push_text(&mut self, s: String) {
         match self {
-            ColVec::Text { vals, nulls } => {
-                vals.push(s);
-                nulls.push(false);
-            }
+            ColVec::Text(l) => l.push(s),
             other => other.push_mismatched(Value::Text(s)),
         }
     }
@@ -334,25 +368,7 @@ impl ColVec {
     /// Remove all rows, keeping the column's type and capacity.
     #[inline]
     pub fn clear(&mut self) {
-        match self {
-            ColVec::Int { vals, nulls } => {
-                vals.clear();
-                nulls.clear();
-            }
-            ColVec::Float { vals, nulls } => {
-                vals.clear();
-                nulls.clear();
-            }
-            ColVec::Bool { vals, nulls } => {
-                vals.clear();
-                nulls.clear();
-            }
-            ColVec::Text { vals, nulls } => {
-                vals.clear();
-                nulls.clear();
-            }
-            ColVec::Mixed(vals) => vals.clear(),
-        }
+        on_lane!(self, l => l.clear(), vals => vals.clear())
     }
 
     /// The column as one `f64` lane per row — the numeric view of
@@ -360,29 +376,22 @@ impl ColVec {
     /// borrowed, `Int` lanes widen, `Bool` lanes map to 0/1. A NULL or
     /// text lane is the same type error `as_f64` reports for that value.
     pub fn f64_lane(&self) -> crate::error::Result<Cow<'_, [f64]>> {
-        let no_nulls = |nulls: &[bool]| {
-            if nulls.contains(&true) {
-                Value::Null.as_f64().map(drop)
-            } else {
-                Ok(())
+        fn no_nulls<T>(l: &Lane<T>) -> crate::error::Result<&[T]> {
+            if l.nulls.contains(&true) {
+                Value::Null.as_f64()?;
             }
-        };
+            Ok(&l.vals)
+        }
         match self {
-            ColVec::Float { vals, nulls } => {
-                no_nulls(nulls)?;
-                Ok(Cow::Borrowed(vals))
-            }
-            ColVec::Int { vals, nulls } => {
-                no_nulls(nulls)?;
-                Ok(Cow::Owned(vals.iter().map(|&v| v as f64).collect()))
-            }
-            ColVec::Bool { vals, nulls } => {
-                no_nulls(nulls)?;
-                Ok(Cow::Owned(
-                    vals.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect(),
-                ))
-            }
-            ColVec::Text { .. } | ColVec::Mixed(_) => (0..self.len())
+            ColVec::Float(l) => Ok(Cow::Borrowed(no_nulls(l)?)),
+            ColVec::Int(l) => Ok(Cow::Owned(no_nulls(l)?.iter().map(|&v| v as f64).collect())),
+            ColVec::Bool(l) => Ok(Cow::Owned(
+                no_nulls(l)?
+                    .iter()
+                    .map(|&b| if b { 1.0 } else { 0.0 })
+                    .collect(),
+            )),
+            ColVec::Text(_) | ColVec::Mixed(_) => (0..self.len())
                 .map(|i| self.value(i).as_f64())
                 .collect::<crate::error::Result<Vec<f64>>>()
                 .map(Cow::Owned),
@@ -398,22 +407,10 @@ impl ColVec {
             return;
         }
         match (self, other) {
-            (ColVec::Int { vals, nulls }, ColVec::Int { vals: v, nulls: n }) => {
-                vals.extend(v);
-                nulls.extend(n);
-            }
-            (ColVec::Float { vals, nulls }, ColVec::Float { vals: v, nulls: n }) => {
-                vals.extend(v);
-                nulls.extend(n);
-            }
-            (ColVec::Bool { vals, nulls }, ColVec::Bool { vals: v, nulls: n }) => {
-                vals.extend(v);
-                nulls.extend(n);
-            }
-            (ColVec::Text { vals, nulls }, ColVec::Text { vals: v, nulls: n }) => {
-                vals.extend(v);
-                nulls.extend(n);
-            }
+            (ColVec::Int(l), ColVec::Int(o)) => l.append(o),
+            (ColVec::Float(l), ColVec::Float(o)) => l.append(o),
+            (ColVec::Bool(l), ColVec::Bool(o)) => l.append(o),
+            (ColVec::Text(l), ColVec::Text(o)) => l.append(o),
             (_, other) if other.is_empty() => {}
             (this, ColVec::Mixed(v)) => this.demote().extend(v),
             (this, other) => {
@@ -426,22 +423,10 @@ impl ColVec {
     /// Copy out the rows named by a selection vector, in order.
     pub fn gather(&self, sel: &[u32]) -> ColVec {
         match self {
-            ColVec::Int { vals, nulls } => ColVec::Int {
-                vals: sel.iter().map(|&i| vals[i as usize]).collect(),
-                nulls: sel.iter().map(|&i| nulls[i as usize]).collect(),
-            },
-            ColVec::Float { vals, nulls } => ColVec::Float {
-                vals: sel.iter().map(|&i| vals[i as usize]).collect(),
-                nulls: sel.iter().map(|&i| nulls[i as usize]).collect(),
-            },
-            ColVec::Bool { vals, nulls } => ColVec::Bool {
-                vals: sel.iter().map(|&i| vals[i as usize]).collect(),
-                nulls: sel.iter().map(|&i| nulls[i as usize]).collect(),
-            },
-            ColVec::Text { vals, nulls } => ColVec::Text {
-                vals: sel.iter().map(|&i| vals[i as usize].clone()).collect(),
-                nulls: sel.iter().map(|&i| nulls[i as usize]).collect(),
-            },
+            ColVec::Int(l) => ColVec::Int(l.gather(sel)),
+            ColVec::Float(l) => ColVec::Float(l.gather(sel)),
+            ColVec::Bool(l) => ColVec::Bool(l.gather(sel)),
+            ColVec::Text(l) => ColVec::Text(l.gather(sel)),
             ColVec::Mixed(vals) => {
                 ColVec::Mixed(sel.iter().map(|&i| vals[i as usize].clone()).collect())
             }
@@ -566,8 +551,8 @@ mod tests {
         let b = Batch::from_rows(&schema(), &rows);
         assert_eq!(b.len(), 3);
         assert_eq!(b.num_cols(), 2);
-        assert!(matches!(b.col(0), ColVec::Int { .. }));
-        assert!(matches!(b.col(1), ColVec::Text { .. }));
+        assert!(matches!(b.col(0), ColVec::Int(_)));
+        assert!(matches!(b.col(1), ColVec::Text(_)));
         assert!(b.col(0).is_null(1));
         assert_eq!(b.to_rows(), rows);
     }
@@ -603,14 +588,14 @@ mod tests {
         c.push_int(1);
         c.push_null();
         c.push_int(3);
-        assert!(matches!(c, ColVec::Int { .. }));
+        assert!(matches!(c, ColVec::Int(_)));
         assert_eq!(c.len(), 3);
         assert_eq!(c.value(0), Value::Int(1));
         assert!(c.is_null(1));
         assert_eq!(c.value(2), Value::Int(3));
         c.clear();
         assert!(c.is_empty());
-        assert!(matches!(c, ColVec::Int { .. }), "clear keeps the type");
+        assert!(matches!(c, ColVec::Int(_)), "clear keeps the type");
     }
 
     #[test]
@@ -653,7 +638,7 @@ mod tests {
     fn append_extends_typed_lanes() {
         let mut a = ColVec::from_values(vec![Value::Int(1), Value::Null]);
         a.append(ColVec::from_values(vec![Value::Int(3)]));
-        assert!(matches!(a, ColVec::Int { .. }));
+        assert!(matches!(a, ColVec::Int(_)));
         assert_eq!(a.len(), 3);
         assert!(a.is_null(1));
         assert_eq!(a.value(2), Value::Int(3));
@@ -662,7 +647,7 @@ mod tests {
             Value::Null,
             Value::Text("y".into()),
         ]));
-        assert!(matches!(t, ColVec::Text { .. }));
+        assert!(matches!(t, ColVec::Text(_)));
         assert_eq!(t.value(2), Value::Text("y".into()));
     }
 
@@ -700,12 +685,12 @@ mod tests {
         // appended column's type
         let mut e = ColVec::Mixed(Vec::new());
         e.append(ColVec::from_values(vec![Value::Int(4)]));
-        assert!(matches!(e, ColVec::Int { .. }));
+        assert!(matches!(e, ColVec::Int(_)));
         assert_eq!(e.value(0), Value::Int(4));
         // appending an empty column of another variant changes nothing
         e.append(ColVec::Mixed(Vec::new()));
         e.append(ColVec::with_capacity(DataType::Text, 8));
-        assert!(matches!(e, ColVec::Int { .. }));
+        assert!(matches!(e, ColVec::Int(_)));
         assert_eq!(e.len(), 1);
     }
 
@@ -729,14 +714,14 @@ mod tests {
         let want: Vec<Row> = parts.iter().flatten().chain(&mixed).cloned().collect();
         assert_eq!(all.len(), want.len());
         assert!(matches!(all.col(0), ColVec::Mixed(_)));
-        assert!(matches!(all.col(1), ColVec::Text { .. }));
+        assert!(matches!(all.col(1), ColVec::Text(_)));
         assert_eq!(all.to_rows(), want);
     }
 
     #[test]
     fn from_values_sniffs_types() {
         let c = ColVec::from_values(vec![Value::Int(1), Value::Null, Value::Int(2)]);
-        assert!(matches!(c, ColVec::Int { .. }));
+        assert!(matches!(c, ColVec::Int(_)));
         let c = ColVec::from_values(vec![Value::Int(1), Value::Float(2.0)]);
         assert!(matches!(c, ColVec::Mixed(_)));
         let c = ColVec::from_values(vec![Value::Null, Value::Null]);

@@ -20,7 +20,7 @@ pub mod synth;
 pub mod value;
 pub mod wait;
 
-pub use batch::{Batch, ColVec, DEFAULT_BATCH_SIZE};
+pub use batch::{Batch, ColVec, Lane, DEFAULT_BATCH_SIZE};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use error::{AimError, Result};
 pub use lockrank::LockRank;

@@ -51,7 +51,7 @@
 //! one lane per group in first-seen order, and each group is a row of a
 //! `KeyTable`. A batch becomes one group id per row: a row's hash
 //! combines its key columns' hashes (a NULL lane adds a fixed
-//! constant), and a key matches a group when the null bitmaps agree and
+//! constant), and a key matches a group when the NULL rows agree and
 //! the non-NULL lanes are equal, so NULL keys group together, as under
 //! `Value`'s `Eq`, and apart from 0. A new key appends a lane and links
 //! the group; a full table is rebuilt at twice the size from the
@@ -89,7 +89,9 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Arc;
 
-use aimdb_common::{wait, AimError, Batch, ColVec, DataType, Result, Row, Schema, Value, WaitSet};
+use aimdb_common::{
+    wait, AimError, Batch, ColVec, DataType, Lane, Result, Row, Schema, Value, WaitSet,
+};
 use aimdb_sql::ast::AggFunc;
 use aimdb_sql::expr::{Expr, ScalarFns};
 use aimdb_sql::logical::AggExpr;
@@ -816,17 +818,14 @@ impl KeyTable {
 /// masks them: the low bits of a small integer's `f64` pattern are all
 /// zero.
 fn key_hashes(col: &ColVec) -> Vec<Option<u64>> {
-    fn lanes<T>(vals: &[T], nulls: &[bool], h: impl Fn(&T) -> u64) -> Vec<Option<u64>> {
-        vals.iter()
-            .zip(nulls)
-            .map(|(v, &null)| (!null).then(|| h(v)))
-            .collect()
+    fn lanes<T>(lane: &Lane<T>, h: impl Fn(&T) -> u64) -> Vec<Option<u64>> {
+        lane.iter().map(|v| v.map(&h)).collect()
     }
     match col {
-        ColVec::Int { vals, nulls } => lanes(vals, nulls, |&v| mix((v as f64).to_bits())),
-        ColVec::Float { vals, nulls } => lanes(vals, nulls, |v| mix(v.to_bits())),
-        ColVec::Bool { vals, nulls } => lanes(vals, nulls, |&b| mix(u64::from(b))),
-        ColVec::Text { vals, nulls } => lanes(vals, nulls, |s| hash_text(s)),
+        ColVec::Int(l) => lanes(l, |&v| mix((v as f64).to_bits())),
+        ColVec::Float(l) => lanes(l, |v| mix(v.to_bits())),
+        ColVec::Bool(l) => lanes(l, |&b| mix(u64::from(b))),
+        ColVec::Text(l) => lanes(l, |s| hash_text(s)),
         ColVec::Mixed(vals) => vals
             .iter()
             .map(|v| match v {
@@ -863,8 +862,8 @@ fn mix(mut x: u64) -> u64 {
 /// value); text compares in place; any other pair as `Value`s.
 fn keys_eq(a: &ColVec, i: usize, b: &ColVec, j: usize) -> bool {
     match (a, b) {
-        (ColVec::Int { vals: x, .. }, ColVec::Int { vals: y, .. }) => x[i] == y[j],
-        (ColVec::Text { vals: x, .. }, ColVec::Text { vals: y, .. }) => x[i] == y[j],
+        (ColVec::Int(x), ColVec::Int(y)) => x.values()[i] == y.values()[j],
+        (ColVec::Text(x), ColVec::Text(y)) => x.values()[i] == y.values()[j],
         _ => a.value(i) == b.value(j),
     }
 }
@@ -1147,9 +1146,9 @@ fn group_hashes(cols: &[ColVec], n: usize) -> Vec<u64> {
 }
 
 /// Do group `g` of `keys` and row `r` of `cols` have the same key? NULL
-/// equals NULL here, as under `Value`'s `Eq`; the null bitmaps are
-/// checked before [`keys_eq`], which reads lanes without them (a NULL
-/// Int lane holds 0).
+/// equals NULL here, as under `Value`'s `Eq`; NULLs are checked before
+/// [`keys_eq`], which reads lane values without them (a NULL Int row
+/// holds 0).
 fn group_eq(keys: &[ColVec], g: usize, cols: &[ColVec], r: usize) -> bool {
     keys.iter()
         .zip(cols)
@@ -1167,16 +1166,20 @@ fn group_eq(keys: &[ColVec], g: usize, cols: &[ColVec], r: usize) -> bool {
 /// in order, so each group's float sum adds in row order, bit-identical
 /// to a row-at-a-time fold.
 fn update_states(states: &mut [AggState], ids: &[u32], col: Option<&ColVec>) -> Result<()> {
-    let mut lanes = ids.iter().map(|&g| g as usize).enumerate();
+    let mut groups = ids.iter().map(|&g| g as usize);
     match col {
-        None => lanes.try_for_each(|(_, g)| states[g].update(None)),
-        Some(ColVec::Int { vals, nulls }) => lanes
-            .filter(|&(i, _)| !nulls[i])
-            .try_for_each(|(i, g)| states[g].update(Some(&Value::Int(vals[i])))),
-        Some(ColVec::Float { vals, nulls }) => lanes
-            .filter(|&(i, _)| !nulls[i])
-            .try_for_each(|(i, g)| states[g].update(Some(&Value::Float(vals[i])))),
-        Some(c) => lanes.try_for_each(|(i, g)| states[g].update(Some(&c.value(i)))),
+        None => groups.try_for_each(|g| states[g].update(None)),
+        Some(ColVec::Int(l)) => l
+            .iter()
+            .zip(groups)
+            .try_for_each(|(v, g)| v.map_or(Ok(()), |&x| states[g].update(Some(&Value::Int(x))))),
+        Some(ColVec::Float(l)) => l
+            .iter()
+            .zip(groups)
+            .try_for_each(|(v, g)| v.map_or(Ok(()), |&x| states[g].update(Some(&Value::Float(x))))),
+        Some(c) => groups
+            .enumerate()
+            .try_for_each(|(i, g)| states[g].update(Some(&c.value(i)))),
     }
 }
 
@@ -1560,12 +1563,17 @@ impl BatchOp for ExchangeOp<'_> {
 mod tests {
     use super::*;
 
-    /// A NULL Int lane holds 0, so only the null bitmaps tell it from 0.
+    /// A NULL Int row holds 0, so only `is_null` tells it from 0.
     #[test]
     fn null_int_group_key_is_not_zero() {
-        let col = |null| ColVec::Int {
-            vals: vec![0],
-            nulls: vec![null],
+        let col = |null| {
+            let mut c = ColVec::with_capacity(DataType::Int, 1);
+            if null {
+                c.push_null();
+            } else {
+                c.push_int(0);
+            }
+            c
         };
         assert!(!group_eq(&[col(true)], 0, &[col(false)], 0));
         assert!(!group_eq(&[col(false)], 0, &[col(true)], 0));

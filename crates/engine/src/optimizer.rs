@@ -348,9 +348,10 @@ impl<'a> Planner<'a> {
         // 7. aggregation / projection
         plan = self.plan_projection(select, plan)?;
 
-        // 8. order by, limit
+        // 8. order by, limit: over the select list's output when every
+        // key binds there, else under the final projection
         if !select.order_by.is_empty() {
-            let keys: Vec<OrderKey> = select
+            let keys: Result<Vec<OrderKey>> = select
                 .order_by
                 .iter()
                 .map(|k| {
@@ -359,17 +360,10 @@ impl<'a> Planner<'a> {
                         desc: k.desc,
                     })
                 })
-                .collect::<Result<_>>()?;
-            let rows = plan.est_rows;
-            let cost = plan.est_cost + rows * (rows.max(2.0)).log2() * 0.005;
-            plan = PhysicalPlan {
-                schema: plan.schema.clone(),
-                op: PhysOp::Sort {
-                    input: Box::new(plan),
-                    keys,
-                },
-                est_rows: rows,
-                est_cost: cost,
+                .collect();
+            plan = match keys {
+                Ok(keys) => sort(plan, keys),
+                Err(_) => sort_below_projection(select, plan)?,
             };
         }
         if let Some(n) = select.limit {
@@ -1156,6 +1150,92 @@ impl<'a> Planner<'a> {
             est_cost: cost,
         })
     }
+}
+
+/// `plan` sorted by `keys`.
+fn sort(plan: PhysicalPlan, keys: Vec<OrderKey>) -> PhysicalPlan {
+    let rows = plan.est_rows;
+    let cost = plan.est_cost + rows * (rows.max(2.0)).log2() * 0.005;
+    PhysicalPlan {
+        schema: plan.schema.clone(),
+        op: PhysOp::Sort {
+            input: Box::new(plan),
+            keys,
+        },
+        est_rows: rows,
+        est_cost: cost,
+    }
+}
+
+/// Sort the input of `projection`, the select list's final projection,
+/// for ORDER BY keys that name what the select list does not output. A
+/// key that binds against the output is rewritten over the input by
+/// inlining the projection's expressions; any other key binds against
+/// the input itself, a grouped query's after [`substitute_agg`] (the
+/// aggregate already computes ORDER BY's aggregate calls).
+fn sort_below_projection(select: &Select, projection: PhysicalPlan) -> Result<PhysicalPlan> {
+    let PhysicalPlan {
+        op: PhysOp::Project { input, exprs },
+        schema,
+        est_rows,
+        est_cost,
+    } = projection
+    else {
+        return Err(AimError::Plan(
+            "ORDER BY over a plan with no projection".into(),
+        ));
+    };
+    let bind_below = |e: &Expr| match &input.op {
+        PhysOp::Aggregate {
+            input: rows,
+            group_exprs,
+            aggs,
+        } => {
+            let calls: Vec<_> = aggs.iter().map(|a| (a.func, a.arg.clone())).collect();
+            let sub = substitute_agg(e, &select.group_by, group_exprs, &calls, &rows.schema)?;
+            bind_expr(&sub, &input.schema)
+        }
+        _ => bind_expr(e, &input.schema),
+    };
+    let keys = select
+        .order_by
+        .iter()
+        .map(|k| {
+            let expr = match bind_expr(&k.expr, &schema) {
+                Ok(mut out) => {
+                    inline_columns(&mut out, &schema, &exprs)?;
+                    out
+                }
+                Err(_) => bind_below(&k.expr)?,
+            };
+            Ok(OrderKey { expr, desc: k.desc })
+        })
+        .collect::<Result<_>>()?;
+    let unsorted_cost = input.est_cost;
+    let input = sort(*input, keys);
+    let cost = est_cost + (input.est_cost - unsorted_cost);
+    Ok(PhysicalPlan {
+        op: PhysOp::Project {
+            input: Box::new(input),
+            exprs,
+        },
+        schema,
+        est_rows,
+        est_cost: cost,
+    })
+}
+
+/// Replace each column reference in `e`, bound against `schema`, with
+/// the expression of `exprs` that computes that column.
+fn inline_columns(e: &mut Expr, schema: &Schema, exprs: &[Expr]) -> Result<()> {
+    if let Expr::Column { name, .. } = e {
+        let i = schema.index_of(name)?;
+        *e = exprs[i].clone();
+        return Ok(());
+    }
+    e.children_mut()
+        .into_iter()
+        .try_for_each(|c| inline_columns(c, schema, exprs))
 }
 
 /// Order a filter's conjuncts by what their function calls cost per row,

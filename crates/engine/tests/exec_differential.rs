@@ -1065,6 +1065,71 @@ fn sort_semantics_match_row_oracle_in_order() {
     );
 }
 
+/// ORDER BY keys the select list does not output sort under the final
+/// projection: a column that is not selected, an aggregate that is not
+/// selected, a GROUP BY key that is not selected, and an output alias
+/// next to an unselected column, each with and without LIMIT. Keys tie
+/// (`f` repeats, several groups share a sum), so only a stable sort over
+/// the same input order matches the oracle position by position.
+#[test]
+fn order_by_unselected_columns_matches_row_oracle_in_order() {
+    let jk = join_keys_tables();
+    let cases: [(&str, usize); 8] = [
+        ("SELECT id FROM jr ORDER BY f", 61),
+        ("SELECT id FROM jr ORDER BY f LIMIT 5", 5),
+        ("SELECT k FROM jr GROUP BY k ORDER BY SUM(f)", 13),
+        (
+            "SELECT k FROM jr GROUP BY k ORDER BY SUM(f) DESC LIMIT 3",
+            3,
+        ),
+        ("SELECT COUNT(*) FROM jr GROUP BY k ORDER BY k", 13),
+        ("SELECT COUNT(*) FROM jr GROUP BY k ORDER BY k LIMIT 4", 4),
+        ("SELECT id AS x FROM jr ORDER BY f DESC, x", 61),
+        ("SELECT id AS x FROM jr ORDER BY f DESC, x LIMIT 7", 7),
+    ];
+    for (sql, n) in cases {
+        assert_eq!(assert_matrix_matches_in_order(&jk, sql).len(), n, "{sql}");
+    }
+}
+
+/// A sort under the final projection leaves the plan's root schema the
+/// select list, and a query whose keys are all in the select list still
+/// sorts above it.
+#[test]
+fn order_by_unselected_columns_keeps_the_select_list_schema() {
+    let jk = join_keys_tables();
+    let plan = |sql: &str| {
+        let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
+            panic!("not a SELECT: {sql}");
+        };
+        jk.plan(&sel).expect("plan")
+    };
+    let names = |p: &PhysicalPlan| -> Vec<String> {
+        p.schema.columns().iter().map(|c| c.name.clone()).collect()
+    };
+    let sorted_under_projection = |p: &PhysicalPlan| match &p.op {
+        PhysOp::Project { input, .. } => matches!(input.op, PhysOp::Sort { .. }),
+        _ => false,
+    };
+    for (sql, cols) in [
+        ("SELECT id FROM jr ORDER BY f", ["id"]),
+        ("SELECT k FROM jr GROUP BY k ORDER BY SUM(f)", ["k"]),
+    ] {
+        let p = plan(sql);
+        assert_eq!(names(&p), cols, "{sql}");
+        assert!(sorted_under_projection(&p), "{sql}:\n{}", p.explain());
+        let p = plan(&format!("{sql} LIMIT 2"));
+        assert_eq!(names(&p), cols, "{sql} LIMIT 2");
+        let PhysOp::Limit { input, .. } = &p.op else {
+            panic!("no LIMIT at the root:\n{}", p.explain());
+        };
+        assert!(sorted_under_projection(input), "{sql}:\n{}", p.explain());
+    }
+    let p = plan("SELECT k, SUM(f) AS total FROM jr GROUP BY k ORDER BY total DESC, k");
+    assert_eq!(names(&p), ["k", "total"]);
+    assert!(matches!(p.op, PhysOp::Sort { .. }), "{}", p.explain());
+}
+
 /// `users` and the NULL-heavy `sparse` with the generated corpus's
 /// columns and indexes (`idx_age`, `idx_k`), but 4000 rows each and
 /// about 10 per key, so the planner probes the index for a key or a

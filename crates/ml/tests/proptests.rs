@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use aimdb_common::ColVec;
+use aimdb_common::{ColVec, Lane};
 use aimdb_ml::bayes::GaussianNb;
 use aimdb_ml::cluster::KMeans;
 use aimdb_ml::data::Dataset;
@@ -15,20 +15,12 @@ use aimdb_ml::tree::{DecisionTree, TreeParams, TreeTask};
 /// column types, cycling through `vals`.
 fn lane(ty: usize, vals: &[f64], n: usize) -> ColVec {
     let at = |i: usize| vals[i % vals.len()] + (i / vals.len()) as f64 * 0.37;
-    let nulls = vec![false; n];
     match ty {
-        0 => ColVec::Int {
-            vals: (0..n).map(|i| at(i).round() as i64).collect(),
-            nulls,
-        },
-        1 => ColVec::Float {
-            vals: (0..n).map(at).collect(),
-            nulls,
-        },
-        _ => ColVec::Bool {
-            vals: (0..n).map(|i| at(i) > 0.0).collect(),
-            nulls,
-        },
+        0 => ColVec::Int(Lane::from_vals(
+            (0..n).map(|i| at(i).round() as i64).collect(),
+        )),
+        1 => ColVec::Float(Lane::from_vals((0..n).map(at).collect())),
+        _ => ColVec::Bool(Lane::from_vals((0..n).map(|i| at(i) > 0.0).collect())),
     }
 }
 

@@ -27,9 +27,10 @@
 //! snapshot, and [`VExpr::Predict`] hands the argument columns to that
 //! snapshot's batch kernel in one call.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use aimdb_common::{AimError, Batch, ColVec, Result, Schema, Value};
+use aimdb_common::{AimError, Batch, ColVec, Lane, Result, Schema, Value};
 
 use crate::expr::{eval_binary, like_match, BinaryOp, Expr, ModelRef, ScalarFns, UnaryOp};
 
@@ -180,14 +181,8 @@ fn eval_sel(v: &VExpr, batch: &Batch, sel: Option<&[u32]>, fns: &dyn ScalarFns) 
         }
         VExpr::IsNull { expr, negated } => {
             let c = sub(expr)?;
-            let mut vals = Vec::with_capacity(n);
-            for i in 0..n {
-                vals.push(c.is_null(i) != *negated);
-            }
-            Ok(ColVec::Bool {
-                vals,
-                nulls: vec![false; n],
-            })
+            let vals = (0..n).map(|i| c.is_null(i) != *negated).collect();
+            Ok(ColVec::Bool(Lane::from_vals(vals)))
         }
         VExpr::Between { expr, lo, hi } => {
             // scalar eval always evaluates all three children
@@ -275,10 +270,7 @@ fn eval_sel(v: &VExpr, batch: &Batch, sel: Option<&[u32]>, fns: &dyn ScalarFns) 
             let cols: Vec<ColVec> = args.iter().map(sub).collect::<Result<_>>()?;
             let mut vals = vec![0.0; n];
             model.0.predict_batch(&cols, &mut vals)?;
-            Ok(ColVec::Float {
-                vals,
-                nulls: vec![false; n],
-            })
+            Ok(ColVec::Float(Lane::from_vals(vals)))
         }
     }
 }
@@ -316,9 +308,9 @@ fn narrow(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns, sel: &mut Option<Vec<u3
     let row = |lane: usize| sel.as_ref().map_or(lane as u32, |s| s[lane]);
     let mut kept = Vec::new();
     match &c {
-        ColVec::Bool { vals, nulls } => {
-            for (lane, (b, null)) in vals.iter().zip(nulls).enumerate() {
-                if *b && !*null {
+        ColVec::Bool(l) => {
+            for (lane, b) in l.iter().enumerate() {
+                if b == Some(&true) {
                     kept.push(row(lane));
                 }
             }
@@ -439,227 +431,82 @@ fn unary_value(op: UnaryOp, v: Value) -> Result<Value> {
 
 fn broadcast(v: &Value, n: usize) -> ColVec {
     match v {
-        Value::Int(x) => ColVec::Int {
-            vals: vec![*x; n],
-            nulls: vec![false; n],
-        },
-        Value::Float(x) => ColVec::Float {
-            vals: vec![*x; n],
-            nulls: vec![false; n],
-        },
-        Value::Bool(x) => ColVec::Bool {
-            vals: vec![*x; n],
-            nulls: vec![false; n],
-        },
-        Value::Text(s) => ColVec::Text {
-            vals: vec![s.clone(); n],
-            nulls: vec![false; n],
-        },
+        Value::Int(x) => ColVec::Int(Lane::from_vals(vec![*x; n])),
+        Value::Float(x) => ColVec::Float(Lane::from_vals(vec![*x; n])),
+        Value::Bool(x) => ColVec::Bool(Lane::from_vals(vec![*x; n])),
+        Value::Text(s) => ColVec::Text(Lane::from_vals(vec![s.clone(); n])),
         Value::Null => ColVec::Mixed(vec![Value::Null; n]),
     }
 }
 
 /// Vectorized binary kernel: typed fast paths with a per-lane
-/// `eval_binary` fallback for mixed/text/other combinations.
+/// `eval_binary` fallback for mixed/text/other combinations. Every typed
+/// path but AND/OR is one [`Lane::zip`]: NULL in, NULL out.
 fn binary_cols(l: &ColVec, op: BinaryOp, r: &ColVec, n: usize) -> Result<ColVec> {
     use BinaryOp::*;
+    let div_by_zero = || AimError::Execution("division by zero".into());
     match (l, r, op) {
         // Int × Int: exact integer compare / wrapping arithmetic
-        (
-            ColVec::Int {
-                vals: lv,
-                nulls: ln,
-            },
-            ColVec::Int {
-                vals: rv,
-                nulls: rn,
-            },
-            _,
-        ) => match op {
+        (ColVec::Int(a), ColVec::Int(b), _) => match op {
             Eq | Neq | Lt | Lte | Gt | Gte => {
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for i in 0..n {
-                    if ln[i] || rn[i] {
-                        vals.push(false);
-                        nulls.push(true);
-                    } else {
-                        vals.push(cmp_holds(op, lv[i].cmp(&rv[i])));
-                        nulls.push(false);
-                    }
-                }
-                Ok(ColVec::Bool { vals, nulls })
+                Ok(ColVec::Bool(a.zip(b, |x, y| Ok(cmp_holds(op, x.cmp(y))))?))
             }
-            Add | Sub | Mul => {
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for i in 0..n {
-                    if ln[i] || rn[i] {
-                        vals.push(0);
-                        nulls.push(true);
-                    } else {
-                        vals.push(match op {
-                            Add => lv[i].wrapping_add(rv[i]),
-                            Sub => lv[i].wrapping_sub(rv[i]),
-                            _ => lv[i].wrapping_mul(rv[i]),
-                        });
-                        nulls.push(false);
-                    }
-                }
-                Ok(ColVec::Int { vals, nulls })
-            }
-            Div | Mod => {
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for i in 0..n {
-                    if ln[i] || rn[i] {
-                        vals.push(0);
-                        nulls.push(true);
-                    } else if rv[i] == 0 {
-                        return Err(AimError::Execution("division by zero".into()));
-                    } else {
-                        vals.push(if op == Div {
-                            lv[i] / rv[i]
-                        } else {
-                            lv[i] % rv[i]
-                        });
-                        nulls.push(false);
-                    }
-                }
-                Ok(ColVec::Int { vals, nulls })
-            }
+            Add | Sub | Mul => Ok(ColVec::Int(a.zip(b, |&x, &y| {
+                Ok(match op {
+                    Add => x.wrapping_add(y),
+                    Sub => x.wrapping_sub(y),
+                    _ => x.wrapping_mul(y),
+                })
+            })?)),
+            Div | Mod => Ok(ColVec::Int(a.zip(b, |&x, &y| match y {
+                0 => Err(div_by_zero()),
+                _ if op == Div => Ok(x / y),
+                _ => Ok(x % y),
+            })?)),
             And | Or => lanewise(l, op, r, n),
         },
         // Float × Float / Float × Int: total_cmp compare, f64 arithmetic
-        (
-            ColVec::Float { .. } | ColVec::Int { .. },
-            ColVec::Float { .. } | ColVec::Int { .. },
-            _,
-        ) => {
-            let (lf, ln) = as_f64_lanes(l, n);
-            let (rf, rn) = as_f64_lanes(r, n);
+        (ColVec::Float(_) | ColVec::Int(_), ColVec::Float(_) | ColVec::Int(_), _) => {
+            let (a, b) = (as_f64_lanes(l), as_f64_lanes(r));
             match op {
-                Eq | Neq | Lt | Lte | Gt | Gte => {
-                    let mut vals = Vec::with_capacity(n);
-                    let mut nulls = Vec::with_capacity(n);
-                    for i in 0..n {
-                        if ln[i] || rn[i] {
-                            vals.push(false);
-                            nulls.push(true);
-                        } else {
-                            vals.push(cmp_holds(op, lf[i].total_cmp(&rf[i])));
-                            nulls.push(false);
-                        }
+                Eq | Neq | Lt | Lte | Gt | Gte => Ok(ColVec::Bool(
+                    a.zip(&b, |x, y| Ok(cmp_holds(op, x.total_cmp(y))))?,
+                )),
+                Add | Sub | Mul => Ok(ColVec::Float(a.zip(&b, |&x, &y| {
+                    Ok(match op {
+                        Add => x + y,
+                        Sub => x - y,
+                        _ => x * y,
+                    })
+                })?)),
+                Div | Mod => Ok(ColVec::Float(a.zip(&b, |&x, &y| {
+                    if y == 0.0 {
+                        Err(div_by_zero())
+                    } else if op == Div {
+                        Ok(x / y)
+                    } else {
+                        Ok(x % y)
                     }
-                    Ok(ColVec::Bool { vals, nulls })
-                }
-                Add | Sub | Mul => {
-                    let mut vals = Vec::with_capacity(n);
-                    let mut nulls = Vec::with_capacity(n);
-                    for i in 0..n {
-                        if ln[i] || rn[i] {
-                            vals.push(0.0);
-                            nulls.push(true);
-                        } else {
-                            vals.push(match op {
-                                Add => lf[i] + rf[i],
-                                Sub => lf[i] - rf[i],
-                                _ => lf[i] * rf[i],
-                            });
-                            nulls.push(false);
-                        }
-                    }
-                    Ok(ColVec::Float { vals, nulls })
-                }
-                Div | Mod => {
-                    let mut vals = Vec::with_capacity(n);
-                    let mut nulls = Vec::with_capacity(n);
-                    for i in 0..n {
-                        if ln[i] || rn[i] {
-                            vals.push(0.0);
-                            nulls.push(true);
-                        } else if rf[i] == 0.0 {
-                            return Err(AimError::Execution("division by zero".into()));
-                        } else {
-                            vals.push(if op == Div {
-                                lf[i] / rf[i]
-                            } else {
-                                lf[i] % rf[i]
-                            });
-                            nulls.push(false);
-                        }
-                    }
-                    Ok(ColVec::Float { vals, nulls })
-                }
+                })?)),
                 And | Or => lanewise(l, op, r, n),
             }
         }
         // Bool × Bool three-valued AND/OR with false/true absorption
-        (
-            ColVec::Bool {
-                vals: lv,
-                nulls: ln,
-            },
-            ColVec::Bool {
-                vals: rv,
-                nulls: rn,
-            },
-            And | Or,
-        ) => {
-            let mut vals = Vec::with_capacity(n);
-            let mut nulls = Vec::with_capacity(n);
-            for i in 0..n {
-                let lb = if ln[i] { None } else { Some(lv[i]) };
-                let rb = if rn[i] { None } else { Some(rv[i]) };
-                let out = match op {
-                    And => match (lb, rb) {
-                        (Some(false), _) | (_, Some(false)) => Some(false),
-                        (Some(true), Some(true)) => Some(true),
-                        _ => None,
-                    },
-                    _ => match (lb, rb) {
-                        (Some(true), _) | (_, Some(true)) => Some(true),
-                        (Some(false), Some(false)) => Some(false),
-                        _ => None,
-                    },
-                };
-                match out {
-                    Some(b) => {
-                        vals.push(b);
-                        nulls.push(false);
-                    }
-                    None => {
-                        vals.push(false);
-                        nulls.push(true);
-                    }
-                }
-            }
-            Ok(ColVec::Bool { vals, nulls })
-        }
+        (ColVec::Bool(a), ColVec::Bool(b), And | Or) => Ok(ColVec::Bool(
+            a.iter()
+                .zip(b.iter())
+                .map(|(x, y)| match (op, x, y) {
+                    (And, Some(false), _) | (And, _, Some(false)) => Some(false),
+                    (And, Some(true), Some(true)) => Some(true),
+                    (Or, Some(true), _) | (Or, _, Some(true)) => Some(true),
+                    (Or, Some(false), Some(false)) => Some(false),
+                    _ => None,
+                })
+                .collect(),
+        )),
         // Text × Text comparisons
-        (
-            ColVec::Text {
-                vals: lv,
-                nulls: ln,
-            },
-            ColVec::Text {
-                vals: rv,
-                nulls: rn,
-            },
-            Eq | Neq | Lt | Lte | Gt | Gte,
-        ) => {
-            let mut vals = Vec::with_capacity(n);
-            let mut nulls = Vec::with_capacity(n);
-            for i in 0..n {
-                if ln[i] || rn[i] {
-                    vals.push(false);
-                    nulls.push(true);
-                } else {
-                    vals.push(cmp_holds(op, lv[i].cmp(&rv[i])));
-                    nulls.push(false);
-                }
-            }
-            Ok(ColVec::Bool { vals, nulls })
+        (ColVec::Text(a), ColVec::Text(b), Eq | Neq | Lt | Lte | Gt | Gte) => {
+            Ok(ColVec::Bool(a.zip(b, |x, y| Ok(cmp_holds(op, x.cmp(y))))?))
         }
         // everything else: per-lane scalar semantics
         _ => lanewise(l, op, r, n),
@@ -675,12 +522,12 @@ fn lanewise(l: &ColVec, op: BinaryOp, r: &ColVec, n: usize) -> Result<ColVec> {
     Ok(ColVec::from_values(out))
 }
 
-/// Widen a numeric column to f64 lanes (Int/Float only — callers
-/// guarantee the variant).
-fn as_f64_lanes(c: &ColVec, _n: usize) -> (Vec<f64>, Vec<bool>) {
+/// A numeric column as an f64 lane: a Float lane borrowed, an Int lane
+/// widened (callers guarantee one of the two).
+fn as_f64_lanes(c: &ColVec) -> Cow<'_, Lane<f64>> {
     match c {
-        ColVec::Int { vals, nulls } => (vals.iter().map(|&v| v as f64).collect(), nulls.clone()),
-        ColVec::Float { vals, nulls } => (vals.clone(), nulls.clone()),
+        ColVec::Int(l) => Cow::Owned(l.map(|&v| v as f64)),
+        ColVec::Float(l) => Cow::Borrowed(l),
         _ => unreachable!("as_f64_lanes on non-numeric column"),
     }
 }
@@ -699,18 +546,9 @@ fn cmp_holds(op: BinaryOp, ord: Ordering) -> bool {
 
 fn unary_col(op: UnaryOp, c: &ColVec, n: usize) -> Result<ColVec> {
     match (op, c) {
-        (UnaryOp::Neg, ColVec::Int { vals, nulls }) => Ok(ColVec::Int {
-            vals: vals.iter().map(|v| v.wrapping_neg()).collect(),
-            nulls: nulls.clone(),
-        }),
-        (UnaryOp::Neg, ColVec::Float { vals, nulls }) => Ok(ColVec::Float {
-            vals: vals.iter().map(|v| -v).collect(),
-            nulls: nulls.clone(),
-        }),
-        (UnaryOp::Not, ColVec::Bool { vals, nulls }) => Ok(ColVec::Bool {
-            vals: vals.iter().map(|v| !v).collect(),
-            nulls: nulls.clone(),
-        }),
+        (UnaryOp::Neg, ColVec::Int(l)) => Ok(ColVec::Int(l.map(|v| v.wrapping_neg()))),
+        (UnaryOp::Neg, ColVec::Float(l)) => Ok(ColVec::Float(l.map(|v| -v))),
+        (UnaryOp::Not, ColVec::Bool(l)) => Ok(ColVec::Bool(l.map(|v| !v))),
         _ => {
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
