@@ -873,9 +873,10 @@ impl aimdb_sql::expr::ScalarFns for PerRowUdf {
     ) -> aimdb_common::Result<aimdb_common::Value> {
         use aimdb_engine::ModelHook;
         match args.split_first() {
-            Some((model, inputs)) if name.eq_ignore_ascii_case("PREDICT") => {
-                self.0.predict(model.as_str()?, inputs)
-            }
+            Some((model, inputs)) if name.eq_ignore_ascii_case("PREDICT") => self
+                .0
+                .bind(model.as_str()?, inputs.len())?
+                .predict_row(inputs),
             _ => aimdb_sql::expr::BuiltinFns.call(name, args),
         }
     }

@@ -12,10 +12,12 @@
 //! all work inside the database. Training reads the table through the
 //! catalog, dispatches on the model kind, and registers the result in the
 //! versioned [`ModelRegistry`]. Inference does not go through the
-//! registry row by row: the planner asks [`ModelHook::bind`] once per
-//! `PREDICT` for a snapshot of the latest version — the only time the
-//! registry lock is taken — and the executor runs that snapshot's batch
-//! kernel, so one statement predicts with one version.
+//! registry row by row: the hook's only inference method is
+//! [`ModelHook::bind`], which the planner calls once per model a SELECT,
+//! UPDATE or DELETE predicts with, for a snapshot of the latest version —
+//! the only time the registry lock is taken — and the executor runs that
+//! snapshot's batch kernel, so one statement predicts with one version.
+//! `PREDICT … GIVEN` binds once too and predicts a batch of one row.
 
 use std::sync::Arc;
 

@@ -5,7 +5,7 @@
 //!
 //! | Tutorial topic | Module | What it does |
 //! |---|---|---|
-//! | Declarative language model (AISQL) | [`declarative`] | implements the engine's `ModelHook`: `CREATE MODEL` trains and registers; `bind` hands the planner one model version per statement, which `PREDICT(...)` in SQL runs as a batch kernel and `PREDICT … GIVEN` as a batch of one |
+//! | Declarative language model (AISQL) | [`declarative`] | implements the engine's `ModelHook`: `CREATE MODEL` trains and registers; `bind` hands the planner one model version per statement, which `PREDICT(...)` in a SELECT, UPDATE or DELETE runs as a batch kernel and `PREDICT … GIVEN` as a batch of one |
 //! | Data discovery (Aurum) | [`discovery`] | enterprise knowledge graph over column profiles; related-column search vs. name matching |
 //! | Data cleaning (ActiveClean) | [`cleaning`] | budgeted, model-aware iterative cleaning vs. random/no cleaning |
 //! | Data labeling (crowdsourcing) | [`labeling`] | simulated worker pool; Dawid–Skene truth inference vs. majority vote; cost-accuracy curves |

@@ -11,7 +11,9 @@
 //! aggregate, sort) drain their inputs batch-wise. Sort and aggregate
 //! build their whole output as one [`Batch`] on the first pull (VALUES
 //! builds its one with the plan) and one operator hands it out in
-//! batch-size slices.
+//! batch-size slices. An UPDATE or DELETE reads its rows through the
+//! same scan operators (`execute_dml`), which then also hand back each
+//! kept row's `RowId`.
 //!
 //! Result equivalence with the reference row interpreter (the dev-only
 //! `aimdb-oracle` crate, which shares none of this machinery) is
@@ -86,7 +88,7 @@
 //! order does not depend on batch or morsel boundaries.
 
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use aimdb_common::{
@@ -94,13 +96,12 @@ use aimdb_common::{
 };
 use aimdb_sql::ast::AggFunc;
 use aimdb_sql::expr::{Expr, ScalarFns};
-use aimdb_sql::logical::AggExpr;
 use aimdb_sql::vexpr::{self, VExpr};
 
 use crate::catalog::Table;
 use crate::exec::{ExecContext, OpStats, WorkerSpan, MAIN_WORKER};
 use crate::mvcc::RowVis;
-use crate::plan::{resolve_col, PhysOp, PhysicalPlan};
+use crate::plan::{resolve_col, AggExpr, PhysOp, PhysicalPlan};
 use aimdb_storage::{HeapScanCursor, MorselDispenser, MorselSource, RowId};
 
 /// Execute a physical plan with up to `workers` morsel threads inside
@@ -119,11 +120,50 @@ pub fn execute_batched_parallel(
         workers: workers.clamp(1, 64),
         feed: None,
         next_id: 0,
+        sink: None,
     }
     .build(plan)?;
     let mut out = Vec::new();
     while let Some(b) = root.next()? {
         out.extend(b.to_rows());
+    }
+    Ok(out)
+}
+
+/// Run an UPDATE or DELETE plan's read on the calling thread: a scan of
+/// every column with the WHERE as its filter, under a `Project` of the
+/// SET expressions for an UPDATE (`Planner::plan_dml`). Returns, in scan
+/// order, each kept row's id, its values and the values SET assigns it
+/// (an empty row for a DELETE). Every row is read, filtered and assigned
+/// before this returns, so the caller's writes come after all of it.
+pub(crate) fn execute_dml(
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+    batch_size: usize,
+) -> Result<Vec<(RowId, Row, Row)>> {
+    let (scan, set) = match &plan.op {
+        PhysOp::Project { input, exprs } => (&**input, compile_all(exprs, &input.schema)?),
+        _ => (plan, Vec::new()),
+    };
+    let sink = RefCell::new(Vec::new());
+    let mut rows = Builder {
+        ctx,
+        bs: batch_size.max(1),
+        workers: 1,
+        feed: None,
+        next_id: 0,
+        sink: Some(&sink),
+    }
+    .build(scan)?;
+    let mut out = Vec::new();
+    while let Some(b) = rows.next()? {
+        let cols = set
+            .iter()
+            .map(|e| vexpr::eval(e, &b, ctx.fns))
+            .collect::<Result<Vec<_>>>()?;
+        let assigned = Batch::from_cols(cols, b.len()).to_rows();
+        let found = sink.take().into_iter().zip(b.to_rows());
+        out.extend(found.zip(assigned).map(|((rid, row), set)| (rid, row, set)));
     }
     Ok(out)
 }
@@ -154,6 +194,8 @@ struct Builder<'p> {
     workers: usize,
     feed: Option<&'p MorselFeed<'p>>,
     next_id: usize,
+    /// Set for a DML read: where the scan puts the id of each row it keeps.
+    sink: Option<&'p RefCell<Vec<RowId>>>,
 }
 
 impl<'p> Builder<'p> {
@@ -186,6 +228,7 @@ impl<'p> Builder<'p> {
                         cols,
                         schema: &plan.schema,
                         filter: compile_opt(filter, &plan.schema)?,
+                        sink: self.sink,
                         ctx,
                         bs,
                     }),
@@ -206,6 +249,11 @@ impl<'p> Builder<'p> {
                 })?;
                 let mut rids = idx.probe(lo.as_ref(), hi.as_ref(), bs);
                 t.retain_visible(&mut rids, ctx.snapshot());
+                if self.sink.is_some() {
+                    // a write claims its rows in heap order, whichever
+                    // way it found them
+                    rids.sort_unstable();
+                }
                 ctx.charge(3.0 + rids.len() as f64 * 0.06);
                 (
                     "index_scan",
@@ -217,6 +265,7 @@ impl<'p> Builder<'p> {
                         cols,
                         schema: &plan.schema,
                         filter: compile_opt(filter, &plan.schema)?,
+                        sink: self.sink,
                         ctx,
                         bs,
                     }),
@@ -414,17 +463,25 @@ impl BatchOp for Instrumented<'_> {
     }
 }
 
-/// Keep the rows of `batch` that `pred` admits (all of them without one).
-fn select(batch: Batch, pred: Option<&VExpr>, fns: &dyn ScalarFns) -> Result<Batch> {
+/// Keep the rows of `batch` that `pred` admits (all of them without one),
+/// and the same entries of the batch's row ids when the caller has them.
+fn select(
+    batch: Batch,
+    pred: Option<&VExpr>,
+    fns: &dyn ScalarFns,
+    rids: Option<&mut Vec<RowId>>,
+) -> Result<Batch> {
     let Some(pred) = pred else {
         return Ok(batch);
     };
     let sel = vexpr::eval_filter(pred, &batch, fns)?;
-    Ok(if sel.len() == batch.len() {
-        batch
-    } else {
-        batch.gather(&sel)
-    })
+    if sel.len() == batch.len() {
+        return Ok(batch);
+    }
+    if let Some(rids) = rids {
+        *rids = sel.iter().map(|&i| rids[i as usize]).collect();
+    }
+    Ok(batch.gather(&sel))
 }
 
 /// One empty typed column builder per column of `schema`, each with
@@ -450,6 +507,8 @@ struct SeqScanOp<'p> {
     /// `cols`' qualified names and types: the scan's output schema.
     schema: &'p Schema,
     filter: Option<VExpr>,
+    /// Where the ids of the rows kept go, as in [`Builder`].
+    sink: Option<&'p RefCell<Vec<RowId>>>,
     ctx: &'p ExecContext<'p>,
     bs: usize,
 }
@@ -475,6 +534,7 @@ impl BatchOp for SeqScanOp<'_> {
             // single biggest cost the batch pipeline can avoid — and
             // only the columns the plan reads
             let mut cols = lanes(self.schema, self.bs);
+            let mut rids = self.sink.map(|_| Vec::new());
             let vis = &*self.vis;
             let (n, more) = cursor.fill_batch_vis(
                 self.bs,
@@ -482,6 +542,7 @@ impl BatchOp for SeqScanOp<'_> {
                 self.cols,
                 &mut cols,
                 Some(&|rid| vis.allows(rid)),
+                rids.as_mut(),
             )?;
             if !more {
                 self.cursor = None;
@@ -495,8 +556,12 @@ impl BatchOp for SeqScanOp<'_> {
                 Batch::from_cols(cols, n),
                 self.filter.as_ref(),
                 self.ctx.fns,
+                rids.as_mut(),
             )?;
             if !batch.is_empty() {
+                if let (Some(sink), Some(rids)) = (self.sink, rids) {
+                    sink.borrow_mut().extend(rids);
+                }
                 return Ok(Some(batch));
             }
         }
@@ -512,6 +577,8 @@ struct IndexScanOp<'p> {
     cols: &'p [usize],
     schema: &'p Schema,
     filter: Option<VExpr>,
+    /// As in [`SeqScanOp`].
+    sink: Option<&'p RefCell<Vec<RowId>>>,
     ctx: &'p ExecContext<'p>,
     bs: usize,
 }
@@ -523,26 +590,31 @@ impl BatchOp for IndexScanOp<'_> {
             // a point lookup fetches a handful of rids: size the lanes
             // to the chunk, not to the batch width
             let mut cols = lanes(self.schema, end - self.pos);
-            let mut n = 0;
+            let mut kept = Vec::new();
             for &rid in &self.rids[self.pos..end] {
                 if self
                     .table
                     .heap
                     .get_into(rid, self.width, self.cols, &mut cols)?
                 {
-                    n += 1;
+                    kept.push(rid);
                 }
             }
             self.pos = end;
-            if n == 0 {
+            if kept.is_empty() {
                 continue;
             }
+            let n = kept.len();
             let batch = select(
                 Batch::from_cols(cols, n),
                 self.filter.as_ref(),
                 self.ctx.fns,
+                self.sink.and(Some(&mut kept)),
             )?;
             if !batch.is_empty() {
+                if let Some(sink) = self.sink {
+                    sink.borrow_mut().extend(kept);
+                }
                 return Ok(Some(batch));
             }
         }
@@ -560,7 +632,7 @@ impl BatchOp for FilterOp<'_> {
     fn next(&mut self) -> Result<Option<Batch>> {
         while let Some(b) = self.input.next()? {
             self.ctx.charge(b.len() as f64 * 0.005);
-            let b = select(b, Some(&self.pred), self.ctx.fns)?;
+            let b = select(b, Some(&self.pred), self.ctx.fns, None)?;
             if !b.is_empty() {
                 return Ok(Some(b));
             }
@@ -630,7 +702,7 @@ impl BatchOp for NestedLoopJoinOp<'_> {
                 }
             }
             let batch = join_gather(&self.lrows, &lidx, &self.rrows, &ridx);
-            let batch = select(batch, self.on.as_ref(), self.ctx.fns)?;
+            let batch = select(batch, self.on.as_ref(), self.ctx.fns, None)?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
@@ -747,7 +819,7 @@ impl BatchOp for HashJoinOp<'_> {
             } else {
                 join_gather(probe, &pidx, &self.build, &bidx)
             };
-            let batch = select(batch, self.residual.as_ref(), self.ctx.fns)?;
+            let batch = select(batch, self.residual.as_ref(), self.ctx.fns, None)?;
             if !batch.is_empty() {
                 self.ctx.charge(batch.len() as f64 * 0.01);
                 return Ok(Some(batch));
@@ -1487,6 +1559,7 @@ fn run_worker<'p, T>(
             workers: 1,
             feed: Some(&feed),
             next_id: region.root_node,
+            sink: None,
         }
         .build(region.plan)?;
         if let Some(node) = region.exchange_node {

@@ -24,7 +24,8 @@
 //!   and [`Database::explain_analyze`](db::Database) surfaces the
 //!   estimate-vs-actual `QEvalError` signal per plan node (E3);
 //! - [`ModelHook`](db::ModelHook) lets the DB4AI crate plug model
-//!   training/inference into `CREATE MODEL` / `PREDICT` statements.
+//!   training (`CREATE MODEL`) and one model version per statement
+//!   (`ModelHook::bind`, for every `PREDICT`) into SQL.
 
 pub mod analyze;
 pub mod catalog;

@@ -17,14 +17,13 @@ use std::collections::{HashMap, HashSet};
 use aimdb_common::{AimError, Result, Row, Schema, Value};
 use aimdb_sql::ast::{AggFunc, OrderKey, Select, SelectItem};
 use aimdb_sql::expr::BinaryOp;
-use aimdb_sql::logical::AggExpr;
 use aimdb_sql::Expr;
 
 use crate::catalog::Catalog;
 use crate::db::ModelHook;
 use crate::plan::{
-    bind_expr, bind_models, call_cost, default_output_name, describe_bounds, qualify_schema,
-    resolve_col, PhysOp, PhysicalPlan,
+    bind_expr, bind_models, call_cost, default_output_name, qualify_schema, resolve_col, AggExpr,
+    PhysOp, PhysicalPlan,
 };
 use crate::stats::TableStats;
 
@@ -78,19 +77,6 @@ pub enum AccessPath {
         lo: Option<Value>,
         hi: Option<Value>,
     },
-}
-
-impl AccessPath {
-    /// `SeqScan t`, `IndexScan t.k = 7` or `IndexScan t.k [1..9]` — how
-    /// EXPLAIN names the path, for queries and for DML.
-    pub fn describe(&self, table: &str) -> String {
-        match self {
-            AccessPath::SeqScan => format!("SeqScan {table}"),
-            AccessPath::IndexScan { column, lo, hi } => {
-                format!("IndexScan {table}.{column} {}", describe_bounds(lo, hi))
-            }
-        }
-    }
 }
 
 /// [`Planner::access_path`]'s answer: the path with the planner's
@@ -281,7 +267,7 @@ impl<'a> Planner<'a> {
         }
         if aliases.is_empty() {
             // SELECT without FROM: single literal row
-            return self.plan_projection_only(select);
+            return order_and_limit(select, self.plan_projection_only(select)?);
         }
 
         // 2. gather conjuncts from WHERE and JOIN ... ON
@@ -348,37 +334,8 @@ impl<'a> Planner<'a> {
         // 7. aggregation / projection
         plan = self.plan_projection(select, plan)?;
 
-        // 8. order by, limit: over the select list's output when every
-        // key binds there, else under the final projection
-        if !select.order_by.is_empty() {
-            let keys: Result<Vec<OrderKey>> = select
-                .order_by
-                .iter()
-                .map(|k| {
-                    Ok(OrderKey {
-                        expr: bind_expr(&k.expr, &plan.schema)?,
-                        desc: k.desc,
-                    })
-                })
-                .collect();
-            plan = match keys {
-                Ok(keys) => sort(plan, keys),
-                Err(_) => sort_below_projection(select, plan)?,
-            };
-        }
-        if let Some(n) = select.limit {
-            let rows = plan.est_rows.min(n as f64);
-            let cost = plan.est_cost;
-            plan = PhysicalPlan {
-                schema: plan.schema.clone(),
-                op: PhysOp::Limit {
-                    input: Box::new(plan),
-                    n,
-                },
-                est_rows: rows,
-                est_cost: cost,
-            };
-        }
+        // 8. order by, limit
+        plan = order_and_limit(select, plan)?;
         // 9. mark parallelizable scan regions with Exchange boundaries
         let mut plan = insert_exchanges(plan);
         // 10. narrow every scan to the columns the operators above it use
@@ -388,6 +345,55 @@ impl<'a> Planner<'a> {
         // its arguments are numeric is a question for the verifier's type
         // lattice; ask it now, so that a scan that happens to return no
         // rows cannot hide the answer.
+        if bind_models(&mut plan, self.models)? {
+            crate::verify::verify(&plan, self.catalog)?;
+        }
+        Ok(plan)
+    }
+
+    /// Plan an UPDATE or DELETE's read as the SELECT it implies: the scan
+    /// [`Planner::access_path`] picks, of every column of `table` (the log
+    /// records whole before-images), with the WHERE as its filter in the
+    /// order written; for an UPDATE, a `Project` of the SET expressions in
+    /// SET order over it, one output column per assignment. There is no
+    /// `Exchange`: the statement reads on its own thread. Its `PREDICT`s
+    /// are bound as a SELECT's are, once per model for the statement.
+    pub fn plan_dml(
+        &self,
+        table: &str,
+        where_clause: Option<&Expr>,
+        assignments: &[(String, Expr)],
+    ) -> Result<PhysicalPlan> {
+        let t = self.catalog.table(table)?;
+        let a = AliasInfo {
+            alias: table.to_string(),
+            table: table.to_string(),
+            schema: qualify_schema(&t.schema, table),
+            base_rows: self.base_rows(table)?,
+        };
+        let conjuncts: Vec<Expr> = where_clause
+            .map(|w| w.conjuncts().into_iter().cloned().collect())
+            .unwrap_or_default();
+        let mut plan = self.plan_scan(&a, &conjuncts)?;
+        if !assignments.is_empty() {
+            let mut columns = Vec::with_capacity(assignments.len());
+            let mut exprs = Vec::with_capacity(assignments.len());
+            for (column, e) in assignments {
+                columns.push(t.schema.columns()[t.schema.index_of(column)?].clone());
+                exprs.push(bind_expr(e, &plan.schema)?);
+            }
+            let rows = plan.est_rows;
+            let cost = plan.est_cost + rows * (0.005 + exprs.iter().map(call_cost).sum::<f64>());
+            plan = PhysicalPlan {
+                op: PhysOp::Project {
+                    input: Box::new(plan),
+                    exprs,
+                },
+                schema: Schema::new(columns),
+                est_rows: rows,
+                est_cost: cost,
+            };
+        }
         if bind_models(&mut plan, self.models)? {
             crate::verify::verify(&plan, self.catalog)?;
         }
@@ -1150,6 +1156,42 @@ impl<'a> Planner<'a> {
             est_cost: cost,
         })
     }
+}
+
+/// ORDER BY and LIMIT over the select list's plan: the sort goes over
+/// the select list's output when every key binds there, else under the
+/// final projection.
+fn order_and_limit(select: &Select, mut plan: PhysicalPlan) -> Result<PhysicalPlan> {
+    if !select.order_by.is_empty() {
+        let keys: Result<Vec<OrderKey>> = select
+            .order_by
+            .iter()
+            .map(|k| {
+                Ok(OrderKey {
+                    expr: bind_expr(&k.expr, &plan.schema)?,
+                    desc: k.desc,
+                })
+            })
+            .collect();
+        plan = match keys {
+            Ok(keys) => sort(plan, keys),
+            Err(_) => sort_below_projection(select, plan)?,
+        };
+    }
+    if let Some(n) = select.limit {
+        let rows = plan.est_rows.min(n as f64);
+        let cost = plan.est_cost;
+        plan = PhysicalPlan {
+            schema: plan.schema.clone(),
+            op: PhysOp::Limit {
+                input: Box::new(plan),
+                n,
+            },
+            est_rows: rows,
+            est_cost: cost,
+        };
+    }
+    Ok(plan)
 }
 
 /// `plan` sorted by `keys`.

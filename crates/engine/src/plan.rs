@@ -8,9 +8,8 @@
 use std::fmt;
 
 use aimdb_common::{AimError, Column, Result, Row, Schema, Value};
-use aimdb_sql::ast::OrderKey;
+use aimdb_sql::ast::{AggFunc, OrderKey};
 use aimdb_sql::expr::ModelRef;
-use aimdb_sql::logical::AggExpr;
 use aimdb_sql::Expr;
 
 use crate::db::ModelHook;
@@ -23,6 +22,16 @@ pub struct PhysicalPlan {
     pub schema: Schema,
     pub est_rows: f64,
     pub est_cost: f64,
+}
+
+/// One aggregate computation in an Aggregate node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AggExpr {
+    pub func: AggFunc,
+    /// `None` means `COUNT(*)`.
+    pub arg: Option<Expr>,
+    /// Output column name.
+    pub name: String,
 }
 
 /// Physical operators.
@@ -268,7 +277,7 @@ impl PhysicalPlan {
 
 /// An index probe's key interval as EXPLAIN prints it: `= v` for a point,
 /// `[lo..hi]` otherwise, an open end left blank.
-pub fn describe_bounds(lo: &Option<Value>, hi: &Option<Value>) -> String {
+fn describe_bounds(lo: &Option<Value>, hi: &Option<Value>) -> String {
     let end = |v: &Option<Value>| v.as_ref().map_or(String::new(), Value::to_string);
     match (lo, hi) {
         (Some(l), Some(h)) if l == h => format!("= {l}"),

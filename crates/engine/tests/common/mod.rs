@@ -94,7 +94,8 @@ pub struct ByName(pub StubModels);
 impl ScalarFns for ByName {
     fn call(&self, name: &str, args: &[Value]) -> Result<Value> {
         if name.eq_ignore_ascii_case("PREDICT") {
-            return self.0.predict(args[0].as_str()?, &args[1..]);
+            let model = self.0.bind(args[0].as_str()?, args.len() - 1)?;
+            return model.predict_row(&args[1..]);
         }
         BuiltinFns.call(name, args)
     }

@@ -547,6 +547,57 @@ fn exec_parallelism_knob_is_result_invisible() {
     }
 }
 
+/// `i64::MIN / -1` and `i64::MIN % -1` wrap, as `+`, `-` and `*` do:
+/// in the row oracle, at every worker count, with and without FROM, and
+/// through `Database::execute` at `exec_parallelism` 1 and 2 (where a
+/// morsel worker used to panic on the quotient).
+#[test]
+fn int_division_overflow_wraps_at_every_worker_count() {
+    let db = join_keys_tables();
+    let min = Value::Int(i64::MIN);
+    let over_table = "SELECT (0 - 9223372036854775807 - 1) / (0 - 1), \
+                      (0 - 9223372036854775807 - 1) % (0 - 1), id FROM jl";
+    for sql in ["SELECT (0 - 9223372036854775807 - 1) / (0 - 1)", over_table] {
+        let rows = assert_matrix_matches_in_order(&db, sql);
+        assert!(!rows.is_empty(), "{sql}");
+        assert!(rows.iter().all(|r| r.get(0) == &min), "{sql}: {rows:?}");
+    }
+    for w in [1, 2] {
+        db.execute(&format!("SET exec_parallelism = {w}"))
+            .expect("knob");
+        let rows = db.execute(over_table).expect("query").rows().to_vec();
+        assert_eq!(rows.len(), 21, "workers={w}");
+        for r in rows {
+            assert_eq!(
+                &r.values()[..2],
+                &[min.clone(), Value::Int(0)],
+                "workers={w}"
+            );
+        }
+    }
+}
+
+/// A SELECT without FROM takes its ORDER BY and LIMIT like any other.
+#[test]
+fn order_by_and_limit_apply_without_from() {
+    let db = join_keys_tables();
+    let cases = [
+        ("SELECT 1 AS a LIMIT 0", 0),
+        ("SELECT 1 AS a ORDER BY a LIMIT 1", 1),
+    ];
+    for (sql, n) in cases {
+        assert_eq!(assert_matrix_matches_in_order(&db, sql).len(), n, "{sql}");
+    }
+    for w in [1, 2] {
+        db.execute(&format!("SET exec_parallelism = {w}"))
+            .expect("knob");
+        for (sql, n) in cases {
+            let r = db.execute(sql).expect("query");
+            assert_eq!(r.rows().len(), n, "workers={w}: {sql}");
+        }
+    }
+}
+
 /// Aggregates over Text and Bool arguments with NULLs, position by
 /// position against the row oracle. The generated corpus aggregates
 /// numeric columns only, whose NULL lanes the executor drops before its

@@ -7,11 +7,10 @@ mod common;
 use std::sync::Arc;
 
 use aimdb_common::{AimError, Column, DataType, Row, Schema, Value};
-use aimdb_engine::plan::{qualify_schema, PhysOp, PhysicalPlan};
+use aimdb_engine::plan::{qualify_schema, AggExpr, PhysOp, PhysicalPlan};
 use aimdb_engine::verify::verify;
 use aimdb_engine::{Database, ModelHook};
 use aimdb_sql::ast::AggFunc;
-use aimdb_sql::logical::AggExpr;
 use aimdb_sql::{BinaryOp, Expr, ModelRef};
 
 use common::StubModels;

@@ -10,7 +10,10 @@
 //!   on generated and hand-written corpora;
 //! - `exec_bench`'s A5 report checks that the two agree on rows;
 //! - the harness's E16 per-row-UDF arm resolves `PREDICT` by name
-//!   through the context's function registry, one row per call.
+//!   through the context's function registry, one row per call;
+//! - [`dml`] is the row-at-a-time reference for UPDATE and DELETE, which
+//!   `aimdb-engine`'s `dml_differential` diffs the engine's writes
+//!   against.
 //!
 //! It is independent by construction: it calls only the engine's public
 //! catalog, index, heap and plan API and the context's catalog, function
@@ -26,9 +29,10 @@ use std::collections::HashMap;
 
 use aimdb_common::{AimError, Result, Row, Schema, Value};
 use aimdb_engine::exec::ExecContext;
-use aimdb_engine::plan::{PhysOp, PhysicalPlan};
+use aimdb_engine::plan::{bind_expr, AggExpr, PhysOp, PhysicalPlan};
+use aimdb_engine::{Catalog, Snapshot};
 use aimdb_sql::ast::AggFunc;
-use aimdb_sql::logical::AggExpr;
+use aimdb_sql::{Expr, ScalarFns};
 
 /// Execute a physical plan to completion.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
@@ -236,6 +240,56 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Vec<Row>> {
         // emits the same rows in the same order either way
         PhysOp::Exchange { input } => execute(input, ctx),
     }
+}
+
+/// What an UPDATE (with its SET list) or a DELETE (without one) on
+/// `table` writes, found a row at a time: every version `snap` sees of
+/// the table (the latest committed without one), in heap order, that the
+/// WHERE accepts, its conjuncts put to the row in the order written. Each
+/// comes with the row an UPDATE replaces it by (the SET list applied in
+/// order, every expression evaluated on the old row, the result coerced by
+/// the table schema) or `None` for a DELETE. Functions, `PREDICT`
+/// included, go through `fns` by name, one row per call. A row's WHERE,
+/// SET and coercion run before the next row is looked at, and the first
+/// error fails the statement.
+pub fn dml(
+    catalog: &Catalog,
+    table: &str,
+    set: Option<&[(String, Expr)]>,
+    where_clause: Option<&Expr>,
+    fns: &dyn ScalarFns,
+    snap: Option<Snapshot>,
+) -> Result<Vec<(Row, Option<Row>)>> {
+    let t = catalog.table(table)?;
+    let schema = &t.schema;
+    let pred = where_clause.map(|w| bind_expr(w, schema)).transpose()?;
+    let set = set
+        .map(|set| {
+            set.iter()
+                .map(|(c, e)| Ok((schema.index_of(c)?, bind_expr(e, schema)?)))
+                .collect::<Result<Vec<_>>>()
+        })
+        .transpose()?;
+    let mut out = Vec::new();
+    for (_, row) in t.scan_visible(snap)? {
+        if let Some(p) = &pred {
+            if !p.eval_predicate(schema, &row, fns)? {
+                continue;
+            }
+        }
+        let after = match &set {
+            None => None,
+            Some(set) => {
+                let mut vals = row.values().to_vec();
+                for (ci, e) in set {
+                    vals[*ci] = e.eval(schema, &row, fns)?;
+                }
+                Some(Row::new(schema.check_row(vals)?))
+            }
+        };
+        out.push((row, after));
+    }
+    Ok(out)
 }
 
 /// The rows `pred` admits, in order; the first error stops the scan.

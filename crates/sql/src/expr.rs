@@ -459,14 +459,14 @@ pub(crate) fn eval_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
                         if *b == 0 {
                             Err(AimError::Execution("division by zero".into()))
                         } else {
-                            Ok(Value::Int(a / b))
+                            Ok(Value::Int(a.wrapping_div(*b)))
                         }
                     }
                     Mod => {
                         if *b == 0 {
                             Err(AimError::Execution("division by zero".into()))
                         } else {
-                            Ok(Value::Int(a % b))
+                            Ok(Value::Int(a.wrapping_rem(*b)))
                         }
                     }
                     _ => unreachable!(),

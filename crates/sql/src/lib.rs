@@ -2,8 +2,8 @@
 //!
 //! The SQL front end: a hand-written lexer and recursive-descent parser
 //! producing an AST, a typed expression tree with SQL three-valued
-//! evaluation, and a logical-plan representation the engine lowers to
-//! physical operators.
+//! evaluation, and the vectorized kernels the engine's executor runs
+//! those expressions with.
 //!
 //! Beyond classic SQL (DDL, DML, SELECT with joins/aggregates/ordering),
 //! the grammar implements the tutorial's *declarative language model*
@@ -15,13 +15,11 @@
 pub mod ast;
 pub mod expr;
 pub mod lexer;
-pub mod logical;
 pub mod parser;
 pub mod vexpr;
 
 pub use ast::Statement;
 pub use expr::{BinaryOp, BoundModel, Expr, ModelRef, ScalarFns, UnaryOp};
 pub use lexer::{tokenize, Token};
-pub use logical::LogicalPlan;
 pub use parser::parse;
 pub use vexpr::VExpr;

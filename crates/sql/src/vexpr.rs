@@ -460,8 +460,8 @@ fn binary_cols(l: &ColVec, op: BinaryOp, r: &ColVec, n: usize) -> Result<ColVec>
             })?)),
             Div | Mod => Ok(ColVec::Int(a.zip(b, |&x, &y| match y {
                 0 => Err(div_by_zero()),
-                _ if op == Div => Ok(x / y),
-                _ => Ok(x % y),
+                _ if op == Div => Ok(x.wrapping_div(y)),
+                _ => Ok(x.wrapping_rem(y)),
             })?)),
             And | Or => lanewise(l, op, r, n),
         },
@@ -677,6 +677,15 @@ mod tests {
         let want = e.eval(&s, &rows[0], &BuiltinFns).unwrap();
         assert_eq!(got, want);
         assert_eq!(got, Value::Int(i64::MIN));
+        // the one overflowing quotient wraps too, as in the scalar path
+        let rows = vec![Row::new(vec![Value::Int(i64::MIN)])];
+        let b = Batch::from_rows(&s, &rows);
+        for (op, want) in [(BinaryOp::Div, i64::MIN), (BinaryOp::Mod, 0)] {
+            let e = Expr::binary(Expr::col("x"), op, Expr::lit(-1i64));
+            let got = eval(&compile(&e, &s).unwrap(), &b, &BuiltinFns).unwrap();
+            assert_eq!(got.value(0), Value::Int(want));
+            assert_eq!(e.eval(&s, &rows[0], &BuiltinFns).unwrap(), Value::Int(want));
+        }
     }
 
     #[test]

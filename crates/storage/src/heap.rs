@@ -288,7 +288,8 @@ impl HeapScanCursor {
     /// cursor is exhausted. Slots whose [`RowId`] the optional `vis`
     /// filter rejects are skipped without being decoded: MVCC snapshot
     /// scans pass the snapshot's visibility predicate here; `None`
-    /// decodes every live slot (physical scan).
+    /// decodes every live slot (physical scan). With a `rids` sink, the
+    /// [`RowId`] of every decoded row is pushed onto it, in row order.
     pub fn fill_batch_vis(
         &mut self,
         min_rows: usize,
@@ -296,6 +297,7 @@ impl HeapScanCursor {
         keep: &[usize],
         cols: &mut [ColVec],
         vis: Option<&(dyn Fn(RowId) -> bool + Sync)>,
+        mut rids: Option<&mut Vec<RowId>>,
     ) -> Result<(usize, bool)> {
         let mut appended = 0usize;
         while self.pos < self.pages.len() {
@@ -312,6 +314,9 @@ impl HeapScanCursor {
                     }
                 }
                 decode_row_into(bytes, width, keep, cols)?;
+                if let Some(rids) = rids.as_mut() {
+                    rids.push(RowId { page: pid, slot });
+                }
                 appended += 1;
             }
         }
@@ -392,7 +397,7 @@ mod tests {
         let mut total = 0;
         loop {
             let (n, more) = cur
-                .fill_batch_vis(min_rows, 2, &[0, 1], &mut cols, Some(&vis))
+                .fill_batch_vis(min_rows, 2, &[0, 1], &mut cols, Some(&vis), None)
                 .unwrap();
             total += n;
             if !more {
@@ -440,7 +445,9 @@ mod tests {
         ];
         let mut total = 0;
         loop {
-            let (n, more) = cur.fill_batch_vis(64, 2, &[0, 1], &mut cols, None).unwrap();
+            let (n, more) = cur
+                .fill_batch_vis(64, 2, &[0, 1], &mut cols, None, None)
+                .unwrap();
             total += n;
             if !more {
                 break;
@@ -469,9 +476,10 @@ mod tests {
         ];
         let vis = |rid: RowId| !hidden.contains(&rid);
         let mut total = 0;
+        let mut rids = Vec::new();
         loop {
             let (n, more) = cur
-                .fill_batch_vis(64, 2, &[0, 1], &mut cols, Some(&vis))
+                .fill_batch_vis(64, 2, &[0, 1], &mut cols, Some(&vis), Some(&mut rids))
                 .unwrap();
             total += n;
             if !more {
@@ -479,6 +487,9 @@ mod tests {
             }
         }
         assert_eq!(total, 200 - hidden.len());
+        // the sink names each decoded row, in row order
+        let shown: Vec<RowId> = ids.iter().copied().filter(|r| vis(*r)).collect();
+        assert_eq!(rids, shown);
         for i in 0..total {
             match cols[0].value(i) {
                 Value::Int(v) => assert!(v % 3 != 0, "hidden row {v} leaked"),
@@ -494,7 +505,8 @@ mod tests {
         let mut cur = h.scan_cursor();
         let mut cols = vec![ColVec::with_capacity(DataType::Int, 8)];
         assert_eq!(
-            cur.fill_batch_vis(8, 1, &[0], &mut cols, None).unwrap(),
+            cur.fill_batch_vis(8, 1, &[0], &mut cols, None, None)
+                .unwrap(),
             (0, false)
         );
         assert!(cols[0].is_empty());
@@ -635,7 +647,9 @@ mod tests {
             ];
             let mut n = 0;
             loop {
-                let (k, more) = cur.fill_batch_vis(64, 2, &[0, 1], &mut cols, None).unwrap();
+                let (k, more) = cur
+                    .fill_batch_vis(64, 2, &[0, 1], &mut cols, None, None)
+                    .unwrap();
                 n += k;
                 if !more {
                     break;

@@ -43,7 +43,9 @@ fn drain(mut cur: HeapScanCursor) -> Vec<(i64, String)> {
     ];
     let mut n = 0;
     loop {
-        let (k, more) = cur.fill_batch_vis(32, 2, &[0, 1], &mut cols, None).unwrap();
+        let (k, more) = cur
+            .fill_batch_vis(32, 2, &[0, 1], &mut cols, None, None)
+            .unwrap();
         n += k;
         if !more {
             break;

@@ -140,7 +140,7 @@ proptest! {
         let keep: Vec<usize> = (0..width).collect();
         let mut total = 0;
         loop {
-            let (n, more) = cursor.fill_batch_vis(min_rows, width, &keep, &mut cols, Some(&vis)).unwrap();
+            let (n, more) = cursor.fill_batch_vis(min_rows, width, &keep, &mut cols, Some(&vis), None).unwrap();
             total += n;
             if !more {
                 break;
@@ -184,7 +184,7 @@ proptest! {
         ];
         let mut total = 0;
         loop {
-            let (n, more) = cursor.fill_batch_vis(min_rows, 3, &[0, 1, 2], &mut cols, None).unwrap();
+            let (n, more) = cursor.fill_batch_vis(min_rows, 3, &[0, 1, 2], &mut cols, None, None).unwrap();
             total += n;
             if !more {
                 break;

@@ -5,8 +5,8 @@
 //! probes an index wherever the planner says so, DML on the twin always
 //! scans; the two must agree on every statement's affected count or error
 //! category, on what each transaction reads back of its own writes, and on
-//! the final contents — including after a statement that failed halfway
-//! through a transaction, which pins down the order rows are visited in.
+//! the final contents — including after a statement that failed inside a
+//! transaction, which must leave nothing of itself behind.
 
 use aimdb::common::{AimError, Row, Value};
 use aimdb::engine::{Database, QueryResult, TxnHandle};
@@ -201,23 +201,31 @@ fn indexed_and_scanned_dml_agree_on_one_statement_stream() {
                 pair.end(txns, rng.gen_range(0u32..3) > 0);
             }
             // a predicate that raises on a row in the middle of a key
-            // range: inside a transaction the rows visited before it stay
-            // written, so both sides must visit the range in the same
-            // (heap) order, whatever order the index hands the keys out in
+            // range: a statement reads and filters every row it will write
+            // before it writes any, so inside a transaction it fails whole
+            // on both sides and leaves the range as it was, whatever order
+            // the index hands the keys out in
             8 => {
                 let lo = rng.gen_range(0i64..ROWS);
                 let range = format!("k >= {lo} AND k <= {}", lo + 8);
-                let ids = pair
-                    .both(None, &format!("SELECT id FROM t WHERE {range} ORDER BY id"))
-                    .unwrap();
-                if ids.is_empty() {
+                let in_range = format!("SELECT id, v FROM t WHERE {range} ORDER BY id");
+                let before = pair.both(None, &in_range).unwrap();
+                if before.is_empty() {
                     continue;
                 }
-                let pick = ids[rng.gen_range(0..ids.len())].get(0).as_i64().unwrap();
+                let pick = before[rng.gen_range(0..before.len())]
+                    .get(0)
+                    .as_i64()
+                    .unwrap();
                 let raises =
                     format!("UPDATE t SET v = v + 100 WHERE {range} AND 1 / (id - {pick}) <= 1");
                 let txns = pair.begin();
                 assert_eq!(pair.both(Some(&txns), &raises), Err("execution"));
+                assert_eq!(
+                    pair.both(Some(&txns), &in_range).unwrap(),
+                    before,
+                    "a failed statement left writes behind: {raises}"
+                );
                 pair.end(txns, true);
                 // autocommitted, the same statement leaves no trace
                 assert_eq!(pair.both(None, &raises), Err("execution"));
