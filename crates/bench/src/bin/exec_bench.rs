@@ -25,7 +25,7 @@
 //! exec_bench            # 60k rows, 10 timed iterations per executor
 //! exec_bench --smoke    # 20k rows, 3 iterations
 //! exec_bench --trace    # tracing-overhead check: traced vs untraced
-//! exec_bench --parallel # morsel-driven scaling curve at 1/2/4/8 workers
+//! exec_bench --parallel # one-morsel region gate, then the scaling curve at 1/2/4/8 workers
 //! exec_bench --txn      # group-commit throughput vs fsync-per-txn
 //! ```
 //!
@@ -34,12 +34,17 @@
 //! pairs, and exits nonzero if the median per-pair traced/untraced ratio
 //! says tracing costs more than 5%.
 //!
-//! `--parallel` times the batch executor at 1, 2, 4 and 8 morsel
-//! workers, checks every worker count reproduces the serial rows
-//! bit-for-bit, and — on machines with at least 4 cores — exits nonzero
-//! if 4 workers fall short of a 2× speedup over 1. On smaller machines
-//! the curve is printed and the gate reports SKIPPED: extra workers
-//! time-slice one core, so the floor would only measure the scheduler.
+//! `--parallel` first times a point query over a one-page table, one
+//! morsel, at the default worker count against one worker in
+//! alternating passes, and exits nonzero if the median per-pair ratio
+//! exceeds 1.5x: a region starts only the threads its morsels can use,
+//! so this gate binds on any core count. It then times the batch
+//! executor at 1, 2, 4 and 8 morsel workers, checks every worker count
+//! reproduces the serial rows bit-for-bit, and — on machines with at
+//! least 4 cores — exits nonzero if 4 workers fall short of a 2× speedup
+//! over 1. On smaller machines the curve is printed and the gate reports
+//! SKIPPED: extra workers time-slice one core, so the floor would only
+//! measure the scheduler.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -56,6 +61,11 @@ use aimdb_storage::codec::{decode_row_into, encode_row};
 const BATCH_SIZE: usize = 1024;
 /// `--parallel`: 4 workers over 1, on hosts with at least 4 cores.
 const SPEEDUP_FLOOR: f64 = 2.0;
+/// `--parallel`: a one-morsel region at the default worker count may
+/// cost at most this multiple of the same statement on one worker.
+const REGION_RATIO_CEILING: f64 = 1.5;
+/// Statements per timed pass of the region gate.
+const REGION_STMTS: usize = 200;
 /// Tracing must cost less than 5% of end-to-end query latency.
 const TRACE_OVERHEAD_CEILING: f64 = 1.05;
 /// The scan's row decoder may cost at most this multiple of the hand loop.
@@ -410,6 +420,64 @@ fn trace_overhead(db: &Database, clock: &WallClock, smoke: bool) {
     }
 }
 
+/// Per-statement region gate: a point query over a one-page table, so
+/// an `Exchange` region of one morsel, run through `Database::execute`
+/// at the default `exec_parallelism` (one worker per core) against
+/// `exec_parallelism = 1`, in alternating passes of [`REGION_STMTS`]
+/// statements (see [`paired_ratio`]). A region starts no thread its
+/// morsels cannot use, so the two cost about the same; fails if the
+/// median per-pair ratio exceeds [`REGION_RATIO_CEILING`]. Binds on any
+/// core count.
+fn region_overhead(db: &Database, clock: &WallClock, smoke: bool) {
+    const POINT: &str = "SELECT v + 1 FROM point WHERE id = 3";
+    let pairs = if smoke { 31 } else { 61 };
+    let exec = |sql: &str| {
+        if let Err(e) = db.execute(sql) {
+            eprintln!("region gate statement failed ({e}): {sql}");
+            std::process::exit(2);
+        }
+    };
+    exec("CREATE TABLE point (id INT, v INT)");
+    exec("INSERT INTO point VALUES (1, 10), (2, 20), (3, 30), (4, 40)");
+    let pages = db
+        .catalog
+        .table("point")
+        .map(|t| t.heap.morsel_source().page_count());
+    let shape = plan_query(db, POINT).explain();
+    if pages.as_ref().ok() != Some(&1) || !shape.contains("Exchange") {
+        eprintln!("the point query is not a one-page exchange region ({pages:?}):\n{shape}");
+        std::process::exit(2);
+    }
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(64));
+    let pass = |knob: usize| {
+        exec(&format!("SET exec_parallelism = {knob}"));
+        let t0 = clock.now_secs();
+        for _ in 0..REGION_STMTS {
+            exec(POINT);
+        }
+        clock.now_secs() - t0
+    };
+    pass(0);
+    pass(1);
+    let (med_default, med_1, ratio) = paired_ratio(pairs, || pass(0), || pass(1));
+    exec("SET exec_parallelism = 0");
+    let per_stmt_us = |secs: f64| secs / REGION_STMTS as f64 * 1e6;
+    println!(
+        "exec_bench --parallel: one-page region {:.1}us at the default {workers} worker(s) vs \
+         {:.1}us at 1 per statement ({ratio:.2}x median per-pair ratio, ceiling \
+         {REGION_RATIO_CEILING:.1}x, {pairs} pairs)",
+        per_stmt_us(med_default),
+        per_stmt_us(med_1)
+    );
+    if ratio > REGION_RATIO_CEILING {
+        eprintln!(
+            "FAIL: a one-morsel region at {workers} worker(s) costs {ratio:.2}x one worker \
+             per statement (ceiling {REGION_RATIO_CEILING:.1}x)"
+        );
+        std::process::exit(1);
+    }
+}
+
 /// Morsel-driven scaling curve: the same planned workload through the
 /// batch executor at 1, 2, 4 and 8 workers. Every worker count must
 /// reproduce the 1-worker rows exactly (the determinism contract the
@@ -618,6 +686,7 @@ fn main() {
         return;
     }
     if parallel {
+        region_overhead(&db, &clock, smoke);
         parallel_scaling(&db, &clock, iters);
         return;
     }

@@ -5,7 +5,7 @@
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -1308,15 +1308,21 @@ impl Database {
 
     /// Resolve the `exec_parallelism` knob to a morsel worker count:
     /// 0 means one worker per available core (capped at the knob max).
+    /// The core count is read once per process: on Linux the standard
+    /// library reads it from the cgroup files, which costs more than a
+    /// point query.
     fn exec_workers(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
         let n = self.knobs.get("exec_parallelism").unwrap_or(0);
         if n > 0 {
             n as usize
         } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(64)
+            *CORES.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+                    .min(64)
+            })
         }
     }
 
@@ -1644,8 +1650,26 @@ impl Database {
             let ctx = ExecContext::new(&self.catalog, &BuiltinFns);
             ctx.set_snapshot(Some(snap));
             let hits = execute_dml(&plan, &ctx, DEFAULT_BATCH_SIZE)?;
+            // every new version passes the schema's check (NOT NULL,
+            // coercion) before the first claim, so a value the table
+            // refuses fails the statement with nothing written
+            let hits = hits
+                .into_iter()
+                .map(|(rid, before, assigned)| {
+                    let after = set
+                        .map(|_| {
+                            let mut vals = before.values().to_vec();
+                            for (&ci, v) in set_cols.iter().zip(assigned.into_values()) {
+                                vals[ci] = v;
+                            }
+                            t.schema.check_row(vals)
+                        })
+                        .transpose()?;
+                    Ok((rid, before, after))
+                })
+                .collect::<Result<Vec<_>>>()?;
             let n = hits.len();
-            for (rid, before, assigned) in hits {
+            for (rid, before, after) in hits {
                 // recovery finds the rows to redo by these images
                 debug_assert_eq!(t.heap.get(rid).ok().flatten().as_ref(), Some(&before));
                 t.mvcc_claim(rid, &snap)?;
@@ -1656,18 +1680,14 @@ impl Database {
                         rid,
                     },
                 );
-                if set.is_none() {
+                let Some(vals) = after else {
                     // MVCC delete is a claim: the version stays in the
                     // heap for concurrent snapshots and is physically
                     // removed by the checkpoint vacuum.
                     log_delete(&self.wal, txn, table, rid, before)?;
                     continue;
-                }
+                };
                 // an update writes the new values as a fresh version
-                let mut vals = before.values().to_vec();
-                for (&ci, v) in set_cols.iter().zip(assigned.into_values()) {
-                    vals[ci] = v;
-                }
                 let new_rid = t.mvcc_insert(vals, txn)?;
                 self.runtime.record_write(
                     txn,

@@ -267,7 +267,8 @@ impl<'a> Planner<'a> {
         }
         if aliases.is_empty() {
             // SELECT without FROM: single literal row
-            return order_and_limit(select, self.plan_projection_only(select)?);
+            let plan = order_and_limit(select, self.plan_projection_only(select)?)?;
+            return self.bind_plan_models(plan);
         }
 
         // 2. gather conjuncts from WHERE and JOIN ... ON
@@ -341,10 +342,15 @@ impl<'a> Planner<'a> {
         // 10. narrow every scan to the columns the operators above it use
         let width = plan.schema.len();
         prune_columns(&mut plan, vec![true; width]);
-        // 11. pin the model version each PREDICT runs against. Whether
-        // its arguments are numeric is a question for the verifier's type
-        // lattice; ask it now, so that a scan that happens to return no
-        // rows cannot hide the answer.
+        // 11. pin the model version each PREDICT runs against
+        self.bind_plan_models(plan)
+    }
+
+    /// Pin the model version each `PREDICT` in `plan` runs against.
+    /// Whether its arguments are numeric is a question for the verifier's
+    /// type lattice; ask it now, so that a scan that happens to return no
+    /// rows cannot hide the answer.
+    fn bind_plan_models(&self, mut plan: PhysicalPlan) -> Result<PhysicalPlan> {
         if bind_models(&mut plan, self.models)? {
             crate::verify::verify(&plan, self.catalog)?;
         }
@@ -394,10 +400,7 @@ impl<'a> Planner<'a> {
                 est_cost: cost,
             };
         }
-        if bind_models(&mut plan, self.models)? {
-            crate::verify::verify(&plan, self.catalog)?;
-        }
-        Ok(plan)
+        self.bind_plan_models(plan)
     }
 
     /// Which aliases a conjunct references.
@@ -971,7 +974,7 @@ impl<'a> Planner<'a> {
                         .clone()
                         .unwrap_or_else(|| default_output_name(expr, i));
                     cols.push((name, expr.clone()));
-                    exprs.push(expr.clone());
+                    exprs.push(bind_expr(expr, &Schema::default())?);
                 }
             }
         }
@@ -1318,9 +1321,12 @@ fn is_parallel_region(plan: &PhysicalPlan) -> bool {
 }
 
 /// Wrap every maximal parallelizable region in an [`PhysOp::Exchange`]
-/// boundary. The executor decides the worker count at run time (the
-/// `exec_parallelism` knob); with one worker the exchange is a pure
-/// passthrough, so inserting the node is free for serial execution.
+/// boundary. The executor decides the worker count at run time: the
+/// `exec_parallelism` knob, capped by the region's morsel count, with
+/// the calling thread as worker 1, so a one-morsel region starts no
+/// thread and others start `min(workers, morsels) − 1`. With one worker
+/// the exchange is a pure passthrough, so inserting the node is free for
+/// serial execution.
 fn insert_exchanges(plan: PhysicalPlan) -> PhysicalPlan {
     if is_parallel_region(&plan) {
         let (est_rows, est_cost) = (plan.est_rows, plan.est_cost);

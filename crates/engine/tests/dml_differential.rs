@@ -296,3 +296,34 @@ fn int_division_overflow_wraps_in_an_update() {
     let r = db.execute("SELECT v, r FROM w").expect("select");
     assert_eq!(r.rows()[0].values(), &[Value::Int(i64::MIN), Value::Int(0)]);
 }
+
+/// A value the table refuses (a coercion or a NOT NULL) on a later row
+/// fails the UPDATE before any row is written, so inside a transaction
+/// the rows before it still read as they were.
+#[test]
+fn a_refused_value_fails_the_update_with_nothing_written() {
+    let db = Database::new();
+    db.execute("CREATE TABLE n (id INT NOT NULL, v INT, s TEXT)")
+        .expect("create");
+    db.execute("INSERT INTO n VALUES (1, 1, NULL), (2, NULL, 'x')")
+        .expect("insert");
+    let h = db.begin_txn().expect("begin");
+    for (sql, why) in [
+        ("UPDATE n SET v = s", "cannot coerce"),
+        ("UPDATE n SET id = v", "NOT NULL"),
+    ] {
+        let err = db.execute_in(&h, sql).expect_err(sql);
+        assert_eq!(err.category(), "type_mismatch", "{sql}: {err}");
+        assert!(err.to_string().contains(why), "{sql}: {err}");
+        let r = db.execute_in(&h, "SELECT id, v FROM n").expect("read");
+        assert_eq!(
+            canon(r.rows().to_vec()),
+            vec![
+                Row::new(vec![Value::Int(1), Value::Int(1)]),
+                Row::new(vec![Value::Int(2), Value::Null]),
+            ],
+            "after {sql}"
+        );
+    }
+    db.rollback_txn(&h).expect("rollback");
+}

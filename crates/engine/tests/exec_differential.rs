@@ -19,7 +19,9 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -723,6 +725,9 @@ fn predict_corpus_matches_row_reference() {
         // empty table: nothing to predict, one row from the aggregate
         ("SELECT PREDICT(lin, a, c) FROM void", true),
         ("SELECT COUNT(*), AVG(PREDICT(cls, a)) FROM void WHERE PREDICT(lin, a, c) > 1", true),
+        // no FROM: one row, its models bound as over a table
+        ("SELECT PREDICT(lin, 4, 2), PREDICT(cls, 31) AS c", true),
+        ("SELECT PREDICT(cls, 1) + 1 AS p ORDER BY p LIMIT 1", true),
     ];
     let fns = ByName(StubModels);
     for (sql, ok) in corpus {
@@ -1333,6 +1338,109 @@ fn worker_panic_is_an_execution_error() {
         panic!("not a SELECT");
     };
     let plan = db.plan(&sel).expect("plan");
+    let ctx = ExecContext::new(&db.catalog, &PanicOnAbs);
+    match execute_batched_parallel(&plan, &ctx, 1024, 2) {
+        Err(e) => assert_eq!(e.category(), "execution", "{e}"),
+        Ok(rows) => panic!("ran to completion with {} rows", rows.len()),
+    }
+}
+
+/// `one`: five rows on one heap page, so its scan is one morsel.
+fn one_page_table() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE one (id INT, g INT)")
+        .expect("create");
+    db.execute("INSERT INTO one VALUES (-1, 3), (2, 3), (-3, 1), (4, 3), (5, 0)")
+        .expect("insert");
+    db
+}
+
+/// Plan `sql`, which must put an `Exchange` at its root's input.
+fn plan_exchange(db: &Database, sql: &str) -> PhysicalPlan {
+    let Some(Statement::Select(sel)) = parse(sql).expect("parse").into_iter().next() else {
+        panic!("not a SELECT: {sql}");
+    };
+    let plan = db.plan(&sel).expect("plan");
+    assert!(
+        plan.explain().contains("Exchange"),
+        "{sql}: {}",
+        plan.explain()
+    );
+    plan
+}
+
+/// A function registry that notes the thread of every call.
+#[derive(Default)]
+struct ThreadLog(Mutex<Vec<ThreadId>>);
+
+impl ScalarFns for ThreadLog {
+    fn call(&self, name: &str, args: &[Value]) -> Result<Value> {
+        self.0
+            .lock()
+            .expect("log")
+            .push(std::thread::current().id());
+        BuiltinFns.call(name, args)
+    }
+}
+
+/// Run `plan` at `workers` and return the distinct threads its function
+/// calls ran on.
+fn call_threads(db: &Database, plan: &PhysicalPlan, workers: usize) -> HashSet<ThreadId> {
+    let log = ThreadLog::default();
+    let ctx = ExecContext::new(&db.catalog, &log);
+    execute_batched_parallel(plan, &ctx, 1024, workers).expect("run");
+    let calls = log.0.into_inner().expect("log");
+    assert!(!calls.is_empty(), "no function was called");
+    calls.into_iter().collect()
+}
+
+/// A region runs on `min(workers, morsels)` workers, the calling thread
+/// being the first: a one-morsel region runs wholly on the caller, and a
+/// many-morsel region on at most `workers` threads, the caller one of
+/// them.
+#[test]
+fn a_region_runs_on_the_caller_and_at_most_one_thread_per_morsel() {
+    let me = std::thread::current().id();
+    let one = one_page_table();
+    let plan = plan_exchange(&one, "SELECT ABS(id) FROM one WHERE g = 3");
+    for workers in [2usize, 4, 8] {
+        let threads = call_threads(&one, &plan, workers);
+        assert_eq!(threads, HashSet::from([me]), "workers={workers}");
+    }
+    // the caller starts the other workers before it claims a morsel, so
+    // on a busy host they may drain the dispenser first; over ten runs
+    // it must take part at least once
+    let runs = runs_table();
+    let plan = plan_exchange(&runs, "SELECT ABS(id) FROM runs WHERE g = 3");
+    let mut caller_worked = false;
+    for _ in 0..10 {
+        let threads = call_threads(&runs, &plan, 4);
+        assert!(threads.len() <= 4, "{} threads", threads.len());
+        caller_worked |= threads.contains(&me);
+    }
+    assert!(caller_worked, "the caller ran no morsel");
+}
+
+/// `PREDICT` in a SELECT without FROM runs as the same call over a
+/// table row does.
+#[test]
+fn predict_without_from_matches_the_call_over_a_table() {
+    let db = one_page_table();
+    db.set_model_hook(Arc::new(StubModels));
+    let lone = db.execute("SELECT PREDICT(lin, 4, 3)").expect("no FROM");
+    let over = db
+        .execute("SELECT PREDICT(lin, id, g) FROM one WHERE id = 4")
+        .expect("over one");
+    assert_eq!(lone.rows(), over.rows());
+    assert_eq!(lone.rows(), &[Row::new(vec![Value::Float(2.25)])]);
+}
+
+/// A panic on the worker that runs on the calling thread is an execution
+/// error too: a one-morsel region starts no thread to catch it.
+#[test]
+fn caller_worker_panic_is_an_execution_error() {
+    let db = one_page_table();
+    let plan = plan_exchange(&db, "SELECT ABS(id) FROM one WHERE g = 3");
     let ctx = ExecContext::new(&db.catalog, &PanicOnAbs);
     match execute_batched_parallel(&plan, &ctx, 1024, 2) {
         Err(e) => assert_eq!(e.category(), "execution", "{e}"),
