@@ -116,6 +116,9 @@ run cargo run -q --release -p aimdb-bench --bin exec_bench -- --txn --smoke
 # 10k-history run (serial replay in commit-ts order must match; crash
 # lives must recover prefix-consistent with zero torn batches)
 run cargo run -q --release -p aimdb-bench --bin txn_oracle -- --smoke
+# one-morsel region gate: a point query over a one-page table at the
+# default worker count may cost at most 1.5x one worker per statement
+# (median of alternating passes; binds on any core count); then the
 # morsel-driven scaling curve at 1/2/4/8 workers; the >=2x gate at 4
 # workers binds only on hosts with >=4 cores (SKIPPED otherwise), but
 # the serial-equivalence check always runs
