@@ -16,6 +16,7 @@ use aimdb_common::{
 use aimdb_sql::ast::{ModelKind, Select, Statement};
 use aimdb_sql::expr::{BoundModel, BuiltinFns};
 use aimdb_sql::parser::{parse, parse_one};
+use aimdb_sql::vexpr::eval_const;
 use aimdb_sql::Expr;
 use aimdb_storage::wal::{CheckpointData, IndexSnapshot, LogRecord, TableSnapshot};
 use aimdb_storage::{BufferPool, Disk, DiskSink, PageStore, RowId, Wal, WalReader};
@@ -1152,7 +1153,7 @@ impl Database {
                     .ok_or_else(|| AimError::Model("no model runtime registered".into()))?;
                 let vals: Vec<Value> = inputs
                     .iter()
-                    .map(|e| e.eval(&Schema::default(), &Row::default(), &BuiltinFns))
+                    .map(|e| eval_const(e, &BuiltinFns))
                     .collect::<Result<_>>()?;
                 let out = hook.bind(model, vals.len())?.predict_row(&vals)?;
                 Ok(QueryResult::Rows {
@@ -1511,6 +1512,9 @@ impl Database {
         Ok(())
     }
 
+    /// INSERT … VALUES. Every row is evaluated and passes the schema's
+    /// check (NOT NULL, coercion) before the first insert, so a row the
+    /// table refuses fails the statement with nothing written.
     fn exec_insert(
         &self,
         table: &str,
@@ -1521,31 +1525,36 @@ impl Database {
         let t = self.catalog.table(table)?;
         let (txn, auto, _snap) = self.stmt_txn(h)?;
         let body = || -> Result<usize> {
-            let mut n = 0;
-            for exprs in rows {
-                let vals: Vec<Value> = exprs
-                    .iter()
-                    .map(|e| e.eval(&Schema::default(), &Row::default(), &BuiltinFns))
-                    .collect::<Result<_>>()?;
-                let full = match columns {
-                    None => vals,
-                    Some(cols) => {
-                        if cols.len() != vals.len() {
-                            return Err(AimError::Plan(format!(
-                                "INSERT column list has {} names but {} values",
-                                cols.len(),
-                                vals.len()
-                            )));
+            let checked = rows
+                .iter()
+                .map(|exprs| {
+                    let vals: Vec<Value> = exprs
+                        .iter()
+                        .map(|e| eval_const(e, &BuiltinFns))
+                        .collect::<Result<_>>()?;
+                    let full = match columns {
+                        None => vals,
+                        Some(cols) => {
+                            if cols.len() != vals.len() {
+                                return Err(AimError::Plan(format!(
+                                    "INSERT column list has {} names but {} values",
+                                    cols.len(),
+                                    vals.len()
+                                )));
+                            }
+                            let mut full = vec![Value::Null; t.schema.len()];
+                            for (c, v) in cols.iter().zip(vals) {
+                                full[t.schema.index_of(c)?] = v;
+                            }
+                            full
                         }
-                        let mut full = vec![Value::Null; t.schema.len()];
-                        for (c, v) in cols.iter().zip(vals) {
-                            full[t.schema.index_of(c)?] = v;
-                        }
-                        full
-                    }
-                };
+                    };
+                    t.schema.check_row(full)
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let n = checked.len();
+            for full in checked {
                 self.insert_and_log(&t, table, txn, full)?;
-                n += 1;
             }
             Ok(n)
         };

@@ -19,11 +19,18 @@
 //! catalog, index, heap and plan API and the context's catalog, function
 //! registry and snapshot, and it folds aggregates with a fold of its
 //! own; a scan reads whole rows and projects them on the plan's columns
-//! itself. The one thing it shares with the batch executor is predicate
-//! evaluation: `Expr::eval_predicate` walks a plan's conjuncts in the
-//! planner's order and stops at the first that is not TRUE, the row
-//! form of the batch executor's selection-vector cascade. It charges no
-//! cost units.
+//! itself. Expressions go through its own row evaluator, [`RowEval`]
+//! (the product has only the batch kernels): `eval_predicate` walks a
+//! plan's conjuncts in the planner's order and stops at the first that
+//! is not TRUE, the row form of the batch executor's selection-vector
+//! cascade. It shares with the kernels only the per-value rules of
+//! `aimdb_sql::expr` (`eval_binary`, `like_match`). `aimdb-sql`'s
+//! `vexpr_proptests` diff those kernels against [`RowEval`] directly. It
+//! charges no cost units.
+
+mod eval;
+
+pub use eval::RowEval;
 
 use std::collections::HashMap;
 

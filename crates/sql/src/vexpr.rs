@@ -1,27 +1,32 @@
-//! Vectorized expression kernels for the batch executor.
+//! Vectorized expression kernels: the one expression evaluator the
+//! engine runs.
 //!
 //! [`compile`] resolves an [`Expr`]'s column references against an
 //! operator's input schema once, producing a [`VExpr`] whose leaves are
 //! column *indices*. [`eval`] then evaluates a `VExpr` over a whole
 //! [`Batch`] at a time: typed column pairs (Int/Float arithmetic and
 //! comparisons, Bool three-valued AND/OR) run as tight loops over the
-//! typed vectors, everything else falls back to a per-lane interpreter
-//! that mirrors [`Expr::eval`] exactly.
+//! typed vectors, and every other combination applies the per-value
+//! rules (`eval_binary`, `like_match`, `Value::sql_cmp`) lane by lane.
+//! A constant — a value of `INSERT … VALUES`, an input of `PREDICT …
+//! GIVEN` — runs through the same kernels on the one-row batch with no
+//! columns ([`eval_const`]).
 //!
-//! Equivalence with the scalar path is load-bearing (the differential
-//! oracle in `aimdb-engine` diffs the two executors), and rests on one
-//! property of `Expr::eval`: it never short-circuits a subtree — both
+//! The semantics are SQL's a row at a time, and the reference that
+//! spells them out row by row is the row evaluator of the dev-only
+//! `aimdb-oracle` crate, which this crate's property tests and the
+//! engine's differential tests compare against. Whole-column evaluation
+//! agrees with it because almost nothing short-circuits a subtree: both
 //! operands of every `Binary` are evaluated for every row, as are all
-//! `Between`/`Function` children. Whole-column evaluation therefore
-//! errors exactly when the scalar path errors (possibly reporting a
-//! different site, which is why the oracle treats any `Err` pair as
-//! agreement). Two constructs are lazy in `Expr`, and stay lazy here:
-//! `IN (...)` keeps its per-lane loop, and a *predicate's* AND-ed
+//! `Between`/`Function` children, so a column errors exactly when some
+//! row errors (possibly reporting a different site, which is why the
+//! oracles treat any `Err` pair as agreement). Two constructs are lazy,
+//! and stay lazy here by running a subtree only on the rows that reach
+//! it: item *k* of `IN (...)` runs on the lanes whose probe is not NULL
+//! and that no earlier item matched, and a *predicate's* AND-ed
 //! conjuncts cascade — [`eval_filter`] evaluates each conjunct only on
-//! the rows every earlier conjunct accepted, the batch form of
-//! `Expr::eval_predicate` stopping at the first conjunct that is not
-//! TRUE. That is what lets a cheap conjunct shield an expensive one
-//! (`PREDICT`) from most of a batch.
+//! the rows every earlier conjunct accepted. That is what lets a cheap
+//! conjunct shield an expensive one (`PREDICT`) from most of a batch.
 //!
 //! `PREDICT` is not a function call here: the planner binds it to a model
 //! snapshot, and [`VExpr::Predict`] hands the argument columns to that
@@ -80,10 +85,10 @@ pub enum VExpr {
     },
 }
 
-/// Resolve every column reference in `expr` against `schema`, using the
-/// same lookup rule as [`Expr::eval`]: the qualified spelling first,
-/// then the bare name. Fails iff scalar evaluation would fail to
-/// resolve the column.
+/// Resolve every column reference in `expr` against `schema`: the
+/// qualified spelling first, then the bare name (operator output
+/// schemas may carry either form). A column in neither spelling is
+/// [`AimError::NotFound`].
 pub fn compile(expr: &Expr, schema: &Schema) -> Result<VExpr> {
     match expr {
         Expr::Column { qualifier, name } => {
@@ -157,6 +162,15 @@ pub fn eval(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns) -> Result<ColVec> {
     eval_sel(v, batch, None, fns)
 }
 
+/// Evaluate an expression that reads no column — a value of `INSERT …
+/// VALUES`, an input of `PREDICT … GIVEN` — over the one-row batch with
+/// no columns. A column reference fails to compile against the empty
+/// schema.
+pub fn eval_const(expr: &Expr, fns: &dyn ScalarFns) -> Result<Value> {
+    let v = compile(expr, &Schema::default())?;
+    Ok(eval(&v, &Batch::from_cols(Vec::new(), 1), fns)?.value(0))
+}
+
 /// Evaluate over the rows of `batch` named by `sel` (every row when
 /// `None`), producing a dense column with one lane per selected row.
 /// Only the leaves know about the selection: a column reference gathers
@@ -206,35 +220,41 @@ fn eval_sel(v: &VExpr, batch: &Batch, sel: Option<&[u32]>, fns: &dyn ScalarFns) 
             list,
             negated,
         } => {
-            // IN is the one lazy construct in Expr::eval: list items
-            // after the first match (and for NULL probes) are never
-            // evaluated, so the lane loop must stay lazy too.
+            // IN is lazy: a NULL probe reads no item, and a row reads
+            // item k only if no earlier item matched it. So item k runs
+            // as one batch on exactly the lanes still undecided.
             let c = sub(expr)?;
-            let mut out = Vec::with_capacity(n);
-            'lane: for i in 0..n {
-                let v = c.value(i);
-                if v.is_null() {
-                    out.push(Value::Null);
-                    continue;
+            let mut out = vec![Value::Null; n];
+            let mut saw_null = vec![false; n];
+            let mut open: Vec<usize> = (0..n).filter(|&i| !c.is_null(i)).collect();
+            for item in list {
+                if open.is_empty() {
+                    break;
                 }
-                let mut saw_null = false;
-                let row = sel.map_or(i, |s| s[i] as usize);
-                for item in list {
-                    let w = eval_lane(item, batch, row, fns)?;
-                    match v.sql_cmp(&w) {
-                        Some(Ordering::Equal) => {
-                            out.push(Value::Bool(!*negated));
-                            continue 'lane;
+                let rows: Vec<u32> = open
+                    .iter()
+                    .map(|&i| sel.map_or(i as u32, |s| s[i]))
+                    .collect();
+                let w = eval_sel(item, batch, Some(&rows), fns)?;
+                let mut still = Vec::with_capacity(open.len());
+                for (k, &i) in open.iter().enumerate() {
+                    match c.value(i).sql_cmp(&w.value(k)) {
+                        Some(Ordering::Equal) => out[i] = Value::Bool(!*negated),
+                        None => {
+                            saw_null[i] = true;
+                            still.push(i);
                         }
-                        None => saw_null = true,
-                        _ => {}
+                        _ => still.push(i),
                     }
                 }
-                out.push(if saw_null {
+                open = still;
+            }
+            for i in open {
+                out[i] = if saw_null[i] {
                     Value::Null
                 } else {
                     Value::Bool(*negated)
-                });
+                };
             }
             Ok(ColVec::from_values(out))
         }
@@ -277,8 +297,7 @@ fn eval_sel(v: &VExpr, batch: &Batch, sel: Option<&[u32]>, fns: &dyn ScalarFns) 
 
 /// Evaluate a compiled predicate over `batch`, returning the selection
 /// vector of rows where it is TRUE (SQL WHERE semantics: NULL drops the
-/// row; a non-boolean result is a type error, as in
-/// [`Expr::eval_predicate`]).
+/// row; a non-boolean result is a type error).
 ///
 /// The predicate's AND-ed conjuncts run as a cascade, in order: each is
 /// evaluated only on the rows all earlier ones accepted, and once no row
@@ -331,89 +350,6 @@ fn narrow(v: &VExpr, batch: &Batch, fns: &dyn ScalarFns, sel: &mut Option<Vec<u3
     }
     *sel = Some(kept);
     Ok(())
-}
-
-/// Per-lane interpreter: evaluate one row of a compiled expression,
-/// mirroring [`Expr::eval`] node for node (used for lazy `IN` items).
-fn eval_lane(v: &VExpr, batch: &Batch, i: usize, fns: &dyn ScalarFns) -> Result<Value> {
-    match v {
-        VExpr::Col(c) => Ok(batch.col(*c).value(i)),
-        VExpr::Literal(val) => Ok(val.clone()),
-        VExpr::Binary { left, op, right } => {
-            let l = eval_lane(left, batch, i, fns)?;
-            let r = eval_lane(right, batch, i, fns)?;
-            eval_binary(&l, *op, &r)
-        }
-        VExpr::Unary { op, expr } => {
-            let val = eval_lane(expr, batch, i, fns)?;
-            unary_value(*op, val)
-        }
-        VExpr::IsNull { expr, negated } => {
-            let val = eval_lane(expr, batch, i, fns)?;
-            Ok(Value::Bool(val.is_null() != *negated))
-        }
-        VExpr::Between { expr, lo, hi } => {
-            let val = eval_lane(expr, batch, i, fns)?;
-            let l = eval_lane(lo, batch, i, fns)?;
-            let h = eval_lane(hi, batch, i, fns)?;
-            match (val.sql_cmp(&l), val.sql_cmp(&h)) {
-                (Some(a), Some(b)) => {
-                    Ok(Value::Bool(a != Ordering::Less && b != Ordering::Greater))
-                }
-                _ => Ok(Value::Null),
-            }
-        }
-        VExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let val = eval_lane(expr, batch, i, fns)?;
-            if val.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let w = eval_lane(item, batch, i, fns)?;
-                match val.sql_cmp(&w) {
-                    Some(Ordering::Equal) => return Ok(Value::Bool(!*negated)),
-                    None => saw_null = true,
-                    _ => {}
-                }
-            }
-            Ok(if saw_null {
-                Value::Null
-            } else {
-                Value::Bool(*negated)
-            })
-        }
-        VExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let val = eval_lane(expr, batch, i, fns)?;
-            if val.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Bool(like_match(val.as_str()?, pattern) != *negated))
-        }
-        VExpr::Function { name, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_lane(a, batch, i, fns))
-                .collect::<Result<_>>()?;
-            fns.call(name, &vals)
-        }
-        // the bound kernel on a batch of one
-        VExpr::Predict { model, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_lane(a, batch, i, fns))
-                .collect::<Result<_>>()?;
-            model.0.predict_row(&vals)
-        }
-    }
 }
 
 fn unary_value(op: UnaryOp, v: Value) -> Result<Value> {
@@ -562,8 +498,9 @@ fn unary_col(op: UnaryOp, c: &ColVec, n: usize) -> Result<ColVec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::BuiltinFns;
+    use crate::expr::{BoundModel, BuiltinFns};
     use aimdb_common::{DataType, Row};
+    use std::sync::{Arc, Mutex};
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -588,60 +525,6 @@ mod tests {
             ]),
         ];
         Batch::from_rows(&schema(), &rows)
-    }
-
-    /// Batch evaluation must agree with scalar evaluation row by row.
-    fn assert_matches_scalar(e: &Expr) {
-        let s = schema();
-        let b = batch();
-        let v = compile(e, &s).expect("compile");
-        let col = eval(&v, &b, &BuiltinFns).expect("batch eval");
-        for i in 0..b.len() {
-            let want = e.eval(&s, &b.row(i), &BuiltinFns).expect("scalar eval");
-            assert_eq!(col.value(i), want, "row {i} of {e:?}");
-        }
-    }
-
-    #[test]
-    fn typed_kernels_match_scalar() {
-        use BinaryOp::*;
-        for op in [Add, Sub, Mul, Eq, Neq, Lt, Lte, Gt, Gte] {
-            assert_matches_scalar(&Expr::binary(Expr::col("a"), op, Expr::lit(4i64)));
-            assert_matches_scalar(&Expr::binary(Expr::col("a"), op, Expr::col("b")));
-            assert_matches_scalar(&Expr::binary(Expr::col("b"), op, Expr::lit(0.5f64)));
-        }
-        assert_matches_scalar(&Expr::binary(Expr::col("s"), Eq, Expr::lit("hello")));
-    }
-
-    #[test]
-    fn fallback_constructs_match_scalar() {
-        assert_matches_scalar(&Expr::Between {
-            expr: Box::new(Expr::col("a")),
-            lo: Box::new(Expr::lit(-5i64)),
-            hi: Box::new(Expr::lit(5i64)),
-        });
-        assert_matches_scalar(&Expr::InList {
-            expr: Box::new(Expr::col("a")),
-            list: vec![Expr::lit(10i64), Expr::lit(Value::Null)],
-            negated: false,
-        });
-        assert_matches_scalar(&Expr::Like {
-            expr: Box::new(Expr::col("s")),
-            pattern: "h%".into(),
-            negated: false,
-        });
-        assert_matches_scalar(&Expr::IsNull {
-            expr: Box::new(Expr::col("b")),
-            negated: true,
-        });
-        assert_matches_scalar(&Expr::Function {
-            name: "ABS".into(),
-            args: vec![Expr::col("a")],
-        });
-        assert_matches_scalar(&Expr::Unary {
-            op: UnaryOp::Neg,
-            expr: Box::new(Expr::col("a")),
-        });
     }
 
     #[test]
@@ -674,17 +557,14 @@ mod tests {
         let e = Expr::binary(Expr::col("x"), BinaryOp::Add, Expr::lit(1i64));
         let v = compile(&e, &s).unwrap();
         let got = eval(&v, &b, &BuiltinFns).unwrap().value(0);
-        let want = e.eval(&s, &rows[0], &BuiltinFns).unwrap();
-        assert_eq!(got, want);
         assert_eq!(got, Value::Int(i64::MIN));
-        // the one overflowing quotient wraps too, as in the scalar path
+        // the one overflowing quotient wraps too
         let rows = vec![Row::new(vec![Value::Int(i64::MIN)])];
         let b = Batch::from_rows(&s, &rows);
         for (op, want) in [(BinaryOp::Div, i64::MIN), (BinaryOp::Mod, 0)] {
             let e = Expr::binary(Expr::col("x"), op, Expr::lit(-1i64));
             let got = eval(&compile(&e, &s).unwrap(), &b, &BuiltinFns).unwrap();
             assert_eq!(got.value(0), Value::Int(want));
-            assert_eq!(e.eval(&s, &rows[0], &BuiltinFns).unwrap(), Value::Int(want));
         }
     }
 
@@ -693,11 +573,125 @@ mod tests {
         assert!(compile(&Expr::col("zzz"), &schema()).is_err());
     }
 
-    /// `PREDICT(m, x…)` = twice the sum of its arguments, as a bound
-    /// model and — for the scalar reference — as a function by name.
+    #[test]
+    fn constants_run_on_the_one_row_batch() {
+        let neg = |e| Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(e),
+        };
+        let e = Expr::Function {
+            name: "ABS".into(),
+            args: vec![neg(Expr::lit(7i64))],
+        };
+        assert_eq!(eval_const(&e, &BuiltinFns), Ok(Value::Int(7)));
+        let e = Expr::binary(Expr::lit(1i64), BinaryOp::Div, Expr::lit(0i64));
+        assert!(eval_const(&e, &BuiltinFns).is_err());
+        assert_eq!(
+            eval_const(&Expr::col("x"), &BuiltinFns),
+            Err(AimError::NotFound("column x".into()))
+        );
+    }
+
+    fn in_list(probe: Expr, list: Vec<Expr>) -> VExpr {
+        let e = Expr::InList {
+            expr: Box::new(probe),
+            list,
+            negated: false,
+        };
+        compile(&e, &Schema::from_pairs(&[("x", DataType::Int)])).unwrap()
+    }
+
+    fn ints(xs: &[i64]) -> Batch {
+        Batch::from_cols(
+            vec![ColVec::from_values(
+                xs.iter().map(|&x| Value::Int(x)).collect(),
+            )],
+            xs.len(),
+        )
+    }
+
+    #[test]
+    fn in_items_run_only_on_undecided_lanes() {
+        let one_over_zero = || Expr::binary(Expr::lit(1i64), BinaryOp::Div, Expr::lit(0i64));
+        let v = in_list(Expr::col("x"), vec![Expr::lit(1i64), one_over_zero()]);
+        // every lane is decided by the first item: the second never runs
+        let got = eval(&v, &ints(&[1, 1, 1]), &BuiltinFns).unwrap();
+        assert_eq!(got.value(0), Value::Bool(true));
+        assert_eq!(got.value(2), Value::Bool(true));
+        // one lane the first item leaves open reaches it and raises
+        assert!(eval(&v, &ints(&[1, 2, 1]), &BuiltinFns).is_err());
+        // a NULL probe reads no item
+        let v = in_list(Expr::lit(Value::Null), vec![one_over_zero()]);
+        let got = eval(&v, &ints(&[5, 6]), &BuiltinFns).unwrap();
+        assert_eq!(got.value(0), Value::Null);
+        assert_eq!(got.value(1), Value::Null);
+    }
+
+    /// `PREDICT(echo, x)` = `x`, keeping every batch it is handed.
+    #[derive(Default)]
+    struct Echo {
+        seen: Mutex<Vec<Vec<f64>>>,
+    }
+
+    impl BoundModel for Echo {
+        fn name(&self) -> &str {
+            "echo"
+        }
+        fn version(&self) -> u32 {
+            1
+        }
+        fn kind(&self) -> &str {
+            "stub"
+        }
+        fn arity(&self) -> usize {
+            1
+        }
+        fn predict_batch(&self, cols: &[ColVec], out: &mut [f64]) -> Result<()> {
+            let xs = cols[0].f64_lane()?.into_owned();
+            out.copy_from_slice(&xs);
+            self.seen.lock().unwrap().push(xs);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_later_in_item_predicts_only_the_undecided_lanes() {
+        let echo = Arc::new(Echo::default());
+        let predict = Expr::Predict {
+            model: ModelRef(Arc::clone(&echo) as Arc<dyn BoundModel>),
+            args: vec![Expr::col("x")],
+        };
+        let v = in_list(Expr::col("x"), vec![Expr::lit(1i64), predict]);
+        // lanes 0 and 2 match the literal, lane 3 has a NULL probe
+        let b = Batch::from_cols(
+            vec![ColVec::from_values(vec![
+                Value::Int(1),
+                Value::Int(4),
+                Value::Int(1),
+                Value::Null,
+                Value::Int(6),
+            ])],
+            5,
+        );
+        let got = eval(&v, &b, &BuiltinFns).unwrap();
+        let t = Value::Bool(true);
+        let want = [t.clone(), t.clone(), t.clone(), Value::Null, t];
+        for (i, w) in want.iter().enumerate() {
+            assert_eq!(&got.value(i), w, "lane {i}");
+        }
+        assert_eq!(*echo.seen.lock().unwrap(), vec![vec![4.0, 6.0]]);
+        // under a selection the item reads the selected rows still open
+        echo.seen.lock().unwrap().clear();
+        let got = eval_sel(&v, &b, Some(&[2, 4]), &BuiltinFns).unwrap();
+        assert_eq!(got.value(0), Value::Bool(true));
+        assert_eq!(got.value(1), Value::Bool(true));
+        assert_eq!(*echo.seen.lock().unwrap(), vec![vec![6.0]]);
+    }
+
+    /// `PREDICT(m, x…)` = twice the sum of its arguments.
     struct TwiceSum;
 
-    impl crate::expr::BoundModel for TwiceSum {
+    impl BoundModel for TwiceSum {
         fn name(&self) -> &str {
             "m"
         }
@@ -721,20 +715,9 @@ mod tests {
         }
     }
 
-    impl ScalarFns for TwiceSum {
-        fn call(&self, name: &str, args: &[Value]) -> Result<Value> {
-            assert_eq!(name, "PREDICT");
-            let mut sum = 0.0;
-            for a in &args[1..] {
-                sum += 2.0 * a.as_f64()?;
-            }
-            Ok(Value::Float(sum))
-        }
-    }
-
     fn predict(args: Vec<Expr>) -> Expr {
         Expr::Predict {
-            model: ModelRef(std::sync::Arc::new(TwiceSum)),
+            model: ModelRef(Arc::new(TwiceSum)),
             args,
         }
     }
@@ -745,18 +728,17 @@ mod tests {
         // row 0 has both inputs; rows 1 and 2 have a NULL one
         let p = predict(vec![Expr::col("a"), Expr::col("b")]);
         let v = compile(&p, &s).unwrap();
-        assert!(eval(&v, &b, &TwiceSum).is_err(), "NULL input is an error");
-        let got = eval_sel(&v, &b, Some(&[0]), &TwiceSum).unwrap();
-        assert_eq!(got.value(0), p.eval(&s, &b.row(0), &TwiceSum).unwrap());
+        assert!(eval(&v, &b, &BuiltinFns).is_err(), "NULL input is an error");
+        let got = eval_sel(&v, &b, Some(&[0]), &BuiltinFns).unwrap();
         assert_eq!(got.value(0), Value::Float(25.0));
-        // inside a lazy IN item: the kernel on a batch of one
+        // inside an IN item: the kernel on the selected lane
         let e = Expr::InList {
             expr: Box::new(Expr::lit(25.0)),
             list: vec![p],
             negated: false,
         };
         let v = compile(&e, &s).unwrap();
-        let got = eval_sel(&v, &b, Some(&[0]), &TwiceSum).unwrap();
+        let got = eval_sel(&v, &b, Some(&[0]), &BuiltinFns).unwrap();
         assert_eq!(got.value(0), Value::Bool(true));
     }
 
@@ -783,27 +765,10 @@ mod tests {
         // shielded: the model only sees rows with both inputs present
         let shielded = Expr::binary(both.clone(), And, over.clone());
         let v = compile(&shielded, &s).unwrap();
-        assert_eq!(eval_filter(&v, &b, &TwiceSum).unwrap(), vec![0]);
-        for i in 0..b.len() {
-            let want = shielded.eval_predicate(&s, &b.row(i), &TwiceSum).unwrap();
-            assert_eq!(want, i == 0);
-        }
-        // the other way round the model meets a NULL first, in both forms
+        assert_eq!(eval_filter(&v, &b, &BuiltinFns).unwrap(), vec![0]);
+        // the other way round the model meets a NULL first
         let exposed = Expr::binary(over, And, both);
         let v = compile(&exposed, &s).unwrap();
-        assert!(eval_filter(&v, &b, &TwiceSum).is_err());
-        assert!(exposed.eval_predicate(&s, &b.row(1), &TwiceSum).is_err());
-    }
-
-    #[test]
-    fn three_valued_and_or_match_scalar() {
-        use BinaryOp::*;
-        let gt = Expr::binary(Expr::col("a"), Gt, Expr::lit(0i64));
-        let isn = Expr::IsNull {
-            expr: Box::new(Expr::col("b")),
-            negated: false,
-        };
-        assert_matches_scalar(&Expr::binary(gt.clone(), And, isn.clone()));
-        assert_matches_scalar(&Expr::binary(gt, Or, isn));
+        assert!(eval_filter(&v, &b, &BuiltinFns).is_err());
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests: the vectorized expression kernels must agree with the
-//! scalar evaluator on arbitrary expressions over arbitrary batches.
+//! reference row evaluator (`aimdb_oracle::RowEval`) on arbitrary
+//! expressions over arbitrary batches.
 //!
 //! The contract (documented in `vexpr`): for every expression the batch
-//! evaluation succeeds iff scalar evaluation succeeds on every row, and
-//! on success lane `i` equals the scalar result for row `i`. Inputs lean
+//! evaluation succeeds iff row evaluation succeeds on every row, and
+//! on success lane `i` equals the row result for row `i`. Inputs lean
 //! on the edges — NULLs everywhere, `i64::MAX`/`i64::MIN+1` for wrapping
 //! overflow, NaN and subnormal floats for total-order comparisons, and
 //! Int/Float/Bool mixes for numeric coercion.
@@ -11,6 +12,7 @@
 use proptest::prelude::*;
 
 use aimdb_common::{Batch, Column, DataType, Row, Schema, Value};
+use aimdb_oracle::RowEval;
 use aimdb_sql::expr::{BinaryOp, BuiltinFns, UnaryOp};
 use aimdb_sql::vexpr;
 use aimdb_sql::Expr;
@@ -323,4 +325,87 @@ fn coercion_and_overflow_edges() {
             assert_eq!(col.value(i), want, "lane {i} of {expr:?}");
         }
     }
+}
+
+/// Batch evaluation of `e` over three rows of `(a INT, b FLOAT, s TEXT)`
+/// with NULLs among them must equal row evaluation, row by row.
+fn spot_check(e: &Expr) {
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("b", DataType::Float),
+        ("s", DataType::Text),
+    ]);
+    let rows = vec![
+        Row::new(vec![
+            Value::Int(10),
+            Value::Float(2.5),
+            Value::Text("hello".into()),
+        ]),
+        Row::new(vec![Value::Null, Value::Float(-1.0), Value::Null]),
+        Row::new(vec![
+            Value::Int(-3),
+            Value::Null,
+            Value::Text("world".into()),
+        ]),
+    ];
+    let v = vexpr::compile(e, &schema).expect("compile");
+    let col = vexpr::eval(&v, &Batch::from_rows(&schema, &rows), &BuiltinFns).expect("batch eval");
+    for (i, row) in rows.iter().enumerate() {
+        let want = e.eval(&schema, row, &BuiltinFns).expect("row eval");
+        assert_eq!(col.value(i), want, "row {i} of {e:?}");
+    }
+}
+
+#[test]
+fn typed_kernels_match_scalar() {
+    use BinaryOp::*;
+    for op in [Add, Sub, Mul, Eq, Neq, Lt, Lte, Gt, Gte] {
+        spot_check(&Expr::binary(Expr::col("a"), op, Expr::lit(4i64)));
+        spot_check(&Expr::binary(Expr::col("a"), op, Expr::col("b")));
+        spot_check(&Expr::binary(Expr::col("b"), op, Expr::lit(0.5f64)));
+    }
+    spot_check(&Expr::binary(Expr::col("s"), Eq, Expr::lit("hello")));
+}
+
+#[test]
+fn fallback_constructs_match_scalar() {
+    spot_check(&Expr::Between {
+        expr: Box::new(Expr::col("a")),
+        lo: Box::new(Expr::lit(-5i64)),
+        hi: Box::new(Expr::lit(5i64)),
+    });
+    spot_check(&Expr::InList {
+        expr: Box::new(Expr::col("a")),
+        list: vec![Expr::lit(10i64), Expr::lit(Value::Null)],
+        negated: false,
+    });
+    spot_check(&Expr::Like {
+        expr: Box::new(Expr::col("s")),
+        pattern: "h%".into(),
+        negated: false,
+    });
+    spot_check(&Expr::IsNull {
+        expr: Box::new(Expr::col("b")),
+        negated: true,
+    });
+    spot_check(&Expr::Function {
+        name: "ABS".into(),
+        args: vec![Expr::col("a")],
+    });
+    spot_check(&Expr::Unary {
+        op: UnaryOp::Neg,
+        expr: Box::new(Expr::col("a")),
+    });
+}
+
+#[test]
+fn three_valued_and_or_match_scalar() {
+    use BinaryOp::*;
+    let gt = Expr::binary(Expr::col("a"), Gt, Expr::lit(0i64));
+    let isn = Expr::IsNull {
+        expr: Box::new(Expr::col("b")),
+        negated: false,
+    };
+    spot_check(&Expr::binary(gt.clone(), And, isn.clone()));
+    spot_check(&Expr::binary(gt, Or, isn));
 }
